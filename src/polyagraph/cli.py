@@ -200,6 +200,10 @@ def _merged_config(config_path, model, schedule_spec, t, replicates, seed, out):
     )
 
 
+_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores; "
+                 "1 runs in-process).")
+
+
 @main.command("experiment")
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
@@ -209,8 +213,7 @@ def _merged_config(config_path, model, schedule_spec, t, replicates, seed, out):
 @click.option("--replicates", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None)
-@click.option("--threads", type=int, default=None,
-              help="Worker cap for replicates (default: available cores).")
+@click.option("--threads", type=int, default=None, help=_THREADS_HELP)
 @_handled
 def cmd_experiment(config_path, model, schedule_spec, t, replicates, seed, out, threads):
     """Run a replicated experiment from a config file and/or inline flags."""
@@ -252,7 +255,7 @@ def _repro_config(name: str, t, replicates) -> ExperimentConfig:
 @main.command("repro")
 @click.argument("figure", type=click.Choice(_REPRO_FIGURES))
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=int, default=None, help=_THREADS_HELP)
 @click.option("--t", type=int, default=None,
               help="Override the frozen horizon (for smoke runs).")
 @click.option("--replicates", type=int, default=None,

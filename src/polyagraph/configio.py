@@ -1,20 +1,23 @@
 """Experiment config documents and result-file writers.
 
-Config documents are flat ``key = value`` text with ``#`` comments.  Known
-keys: model, schedule, t, replicates, seed, outputs, out.  Unknown or
-duplicate keys are rejected, and the schedule must evaluate to a finite
-nonnegative amount at every time up to the horizon.
+Config documents are flat ``key = value`` text.  A ``#`` at the start of a
+line or after whitespace starts a comment; elsewhere, as in a ``table:``
+path, it is part of the value.  Known keys: model, schedule, t, replicates,
+seed, outputs, out.  Unknown or duplicate keys are rejected, and the
+schedule must evaluate to a finite nonnegative amount at every time up to
+the horizon.
 
 Result files (all floats with 17 significant digits):
 
     degree_distribution.csv   header ``k,p``
     birth_time.csv            header ``k,mean_birth_time,n_samples``
-    summary.json              config echo plus pooled totals
+    summary.json              config echo, seed contract and pooled totals
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +30,11 @@ from .experiments import (
     degree_distribution,
 )
 from .schedules import parse_schedule
+from .seeding import SEED_CONTRACT
 
 _KNOWN_KEYS = ("model", "schedule", "t", "replicates", "seed", "outputs", "out")
 _INT_KEYS = {"t", "replicates", "seed"}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def fmt_float(x: float) -> str:
@@ -40,7 +45,7 @@ def parse_config_text(text: str, *, source: str = "<config>") -> ExperimentConfi
     """Parse a config document; see the module docstring for the format."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -150,6 +155,7 @@ def summary_json(result: MonteCarloResult) -> str:
     payload = {
         "config": config_echo(result.config),
         "seed": result.config.seed,
+        "seed_contract": SEED_CONTRACT,
         "totals": {
             "replicates": hist.replicates,
             "vertices_per_replicate": hist.horizon + 1,

@@ -8,8 +8,8 @@ routes compute the distribution:
   times, valid for any schedule.  Each tuple contributes a chain of
   conditional draw/no-draw probabilities; the number of tuples grows as
   2**(t-j+1), so the support window is capped.
-- ``pmf_constant_delta``: the same sum with the factors specialized to a
-  constant reinforcement amount.
+- ``pmf_constant_delta``: ``pmf_general`` at a constant reinforcement
+  amount.
 - ``pmf_constant_delta_dp``: a quadratic-time forward recurrence for constant
   amounts with no cap; the draw probability at time n depends only on the
   number of prior draws.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, InvalidColor
-from .schedules import Schedule
+from .schedules import Constant, Schedule
 
 logger = logging.getLogger(__name__)
 
@@ -121,16 +121,14 @@ def _validate_cap(j: int, t: int, cap: int) -> None:
         )
 
 
-def _sum_over_tuples(j, t, k, *, mode, S=None, deltas=None, delta=None,
-                     chunk_size=_CHUNK) -> float:
+def _sum_over_tuples(j, t, k, *, mode, S=None, deltas=None, chunk_size=_CHUNK) -> float:
     """Total over draw-time tuples of the conditional-probability chain.
 
     Walks times p = j..t once per tuple chunk, pairing each numerator factor
     with its denominator so partial products stay in [0, 1] (the chains are
     probabilities).  ``mode`` selects the factor family:
 
-    - "general": time-varying amounts; tracks the drawn-mass running sum.
-    - "constant": constant amount ``delta``; tracks the draw count.
+    - "general": any schedule; tracks the drawn-mass running sum.
     - "unit_printed": the simplified unit-reinforcement form, which applies
       the no-draw factor at every time (draw times included) and multiplies
       by k! at the end.
@@ -140,7 +138,6 @@ def _sum_over_tuples(j, t, k, *, mode, S=None, deltas=None, delta=None,
         m = tup.shape[0]
         rows = np.arange(m)
         ratio = np.ones(m)
-        count = np.zeros(m, dtype=np.int64)
         drawsum = np.zeros(m)
         ptr = np.zeros(m, dtype=np.int64)
         last = k - 1
@@ -151,19 +148,11 @@ def _sum_over_tuples(j, t, k, *, mode, S=None, deltas=None, delta=None,
                 den = p + S[p - 1]
                 num = np.where(is_draw, 1.0 + drawsum, (p - 1.0) + S[p - 1] - drawsum)
                 drawsum = drawsum + np.where(is_draw, deltas[p - 1], 0.0)
-            elif mode == "constant":
-                den = (delta + 1.0) * (p - 1) + 1.0
-                num = np.where(
-                    is_draw,
-                    1.0 + count * delta,
-                    (p - 1.0) * (delta + 1.0) - delta * count,
-                )
             else:  # unit_printed
                 den = 2.0 * (p - 1) + 1.0
-                num = 2.0 * (p - 1) - count
+                num = 2.0 * (p - 1) - ptr  # ptr counts the draws so far
             ratio *= num
             ratio /= den
-            count += is_draw
             ptr += is_draw
         if mode == "unit_printed":
             ratio *= float(math.factorial(k))
@@ -175,13 +164,6 @@ def _zero_draws_general(j: int, t: int, S: np.ndarray) -> float:
     ratio = 1.0
     for p in range(j, t + 1):
         ratio *= ((p - 1.0) + S[p - 1]) / (p + S[p - 1])
-    return ratio
-
-
-def _zero_draws_constant(j: int, t: int, delta: float) -> float:
-    ratio = 1.0
-    for p in range(j, t + 1):
-        ratio *= ((p - 1.0) * (delta + 1.0)) / ((delta + 1.0) * (p - 1) + 1.0)
     return ratio
 
 
@@ -210,17 +192,10 @@ def pmf_general(j: int, t: int, schedule: Schedule, *, cap: int = ENUMERATION_CA
 
 def pmf_constant_delta(j: int, t: int, delta: float, *, cap: int = ENUMERATION_CAP) -> Pmf:
     """Exact draw-count distribution for a constant amount via the tuple sum."""
-    _validate_color(j, t)
-    _validate_cap(j, t, cap)
     delta = float(delta)
     if delta < 0:
         raise ValueError(f"reinforcement must be >= 0, got {delta}")
-    window = t - j + 1
-    probs = np.zeros(window + 1)
-    probs[0] = _zero_draws_constant(j, t, delta)
-    for k in range(1, window + 1):
-        probs[k] = _sum_over_tuples(j, t, k, mode="constant", delta=delta)
-    return Pmf(color=j, horizon=t, probs=probs)
+    return pmf_general(j, t, Constant(delta), cap=cap)
 
 
 def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
@@ -259,14 +234,7 @@ def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
     function returns the verified values and logs the size of any
     discrepancy rather than silently reconciling the two.
     """
-    _validate_color(j, t)
-    _validate_cap(j, t, cap)
-    window = t - j + 1
-    probs = np.zeros(window + 1)
-    probs[0] = _zero_draws_constant(j, t, 1.0)
-    for k in range(1, window + 1):
-        probs[k] = _sum_over_tuples(j, t, k, mode="constant", delta=1.0)
-    result = Pmf(color=j, horizon=t, probs=probs)
+    result = pmf_general(j, t, Constant(1.0), cap=cap)
     if compare_simplified:
         alt = delta_one_simplified_pmf(j, t, cap=cap)
         gap = float(np.max(np.abs(alt.probs - result.probs)))

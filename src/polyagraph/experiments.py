@@ -147,7 +147,7 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
 
     Replicate r draws from the generator seeded by ``(config.seed, r)``
     regardless of worker layout, and all aggregation is exact integer
-    addition, so the result is identical for any thread count.
+    addition, so the result is identical for any number of worker processes.
     """
     t, total = config.t, config.replicates
     schedule = config.schedule()

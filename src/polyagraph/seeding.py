@@ -11,6 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+SEED_CONTRACT = 2
+"""Version of the map from a seed to sampled histories, recorded in summary.json.
+
+Contract 1 inverted each draw's cumulative mass through a binary-indexed
+(Fenwick) tree.  Contract 2 is the copy-pointer inversion of
+``urn.sample_history``: still one uniform per step, drawn in a single
+``rng.random(t)`` call, but mapped to colors differently, so the same seed
+gives a different history.  Bump it whenever that map changes.
+"""
+
 
 def as_generator(seed) -> np.random.Generator:
     """Return a PCG64 generator; pass through an existing Generator unchanged."""

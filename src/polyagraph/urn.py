@@ -5,6 +5,10 @@ a ball is drawn in proportion to mass, the drawn color gains the schedule's
 mass for time t, and a brand-new color enters with mass exactly 1.  The
 sequence of drawn colors is a sufficient statistic: the urn trajectory, the
 attachment graph, and every per-color count are deterministic functions of it.
+
+``sample_history`` is the one random sampler: it draws a whole history in
+O(t log t) numpy work by copying colors from earlier draws (see its
+docstring).  ``step`` only applies forced draws, for exact replays.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ class UrnState:
 
     ``weights[i]`` is the mass of color i+1; there are ``time + 1`` colors and
     the newest always has mass exactly 1.  Weights may be any numeric type
-    (fractions keep forced replays exact); the sampling paths use floats.
+    (fractions keep forced replays exact); ``sample_history`` never builds
+    an ``UrnState`` and works in floats.
     """
 
     time: int
@@ -51,30 +56,15 @@ def conditional_draw_pmf(urn: UrnState) -> list:
     return composition(urn)
 
 
-def step(urn: UrnState, schedule: Schedule, *, drawn: int | None = None, rng=None):
-    """Advance the urn by one draw; returns ``(next_state, drawn_color)``.
+def step(urn: UrnState, schedule: Schedule, *, drawn: int):
+    """Advance the urn by one forced draw of color ``drawn``.
 
-    Exactly one of ``drawn`` (a forced color, for deterministic replays) and
-    ``rng`` (a numpy Generator) must be given.  The random path samples by
-    cumulative-weight inversion over the weight sequence.
+    Returns ``(next_state, drawn)``.  Arithmetic follows the weights' type,
+    so Fraction masses replay exactly.
     """
-    if (drawn is None) == (rng is None):
-        raise ValueError("provide exactly one of drawn= and rng=")
+    if not 1 <= drawn <= urn.num_colors:
+        raise InvalidColor(f"color {drawn} not in 1..{urn.num_colors} at time {urn.time}")
     t_next = urn.time + 1
-    if drawn is not None:
-        if not 1 <= drawn <= urn.num_colors:
-            raise InvalidColor(
-                f"color {drawn} not in 1..{urn.num_colors} at time {urn.time}"
-            )
-    else:
-        target = rng.random() * urn.total_weight
-        acc = 0
-        drawn = urn.num_colors
-        for i, w in enumerate(urn.weights):
-            acc = acc + w
-            if target < acc:
-                drawn = i + 1
-                break
     delta = schedule.value(t_next)
     weights = list(urn.weights)
     weights[drawn - 1] = weights[drawn - 1] + delta
@@ -143,50 +133,29 @@ class DrawHistory:
 def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> DrawHistory:
     """Sample a length-t draw history.
 
-    One uniform is consumed per step, pre-drawn in a single generator call so
-    a given seed fixes the history bit-for-bit.  Color selection inverts the
-    cumulative mass through a binary-indexed tree, O(log t) per step.
+    Just before the draw at time n the urn's mass splits into n unit balls,
+    one per color, and the reinforcement mass S[n-1] laid down by the draws
+    at times 1..n-1.  A point x uniform on [0, n + S[n-1]) below n draws
+    color floor(x) + 1; otherwise it falls in the mass laid down at some
+    time s < n, and the draw at n copies the color drawn at s.  All t
+    uniforms come from one ``rng.random(t)`` call, the times s from one
+    ``searchsorted``, and the copy pointers are resolved by pointer jumping:
+    O(t log t) numpy work in all.
     """
-    deltas = schedule.values(t)
-    draws = np.empty(t, dtype=np.int64)
-    if t == 0:
-        return DrawHistory(schedule=schedule, draws=draws)
-    cap = t + 1
-    tree = [0.0] * (cap + 1)
-    j = 1
-    while j <= cap:  # insert color 1 with mass 1
-        tree[j] += 1.0
-        j += j & (-j)
-    top = 1
-    while top * 2 <= cap:
-        top *= 2
-    total = 1.0
-    uniforms = rng.random(t)
-    for n in range(1, t + 1):
-        rem = uniforms[n - 1] * total
-        pos = 0
-        bit = top
-        while bit:
-            nxt = pos + bit
-            if nxt <= cap and tree[nxt] <= rem:
-                rem -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        drawn = pos + 1
-        if drawn > n:  # guards the measure-zero edge where rounding spills past the last color
-            drawn = n
-        draws[n - 1] = drawn
-        d = float(deltas[n - 1])
-        j = drawn
-        while j <= cap:
-            tree[j] += d
-            j += j & (-j)
-        j = n + 1  # the new color enters with mass 1
-        while j <= cap:
-            tree[j] += 1.0
-            j += j & (-j)
-        total += d + 1.0
-    return DrawHistory(schedule=schedule, draws=draws)
+    S = schedule.cumulative(t)
+    n = np.arange(1, t + 1)
+    x = rng.random(t) * (n + S[:-1])
+    copied_from = np.searchsorted(S, x - n, side="right")
+    # src[n-1] is the 0-based time whose color the draw at n takes; a draw
+    # from the unit balls points to itself.  Rounding can put x - n at or
+    # past S[n-1], where any earlier time is a valid source.
+    src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - 1
+    while True:
+        nxt = src[src]
+        if (nxt == src).all():
+            break
+        src = nxt
+    return DrawHistory(schedule=schedule, draws=x[src].astype(np.int64) + 1)
 
 
 def new_color_draw_prob(t: int, schedule: Schedule) -> float:

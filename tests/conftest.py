@@ -9,6 +9,7 @@ small horizons.
 import itertools
 
 import pytest
+import scipy.stats
 
 from polyagraph.schedules import Constant, NaturalLog, paper_f
 
@@ -59,3 +60,20 @@ def path_degrees(path):
     for color in path:
         degrees[color] += 1
     return degrees
+
+
+def pooled_chi_square_p(expected, observed):
+    """Chi-square p-value after pooling bins in order until each expects >= 5."""
+    exp_bins, obs_bins = [], []
+    acc_e = acc_o = 0.0
+    for e, o in zip(expected, observed):
+        acc_e += e
+        acc_o += o
+        if acc_e >= 5:
+            exp_bins.append(acc_e)
+            obs_bins.append(acc_o)
+            acc_e = acc_o = 0.0
+    exp_bins[-1] += acc_e
+    obs_bins[-1] += acc_o
+    stat = sum((o - e) ** 2 / e for e, o in zip(exp_bins, obs_bins))
+    return float(scipy.stats.chi2.sf(stat, len(exp_bins) - 1))

@@ -13,10 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.stats
 from click.testing import CliRunner
 
-from conftest import battery_schedules
+from conftest import battery_schedules, pooled_chi_square_p
 from polyagraph.cli import main as cli_main
 from polyagraph.exact import (
     brute_force_table,
@@ -153,22 +152,7 @@ def test_06_exact_versus_empirical_counts():
         tv = 0.5 * float(np.abs(hist / replicates - exact).sum())
         assert tv <= 0.02, f"TV {tv:.4f}"
 
-        # Pool tail bins until every expected count is at least 5.
-        expected = exact * replicates
-        observed = hist.astype(float)
-        exp_bins, obs_bins = [], []
-        acc_e = acc_o = 0.0
-        for e, o in zip(expected, observed):
-            acc_e += e
-            acc_o += o
-            if acc_e >= 5:
-                exp_bins.append(acc_e)
-                obs_bins.append(acc_o)
-                acc_e = acc_o = 0.0
-        exp_bins[-1] += acc_e
-        obs_bins[-1] += acc_o
-        stat = sum((o - e) ** 2 / e for e, o in zip(exp_bins, obs_bins))
-        p_value = float(scipy.stats.chi2.sf(stat, len(exp_bins) - 1))
+        p_value = pooled_chi_square_p(exact * replicates, hist)
         elapsed = time.perf_counter() - started
         assert p_value >= 0.001, f"chi-square p = {p_value:.5f}"
         assert elapsed < 10, f"took {elapsed:.1f} s"

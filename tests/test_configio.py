@@ -10,6 +10,7 @@ from polyagraph.configio import (
 )
 from polyagraph.errors import ConfigError, ScheduleRangeError
 from polyagraph.experiments import ExperimentConfig, run_monte_carlo
+from polyagraph.seeding import SEED_CONTRACT
 
 MINIMAL = """\
 # smoke configuration
@@ -66,6 +67,17 @@ class TestParse:
         with pytest.raises(ScheduleRangeError):
             parse_config_text(text)
 
+    def test_hash_inside_table_path_is_kept(self, tmp_path):
+        table = tmp_path / "run#1" / "tab.txt"
+        table.parent.mkdir()
+        table.write_text("1\n" * 100)
+        text = MINIMAL.replace("schedule = const:1", f"schedule = table:{table}")
+        assert parse_config_text(text).schedule_spec == f"table:{table}"
+
+    def test_trailing_comment_after_whitespace(self):
+        text = MINIMAL.replace("seed = 42", "seed = 42  # note")
+        assert parse_config_text(text).seed == 42
+
     def test_missing_file_is_distinct(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.cfg")
@@ -107,6 +119,7 @@ class TestWriteOutputs:
         assert summary["config"]["model"] == "polya"
         assert summary["config"]["schedule"] == "const:1"
         assert summary["seed"] == 2
+        assert summary["seed_contract"] == SEED_CONTRACT == 2
         assert summary["totals"]["total_vertices"] == 3 * 10
         assert summary["totals"]["vertices_per_replicate"] == 10
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import battery_schedules, enumerate_paths
+from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
 from polyagraph.errors import InvalidColor
+from polyagraph.exact import pmf_general
 from polyagraph.schedules import Constant, NaturalLog, parse_schedule
 from polyagraph.seeding import as_generator
 from polyagraph.urn import (
@@ -65,12 +67,6 @@ class TestStep:
         with pytest.raises(InvalidColor):
             step(new_urn(), Constant(1.0), drawn=2)
 
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            step(new_urn(), Constant(1.0))
-        with pytest.raises(ValueError):
-            step(new_urn(), Constant(1.0), drawn=1, rng=as_generator(0))
-
     def test_zero_reinforcement_still_expands(self):
         urn, _ = step(new_urn(), Constant(0.0), drawn=1)
         assert urn.weights == (1, 1)
@@ -79,20 +75,12 @@ class TestStep:
     def test_one_new_color_per_step(self):
         sched = NaturalLog()
         urn = new_urn()
-        rng = as_generator(5)
-        for t in range(1, 30):
-            urn, drawn = step(urn, sched, rng=rng)
-            assert 1 <= drawn <= t
+        history = sample_history(29, sched, as_generator(5))
+        for t, color in enumerate(history.draws, start=1):
+            urn, drawn = step(urn, sched, drawn=int(color))
+            assert drawn == color
             assert urn.num_colors == t + 1
             assert urn.weights[-1] == 1
-
-    def test_random_draw_follows_composition(self):
-        # After the forced first step with amount 2, the draw law is (3/4, 1/4).
-        sched = Constant(2.0)
-        urn, _ = step(new_urn(), sched, drawn=1)
-        rng = as_generator(123)
-        hits = sum(step(urn, sched, rng=rng)[1] == 1 for _ in range(4000))
-        assert hits / 4000 == pytest.approx(0.75, abs=0.03)
 
 
 class TestConditionalDrawPmf:
@@ -107,9 +95,8 @@ class TestConditionalDrawPmf:
     def test_sums_to_one(self):
         sched = NaturalLog()
         urn = new_urn()
-        rng = as_generator(9)
-        for _ in range(25):
-            urn, _ = step(urn, sched, rng=rng)
+        for color in sample_history(25, sched, as_generator(9)).draws:
+            urn, _ = step(urn, sched, drawn=int(color))
             assert math.fsum(conditional_draw_pmf(urn)) == pytest.approx(1, abs=1e-12)
 
 
@@ -230,17 +217,71 @@ class TestSampleHistory:
         history = sample_history(0, Constant(1.0), as_generator(0))
         assert len(history) == 0
 
-    def test_first_draw_frequencies(self):
-        # P(color 1 at time 2) = 2/3 at unit reinforcement.
-        sched = Constant(1.0)
+    @pytest.mark.parametrize("delta, expected", [(1.0, 2 / 3), (2.0, 3 / 4)],
+                             ids=["const1", "const2"])
+    def test_first_draw_frequencies(self, delta, expected):
+        # After the forced first draw, color 1 holds mass 1 + delta of 2 + delta.
+        sched = Constant(delta)
         hits = 0
         n = 3000
         for seed in range(n):
             hits += sample_history(2, sched, as_generator(seed)).draws[1] == 1
-        assert hits / n == pytest.approx(2 / 3, abs=0.03)
+        assert hits / n == pytest.approx(expected, abs=0.03)
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 60), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
     def test_draws_always_valid(self, seed, t, sched):
         history = sample_history(t, sched, as_generator(seed))
         assert len(history) == t  # DrawHistory construction already validates ranges
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 50, 500])
+    def test_matches_scalar_reference(self, t):
+        for seed, (name, sched) in enumerate(battery_schedules()):
+            history = sample_history(t, sched, as_generator(seed))
+            expected = _reference_draws(as_generator(seed).random(t), sched)
+            assert history.draws.tolist() == expected, name
+
+    @pytest.mark.parametrize("spec, j, t, seed", [
+        ("ln", 3, 10, 31),
+        ("paper-f", 1, 9, 32),
+        ("const:0", 2, 8, 33),
+    ])
+    def test_draw_count_law(self, spec, j, t, seed):
+        # ln at time 1 and every const:0 step reinforce by zero.
+        sched = parse_schedule(spec)
+        replicates = 5000
+        rng = as_generator(seed)
+        counts = [sample_history(t, sched, rng).count_draws(j, t) for _ in range(replicates)]
+        observed = np.bincount(counts, minlength=t - j + 2)
+        expected = pmf_general(j, t, sched).probs * replicates
+        assert pooled_chi_square_p(expected, observed) >= 0.001
+
+    @pytest.mark.parametrize("name, sched", [
+        *battery_schedules(),
+        ("paper-g", parse_schedule("paper-g")),
+        ("const:3e15", Constant(3e15)),  # n + S[n-1] rounds, so x - n can land on S[n-1]
+    ])
+    def test_largest_uniform_stays_valid(self, name, sched):
+        # The largest uniform puts x at the top of the urn's mass, where
+        # rounding decides which part and which past time it falls in.
+        class TopGenerator:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        history = sample_history(500, sched, TopGenerator())
+        assert len(history) == 500  # DrawHistory construction validates ranges
+
+
+def _reference_draws(uniforms, schedule):
+    """Scalar copy-pointer inversion: one bisection over the cumulative mass per step."""
+    t = len(uniforms)
+    S = schedule.cumulative(t).tolist()
+    draws = []
+    for n, u in enumerate(uniforms.tolist(), start=1):
+        x = u * (n + S[n - 1])
+        if x < n:
+            draws.append(int(x) + 1)
+        else:
+            source = min(bisect.bisect_right(S, x - n), n - 1)
+            draws.append(draws[source - 1])
+    return draws
