@@ -36,6 +36,7 @@ from .urn import (
     UrnState,
     composition,
     conditional_draw_pmf,
+    copy_pointer_draws,
     marginal_draw_prob,
     new_color_draw_prob,
     new_urn,

@@ -23,10 +23,18 @@ from .exact import ENUMERATION_CAP, pmf_constant_delta_dp, pmf_general
 from .graphs import EvolvingGraph, ba_draws
 from .schedules import Constant, Schedule, parse_schedule
 from .seeding import replicate_generator
-from .urn import DrawHistory, sample_history
+# perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
+# ``sample_history`` in this module's namespace, and its probe calls
+# ``experiments.sample_history``; the engine calls the first two by these names.
+from .urn import DrawHistory, copy_pointer_draws, sample_history  # noqa: F401
 
 MODELS = ("polya", "ba")
 OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
+
+# Draws per replicate block: small enough that a block's working arrays stay
+# in cache and a t=5000 block is a single row, so memory matches sampling one
+# replicate at a time.
+BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,31 +122,53 @@ class MonteCarloResult:
     replicate_summaries: tuple[ReplicateSummary, ...]
 
 
-def _replicate_draws(model: str, t: int, schedule, master_seed: int, index: int) -> np.ndarray:
-    rng = replicate_generator(master_seed, index)
-    if model == "ba":
-        return ba_draws(t, rng)
-    return sample_history(t, schedule, rng).draws
+def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
+    """Yield ``(first_index, draws)`` for replicates lo..hi-1, a block at a time.
+
+    ``draws`` is an (m, t) array whose row i is replicate first_index + i,
+    driven by its own ``replicate_generator``; a block holds at most
+    ``BLOCK_ELEMENTS`` draws (always at least one row), which bounds its
+    memory.  Polya rows share one ``copy_pointer_draws`` call and one
+    ``schedule.cumulative(t)``.
+    """
+    rows = max(1, BLOCK_ELEMENTS // max(t, 1))
+    S = schedule.cumulative(t) if model == "polya" else None
+    for first in range(lo, hi, rows):
+        rngs = [replicate_generator(master_seed, r) for r in range(first, min(first + rows, hi))]
+        if model == "ba":
+            yield first, np.stack([ba_draws(t, rng) for rng in rngs])
+        else:
+            yield first, copy_pointer_draws(np.stack([rng.random(t) for rng in rngs]), S)
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
-    """Pooled integer aggregates for replicates lo..hi-1."""
+    """Pooled integer aggregates for replicates lo..hi-1.
+
+    Each block's birth-time sums pass through float64 (``bincount``
+    weights) before they become integers.  One bin of a block sums at most
+    max(t²/2, (BLOCK_ELEMENTS/2)·t) birth times, so the sums are exact while
+    that stays below 2⁵³, i.e. for t below about 1.3·10⁸.
+    """
     counts = np.zeros(t + 2, dtype=np.int64)
     birth_sums = np.zeros(t + 2, dtype=np.int64)
     n_samples = np.zeros(t + 2, dtype=np.int64)
     births = np.arange(t, dtype=np.float64)  # birth time of vertex j is j - 1
     summaries = []
-    for r in range(lo, hi):
-        draws = _replicate_draws(model, t, schedule, master_seed, r)
-        deg = np.bincount(draws, minlength=t + 2)
+    for first, draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
+        m = len(draws)
+        # Row i's colors land in bins i·(t+2) .. i·(t+2)+t+1 of one bincount.
+        offsets = (t + 2) * np.arange(m)[:, None]
+        deg = np.bincount((draws + offsets).ravel(), minlength=m * (t + 2)).reshape(m, t + 2)
         deg += 1
-        deg[0] = 0
-        counts += np.bincount(deg[1:], minlength=t + 2)
+        deg[:, 0] = 0
+        counts += np.bincount(deg[:, 1:].ravel(), minlength=t + 2)
         if t:
-            interior = deg[1 : t + 1]  # vertices born before the horizon
-            birth_sums += np.bincount(interior, weights=births, minlength=t + 2).astype(np.int64)
+            interior = deg[:, 1 : t + 1].ravel()  # vertices born before the horizon
+            birth_sums += np.bincount(interior, weights=np.tile(births, m),
+                                      minlength=t + 2).astype(np.int64)
             n_samples += np.bincount(interior, minlength=t + 2)
-        summaries.append(ReplicateSummary(index=r, max_degree=int(deg.max())))
+        summaries.extend(ReplicateSummary(index=first + i, max_degree=int(k))
+                         for i, k in enumerate(deg.max(axis=1)))
     return counts, birth_sums, n_samples, summaries
 
 
@@ -288,7 +318,6 @@ def draw_count_histogram(j: int, t: int, schedule: Schedule | None, replicates: 
     if not 1 <= j <= t:
         raise ValueError(f"color {j} outside 1..{t}")
     hist = np.zeros(t - j + 2, dtype=np.int64)
-    for r in range(replicates):
-        draws = _replicate_draws(model, t, schedule, master_seed, r)
-        hist[int(np.count_nonzero(draws == j))] += 1
+    for _, draws in _replicate_blocks(model, t, schedule, master_seed, 0, replicates):
+        hist += np.bincount(np.count_nonzero(draws == j, axis=1), minlength=t - j + 2)
     return hist

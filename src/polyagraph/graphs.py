@@ -83,22 +83,24 @@ def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:
     Starts from a single vertex whose self-loop counts 1 toward its degree,
     so at step n the attachment probability of vertex j is its degree over
     2(n-1) + 1.  Sampling picks a uniform entry of the edge-endpoint list,
-    O(1) per step.
+    which holds vertex 1 in slot 0 and, for each step k, its target in slot
+    2k - 1 and vertex k + 1 in slot 2k.  Step n picks slot
+    idx = floor(u_n·(2n - 1)): an even slot is vertex idx/2 + 1, an odd one
+    copies the target of step (idx + 1)/2.  The copies are resolved by
+    pointer jumping, O(t log t) numpy work.  This is kept apart from the
+    urn's sampler so it stays an independent baseline.
     """
-    draws = np.empty(t, dtype=np.int64)
-    if t == 0:
-        return draws
-    endpoints = np.empty(2 * t + 1, dtype=np.int64)
-    endpoints[0] = 1
-    size = 1
-    uniforms = rng.random(t)
-    for n in range(1, t + 1):
-        target = int(endpoints[int(uniforms[n - 1] * size)])
-        draws[n - 1] = target
-        endpoints[size] = target
-        endpoints[size + 1] = n + 1
-        size += 2
-    return draws
+    n = np.arange(1, t + 1)
+    idx = (rng.random(t) * (2 * n - 1)).astype(np.int64)
+    # src is the 0-based step whose target step n takes; a step that lands
+    # on a vertex slot points to itself.
+    src = np.where(idx & 1, idx >> 1, n - 1)
+    while True:
+        nxt = src[src]
+        if (nxt == src).all():
+            break
+        src = nxt
+    return (idx >> 1)[src] + 1
 
 
 def ba_generate(t: int, seed) -> EvolvingGraph:

@@ -16,9 +16,9 @@ SEED_CONTRACT = 2
 
 Contract 1 inverted each draw's cumulative mass through a binary-indexed
 (Fenwick) tree.  Contract 2 is the copy-pointer inversion of
-``urn.sample_history``: still one uniform per step, drawn in a single
-``rng.random(t)`` call, but mapped to colors differently, so the same seed
-gives a different history.  Bump it whenever that map changes.
+``urn.copy_pointer_draws``: still one uniform per step, drawn in a single
+``rng.random(t)`` call per replicate, but mapped to colors differently, so
+the same seed gives a different history.  Bump it whenever that map changes.
 """
 
 

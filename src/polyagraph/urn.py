@@ -6,9 +6,10 @@ mass for time t, and a brand-new color enters with mass exactly 1.  The
 sequence of drawn colors is a sufficient statistic: the urn trajectory, the
 attachment graph, and every per-color count are deterministic functions of it.
 
-``sample_history`` is the one random sampler: it draws a whole history in
-O(t log t) numpy work by copying colors from earlier draws (see its
-docstring).  ``step`` only applies forced draws, for exact replays.
+``copy_pointer_draws`` is the one random sampler: it maps uniforms to whole
+histories, many at once, in O(t log t) numpy work per history by copying
+colors from earlier draws (see its docstring); ``sample_history`` applies it
+to one generator.  ``step`` only applies forced draws, for exact replays.
 """
 
 from __future__ import annotations
@@ -130,32 +131,44 @@ class DrawHistory:
         return urn
 
 
-def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> DrawHistory:
-    """Sample a length-t draw history.
+def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Map an (m, t) matrix of uniforms to m independent length-t draw rows.
 
-    Just before the draw at time n the urn's mass splits into n unit balls,
-    one per color, and the reinforcement mass S[n-1] laid down by the draws
-    at times 1..n-1.  A point x uniform on [0, n + S[n-1]) below n draws
-    color floor(x) + 1; otherwise it falls in the mass laid down at some
-    time s < n, and the draw at n copies the color drawn at s.  All t
-    uniforms come from one ``rng.random(t)`` call, the times s from one
-    ``searchsorted``, and the copy pointers are resolved by pointer jumping:
-    O(t log t) numpy work in all.
+    ``S`` is ``schedule.cumulative(t)``.  Just before the draw at time n the
+    urn's mass splits into n unit balls, one per color, and the
+    reinforcement mass S[n-1] laid down by the draws at times 1..n-1.  A
+    point x = u·(n + S[n-1]) below n draws color floor(x) + 1; otherwise it
+    falls in the mass laid down at some time s < n, found by one
+    ``searchsorted``, and the draw at n copies the color drawn at s.  The
+    copy pointers of all rows are resolved together by pointer jumping on
+    the flattened block: O(m·t·log t) numpy work in all.  Each row's draws
+    depend only on that row's uniforms.
     """
-    S = schedule.cumulative(t)
+    m, t = uniforms.shape
     n = np.arange(1, t + 1)
-    x = rng.random(t) * (n + S[:-1])
+    x = uniforms * (n + S[:-1])
     copied_from = np.searchsorted(S, x - n, side="right")
-    # src[n-1] is the 0-based time whose color the draw at n takes; a draw
+    # src[:, n-1] is the 0-based time whose color the draw at n takes; a draw
     # from the unit balls points to itself.  Rounding can put x - n at or
-    # past S[n-1], where any earlier time is a valid source.
+    # past S[n-1], where any earlier time is a valid source.  Row offsets
+    # then make the pointers index the flattened block.
     src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - 1
+    src = (src + t * np.arange(m)[:, None]).ravel()
     while True:
         nxt = src[src]
         if (nxt == src).all():
             break
         src = nxt
-    return DrawHistory(schedule=schedule, draws=x[src].astype(np.int64) + 1)
+    return x.ravel()[src].astype(np.int64).reshape(m, t) + 1
+
+
+def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> DrawHistory:
+    """Sample a length-t draw history from one ``rng.random(t)`` call.
+
+    The uniforms map to colors by ``copy_pointer_draws``, as one row.
+    """
+    draws = copy_pointer_draws(rng.random(t)[None, :], schedule.cumulative(t))
+    return DrawHistory(schedule=schedule, draws=draws[0])
 
 
 def new_color_draw_prob(t: int, schedule: Schedule) -> float:

@@ -8,6 +8,7 @@ small horizons.
 
 import itertools
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -51,6 +52,29 @@ def enumerate_paths(t, schedule):
             total += deltas[n - 1] + 1.0
         paths.append((path, prob))
     return paths
+
+
+def ba_draws_loop(t, rng):
+    """Degree-proportional attachment targets from an explicit endpoint list.
+
+    The scalar reference for ``graphs.ba_draws``: the same ``rng.random(t)``
+    uniforms, one Python step per draw, appending both endpoints of each new
+    edge to the list that the next step samples from.
+    """
+    draws = np.empty(t, dtype=np.int64)
+    if t == 0:
+        return draws
+    endpoints = np.empty(2 * t + 1, dtype=np.int64)
+    endpoints[0] = 1
+    size = 1
+    uniforms = rng.random(t)
+    for n in range(1, t + 1):
+        target = int(endpoints[int(uniforms[n - 1] * size)])
+        draws[n - 1] = target
+        endpoints[size] = target
+        endpoints[size + 1] = n + 1
+        size += 2
+    return draws
 
 
 def path_degrees(path):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_paths, path_degrees
+from conftest import ba_draws_loop, battery_schedules, enumerate_paths, path_degrees
 from polyagraph.errors import CapExceeded, InsufficientData
 from polyagraph.exact import pmf_constant_delta_dp
 from polyagraph.experiments import (
     ExperimentConfig,
+    ReplicateSummary,
     average_birth_time,
     average_birth_time_of_graph,
     degree_distribution,
@@ -23,12 +24,46 @@ from polyagraph.experiments import (
 from polyagraph.graphs import generate
 from polyagraph.schedules import Constant, NaturalLog
 from polyagraph.seeding import replicate_generator
-from polyagraph.urn import DrawHistory
+from polyagraph.urn import DrawHistory, sample_history
 
 
 def _polya(t, replicates, seed, schedule="const:1"):
     return ExperimentConfig(model="polya", t=t, replicates=replicates, seed=seed,
                             schedule_spec=schedule)
+
+
+def _reference_draws(model, t, schedule, master_seed, index):
+    """One replicate's draws, sampled on its own."""
+    rng = replicate_generator(master_seed, index)
+    if model == "ba":
+        return ba_draws_loop(t, rng)
+    return sample_history(t, schedule, rng).draws
+
+
+def _reference_result(config):
+    """``run_monte_carlo``'s aggregates from a loop over replicates.
+
+    Per replicate: a degree ``bincount``, then a histogram, a float-weighted
+    birth-time sum and a sample count, each from one more ``bincount``.
+    """
+    t = config.t
+    counts = np.zeros(t + 2, dtype=np.int64)
+    birth_sums = np.zeros(t + 2, dtype=np.int64)
+    n_samples = np.zeros(t + 2, dtype=np.int64)
+    births = np.arange(t, dtype=np.float64)
+    summaries = []
+    for r in range(config.replicates):
+        draws = _reference_draws(config.model, t, config.schedule(), config.seed, r)
+        deg = np.bincount(draws, minlength=t + 2)
+        deg += 1
+        deg[0] = 0
+        counts += np.bincount(deg[1:], minlength=t + 2)
+        if t:
+            interior = deg[1 : t + 1]
+            birth_sums += np.bincount(interior, weights=births, minlength=t + 2).astype(np.int64)
+            n_samples += np.bincount(interior, minlength=t + 2)
+        summaries.append(ReplicateSummary(index=r, max_degree=int(deg.max())))
+    return counts, birth_sums, n_samples, tuple(summaries)
 
 
 class TestConfig:
@@ -106,6 +141,28 @@ class TestRunMonteCarlo:
             deg[0] = 0
             counts += np.bincount(deg[1:], minlength=22)
         assert np.array_equal(result.degree_histogram.counts, counts)
+
+
+class TestBlockedEngine:
+    # Blocks hold at most 4096 draws: t=12 packs 341 replicates per block,
+    # so 1000 replicates span three blocks (two per worker at threads=2);
+    # 4095, 4096 and 4097 straddle the one-row limit.
+    SIZES = [(0, 5), (1, 5), (12, 1000), (4095, 3), (4096, 3), (4097, 3)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()] + [None])
+    def test_equals_per_replicate_loop(self, spec, threads):
+        for t, replicates in self.SIZES:
+            if spec is None:
+                config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=606)
+            else:
+                config = _polya(t, replicates, 606, schedule=spec)
+            result = run_monte_carlo(config, threads=threads)
+            counts, birth_sums, n_samples, summaries = _reference_result(config)
+            assert np.array_equal(result.degree_histogram.counts, counts), t
+            assert np.array_equal(result.birth_time.birth_sums, birth_sums), t
+            assert np.array_equal(result.birth_time.n_samples, n_samples), t
+            assert result.replicate_summaries == summaries, t
 
 
 class TestBirthTimeCurve:
@@ -210,6 +267,16 @@ class TestDrawCountHistogram:
         exact = pmf_constant_delta_dp(2, 12, 1.0).probs
         tv = 0.5 * np.abs(hist / replicates - exact).sum()
         assert tv < 0.05
+
+    @pytest.mark.parametrize("model, schedule", [("polya", NaturalLog()), ("ba", None)])
+    def test_equals_per_replicate_loop(self, model, schedule):
+        j, t, replicates = 3, 12, 1000
+        hist = draw_count_histogram(j, t, schedule, replicates, master_seed=8, model=model)
+        expected = np.zeros(t - j + 2, dtype=np.int64)
+        for r in range(replicates):
+            draws = _reference_draws(model, t, schedule, 8, r)
+            expected[np.count_nonzero(draws == j)] += 1
+        assert np.array_equal(hist, expected)
 
     def test_repeatable(self):
         a = draw_count_histogram(3, 10, NaturalLog(), replicates=50, master_seed=1)

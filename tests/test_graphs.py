@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import battery_schedules, enumerate_paths
+from conftest import ba_draws_loop, battery_schedules, enumerate_paths
 from polyagraph.graphs import (
     ba_draws,
     ba_generate,
@@ -135,6 +135,13 @@ class TestBaseline:
         rng = as_generator(77)
         hits = sum(ba_draws(2, rng)[1] == 1 for _ in range(4000))
         assert hits / 4000 == pytest.approx(2 / 3, abs=0.03)
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 12, 500, 5000])
+    def test_matches_endpoint_list_loop(self, t):
+        for seed in range(20):
+            draws = ba_draws(t, as_generator(seed))
+            assert draws.dtype == np.int64
+            assert np.array_equal(draws, ba_draws_loop(t, as_generator(seed))), seed
 
 
 class TestCoupling:

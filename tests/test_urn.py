@@ -16,6 +16,7 @@ from polyagraph.urn import (
     DrawHistory,
     composition,
     conditional_draw_pmf,
+    copy_pointer_draws,
     marginal_draw_prob,
     new_color_draw_prob,
     new_urn,
@@ -240,6 +241,16 @@ class TestSampleHistory:
             history = sample_history(t, sched, as_generator(seed))
             expected = _reference_draws(as_generator(seed).random(t), sched)
             assert history.draws.tolist() == expected, name
+
+    @pytest.mark.parametrize("t", [0, 1, 50])
+    def test_block_rows_match_sample_history(self, t):
+        # Each row of a block maps like a one-row call on that row's uniforms.
+        for name, sched in battery_schedules():
+            uniforms = np.stack([as_generator(seed).random(t) for seed in range(7)])
+            block = copy_pointer_draws(uniforms, sched.cumulative(t))
+            assert block.shape == (7, t) and block.dtype == np.int64
+            for seed, row in enumerate(block):
+                assert np.array_equal(row, sample_history(t, sched, as_generator(seed)).draws), name
 
     @pytest.mark.parametrize("spec, j, t, seed", [
         ("ln", 3, 10, 31),
