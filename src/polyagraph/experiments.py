@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -22,10 +23,11 @@ from .errors import InsufficientData
 from .exact import ENUMERATION_CAP, pmf_constant_delta_dp, pmf_general
 from .graphs import EvolvingGraph, ba_draws
 from .schedules import Constant, Schedule, parse_schedule
-from .seeding import replicate_generator
+from .seeding import replicate_generator, replicate_generators  # noqa: F401
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
 # ``sample_history`` in this module's namespace, and its probe calls
-# ``experiments.sample_history``; the engine calls the first two by these names.
+# ``experiments.replicate_generator`` and ``experiments.sample_history``; the
+# engine calls ``ba_draws`` by this name.
 from .urn import DrawHistory, copy_pointer_draws, sample_history  # noqa: F401
 
 MODELS = ("polya", "ba")
@@ -56,6 +58,8 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be >= 0, got {self.t}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model == "polya" and not self.schedule_spec:
             raise ValueError("model 'polya' requires a schedule")
         if self.model == "ba" and self.schedule_spec:
@@ -126,15 +130,17 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
     """Yield ``(first_index, draws)`` for replicates lo..hi-1, a block at a time.
 
     ``draws`` is an (m, t) array whose row i is replicate first_index + i,
-    driven by its own ``replicate_generator``; a block holds at most
+    driven by its own ``(master_seed, r)`` generator, taken in order from one
+    ``replicate_generators`` stream for the range; a block holds at most
     ``BLOCK_ELEMENTS`` draws (always at least one row), which bounds its
     memory.  Polya rows share one ``copy_pointer_draws`` call and one
     ``schedule.cumulative(t)``.
     """
     rows = max(1, BLOCK_ELEMENTS // max(t, 1))
     S = schedule.cumulative(t) if model == "polya" else None
+    generators = replicate_generators(master_seed, lo, hi)
     for first in range(lo, hi, rows):
-        rngs = [replicate_generator(master_seed, r) for r in range(first, min(first + rows, hi))]
+        rngs = list(islice(generators, rows))
         if model == "ba":
             yield first, np.stack([ba_draws(t, rng) for rng in rngs])
         else:

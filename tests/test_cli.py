@@ -160,6 +160,25 @@ class TestExperiment:
         for name in ("degree_distribution.csv", "birth_time.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_negative_inline_seed(self, runner, tmp_path, threads):
+        result = _invoke(runner, "experiment", "--model", "ba", "--t", 5,
+                         "--replicates", 3, "--seed", -1, "--out", tmp_path / "neg",
+                         "--threads", threads)
+        assert result.exit_code == 2
+        assert "seed must be >= 0, got -1" in result.output
+        assert not (tmp_path / "neg").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_negative_config_seed(self, runner, tmp_path, threads):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = polya\nschedule = const:1\nt = 5\nreplicates = 3\nseed = -5\n")
+        result = _invoke(runner, "experiment", "--config", cfg, "--out", tmp_path / "neg",
+                         "--threads", threads)
+        assert result.exit_code == 2
+        assert "seed must be >= 0, got -5" in result.output
+        assert not (tmp_path / "neg").exists()
+
 
 class TestRepro:
     def test_fig3(self, runner, tmp_path):

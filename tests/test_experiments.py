@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             _polya(5, 0, 0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            _polya(5, 1, -1)
+
     def test_unknown_output(self):
         with pytest.raises(ValueError):
             ExperimentConfig(model="ba", t=5, replicates=1, seed=0,
@@ -148,21 +153,23 @@ class TestBlockedEngine:
     # so 1000 replicates span three blocks (two per worker at threads=2);
     # 4095, 4096 and 4097 straddle the one-row limit.
     SIZES = [(0, 5), (1, 5), (12, 1000), (4095, 3), (4096, 3), (4097, 3)]
+    # 2⁶⁴+5 is three 32-bit entropy words, which with r's fill the pool of four.
+    SEEDS = (606, 2**64 + 5)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()] + [None])
     def test_equals_per_replicate_loop(self, spec, threads):
-        for t, replicates in self.SIZES:
+        for seed, (t, replicates) in itertools.product(self.SEEDS, self.SIZES):
             if spec is None:
-                config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=606)
+                config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=seed)
             else:
-                config = _polya(t, replicates, 606, schedule=spec)
+                config = _polya(t, replicates, seed, schedule=spec)
             result = run_monte_carlo(config, threads=threads)
             counts, birth_sums, n_samples, summaries = _reference_result(config)
-            assert np.array_equal(result.degree_histogram.counts, counts), t
-            assert np.array_equal(result.birth_time.birth_sums, birth_sums), t
-            assert np.array_equal(result.birth_time.n_samples, n_samples), t
-            assert result.replicate_summaries == summaries, t
+            assert np.array_equal(result.degree_histogram.counts, counts), (seed, t)
+            assert np.array_equal(result.birth_time.birth_sums, birth_sums), (seed, t)
+            assert np.array_equal(result.birth_time.n_samples, n_samples), (seed, t)
+            assert result.replicate_summaries == summaries, (seed, t)
 
 
 class TestBirthTimeCurve:
