@@ -57,12 +57,26 @@ def replicate_generator(master_seed: int, index: int) -> np.random.Generator:
 
 
 def replicate_generators(master_seed: int, lo: int, hi: int):
-    """Yield ``replicate_generator(master_seed, r)`` for r = lo..hi-1, in order.
+    """Return an iterator over the generators of replicates r = lo..hi-1, in order.
 
-    Each generator's state equals the one-at-a-time rule's; only the
-    ``SeedSequence`` hashing is shared, one vectorised pass per chunk of
-    replicates (r < 2⁶⁴).
+    Each generator's bit-generator state, and so every draw, equals that of
+    ``replicate_generator(master_seed, r)``; only the ``SeedSequence``
+    hashing is shared, one vectorised pass per chunk of replicates
+    (r < 2⁶⁴).  The generators are not otherwise the same objects: their
+    ``bit_generator.seed_seq`` holds just the derived words, so
+    ``Generator.spawn`` and ``seed_seq.spawn`` are not available on them.
+
+    Raises ValueError for a negative ``master_seed`` or ``lo``, as
+    ``SeedSequence`` does.
     """
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
+    if lo < 0:
+        raise ValueError(f"replicate index must be >= 0, got {lo}")
+    return _generators(master_seed, lo, hi)
+
+
+def _generators(master_seed: int, lo: int, hi: int):
     # Registering on first use keeps numpy.random out of a bare import.
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     first = lo

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import polyagraph
+from polyagraph.experiments import draw_count_histogram
+from polyagraph.schedules import parse_schedule
 from polyagraph.seeding import replicate_generator, replicate_generators
 
 # 2³²−1 and 2³² straddle the one-to-two-word split of the master seed; 2⁶⁴+5
@@ -30,6 +32,24 @@ class TestReplicateGenerators:
 
     def test_empty_range(self):
         assert list(replicate_generators(5, 3, 3)) == []
+
+    # A negative seed has no little-endian word split; it must fail at the
+    # call, as SeedSequence does, not loop.
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            replicate_generators(seed, 0, 1)
+        with pytest.raises(ValueError):
+            replicate_generator(seed, 0)
+
+    def test_negative_start(self):
+        with pytest.raises(ValueError, match="replicate index must be >= 0, got -1"):
+            replicate_generators(5, -1, 2)
+
+    @pytest.mark.parametrize("model", ["polya", "ba"])
+    def test_draw_count_histogram_negative_seed(self, model):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            draw_count_histogram(1, 5, parse_schedule("const:1"), 3, -1, model=model)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
