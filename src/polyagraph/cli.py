@@ -159,45 +159,24 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
         click.echo(f"wrote {out}", err=True)
 
 
-def _merged_config(config_path, model, schedule_spec, t, replicates, seed, out):
-    overrides = {
-        "model": model,
-        "schedule_spec": schedule_spec,
-        "t": t,
-        "replicates": replicates,
-        "seed": seed,
-        "out": str(out) if out is not None else None,
-    }
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    if config_path is not None:
-        base = load_config(config_path)
-        fields = {
-            "model": base.model,
-            "t": base.t,
-            "replicates": base.replicates,
-            "seed": base.seed,
-            "schedule_spec": base.schedule_spec,
-            "outputs": base.outputs,
-            "out": base.out,
-        }
-        fields.update(overrides)
-        if fields["model"] == "ba" and "schedule_spec" not in overrides:
-            fields["schedule_spec"] = None  # a configured schedule does not carry over
-        return ExperimentConfig(**fields)
-    missing = [name for name in ("model", "t", "replicates", "seed")
-               if name not in overrides]
-    if missing:
-        raise click.UsageError(
-            f"without --config, {', '.join('--' + m for m in missing)} are required"
-        )
-    return ExperimentConfig(
-        model=overrides["model"],
-        t=overrides["t"],
-        replicates=overrides["replicates"],
-        seed=overrides["seed"],
-        schedule_spec=overrides.get("schedule_spec"),
-        out=overrides.get("out"),
-    )
+def _given(flags: dict) -> dict:
+    """The config overrides among ``flags``; click passes an omitted option as None."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _merged_config(config_path, flags) -> ExperimentConfig:
+    overrides = _given(flags)
+    if config_path is None:
+        missing = [field.name for field in dataclasses.fields(ExperimentConfig)
+                   if field.default is dataclasses.MISSING and field.name not in overrides]
+        if missing:
+            raise click.UsageError(
+                f"without --config, {', '.join('--' + m for m in missing)} are required"
+            )
+        return ExperimentConfig(**overrides)
+    if overrides.get("model") == "ba":
+        overrides.setdefault("schedule_spec", None)  # a configured schedule does not carry over
+    return dataclasses.replace(load_config(config_path), **overrides)
 
 
 _THREADS_HELP = ("Cap on worker processes for replicates (default: available cores; "
@@ -212,12 +191,12 @@ _THREADS_HELP = ("Cap on worker processes for replicates (default: available cor
 @click.option("--t", type=int, default=None)
 @click.option("--replicates", type=int, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None)
-@click.option("--threads", type=int, default=None, help=_THREADS_HELP)
+@click.option("--out", type=click.Path(file_okay=False), default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None, help=_THREADS_HELP)
 @_handled
-def cmd_experiment(config_path, model, schedule_spec, t, replicates, seed, out, threads):
+def cmd_experiment(config_path, threads, **flags):
     """Run a replicated experiment from a config file and/or inline flags."""
-    config = _merged_config(config_path, model, schedule_spec, t, replicates, seed, out)
+    config = _merged_config(config_path, flags)
     if config.out is None:
         raise click.UsageError("an output directory is required (--out or out= in the config)")
     started = time.perf_counter()
@@ -241,32 +220,26 @@ _BIRTHTIME_RUNS = (
 )
 
 
-def _repro_config(name: str, t, replicates) -> ExperimentConfig:
+def _repro_config(name: str, flags) -> ExperimentConfig:
     text = (importlib.resources.files("polyagraph") / "repro" / name).read_text()
-    config = parse_config_text(text, source=f"repro:{name}")
-    overrides = {}
-    if t is not None:
-        overrides["t"] = t
-    if replicates is not None:
-        overrides["replicates"] = replicates
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return dataclasses.replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
 
 
 @main.command("repro")
 @click.argument("figure", type=click.Choice(_REPRO_FIGURES))
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-@click.option("--threads", type=int, default=None, help=_THREADS_HELP)
+@click.option("--threads", type=click.IntRange(min=1), default=None, help=_THREADS_HELP)
 @click.option("--t", type=int, default=None,
               help="Override the frozen horizon (for smoke runs).")
 @click.option("--replicates", type=int, default=None,
               help="Override the frozen replicate count (for smoke runs).")
 @_handled
-def cmd_repro(figure, out, threads, t, replicates):
+def cmd_repro(figure, out, threads, **flags):
     """Run a bundled figure-reproduction experiment and emit plot-ready CSVs."""
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     if figure == "fig3":
-        config = _repro_config("fig3.cfg", t, replicates)
+        config = _repro_config("fig3.cfg", flags)
         vertex = 2
         schedule = config.schedule()
         exact = pmf_constant_delta_dp(vertex, config.t, float(schedule.delta))
@@ -284,8 +257,8 @@ def cmd_repro(figure, out, threads, t, replicates):
         payload = {"config": config_echo(config), "vertex": vertex}
         (out / "summary.json").write_text(_json_text(payload))
     elif figure.startswith("degree-"):
-        config = _repro_config(f"{figure}.cfg", t, replicates)
-        baseline = _repro_config("ba-baseline.cfg", t, replicates)
+        config = _repro_config(f"{figure}.cfg", flags)
+        baseline = _repro_config("ba-baseline.cfg", flags)
         result = run_monte_carlo(config, threads=threads)
         ba_result = run_monte_carlo(baseline, threads=threads)
         (out / "degree_distribution_polya.csv").write_text(degree_distribution_csv(result))
@@ -295,7 +268,7 @@ def cmd_repro(figure, out, threads, t, replicates):
     else:  # birthtime-all
         payload = {}
         for label, cfg_name in _BIRTHTIME_RUNS:
-            config = _repro_config(cfg_name, t, replicates)
+            config = _repro_config(cfg_name, flags)
             result = run_monte_carlo(config, threads=threads)
             (out / f"birth_time_{label}.csv").write_text(birth_time_csv(result))
             payload[label] = config_echo(config)

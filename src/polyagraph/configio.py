@@ -2,10 +2,13 @@
 
 Config documents are flat ``key = value`` text.  A ``#`` at the start of a
 line or after whitespace starts a comment; elsewhere, as in a ``table:``
-path, it is part of the value.  Known keys: model, schedule, t, replicates,
-seed, outputs, out.  Unknown or duplicate keys are rejected, and the
-schedule must evaluate to a finite nonnegative amount at every time up to
-the horizon.
+path, it is part of the value.  The keys are the fields of
+``ExperimentConfig``, in its order, with ``schedule`` for ``schedule_spec``:
+a field without a default is required, an ``int`` field must be an integer,
+and ``outputs`` is a comma-separated list that may not be empty.  Unknown or
+duplicate keys are rejected, and the schedule must cover the horizon with a
+finite total mass.  A relative ``table:`` path in a config file is resolved
+against the file's directory.
 
 Result files (all floats with 17 significant digits):
 
@@ -16,24 +19,21 @@ Result files (all floats with 17 significant digits):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
-from .experiments import (
-    OUTPUT_KINDS,
-    ExperimentConfig,
-    MonteCarloResult,
-    degree_distribution,
-)
+from .experiments import ExperimentConfig, MonteCarloResult, degree_distribution
 from .schedules import parse_schedule
 from .seeding import SEED_CONTRACT
 
-_KNOWN_KEYS = ("model", "schedule", "t", "replicates", "seed", "outputs", "out")
-_INT_KEYS = {"t", "replicates", "seed"}
+# Config keys are ExperimentConfig's field names, but for this one rename.
+_KEY_OF_FIELD = {"schedule_spec": "schedule"}
+_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
+_TYPES = typing.get_type_hints(ExperimentConfig)
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -41,8 +41,11 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def parse_config_text(text: str, *, source: str = "<config>") -> ExperimentConfig:
-    """Parse a config document; see the module docstring for the format."""
+def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> ExperimentConfig:
+    """Parse a config document; see the module docstring for the format.
+
+    A relative ``table:`` path is resolved against ``base_dir`` when given.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(line, 1)[0].strip()
@@ -51,7 +54,7 @@ def parse_config_text(text: str, *, source: str = "<config>") -> ExperimentConfi
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -59,83 +62,66 @@ def parse_config_text(text: str, *, source: str = "<config>") -> ExperimentConfi
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         raw[key] = value
 
-    for key in ("model", "t", "replicates", "seed"):
-        if key not in raw:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-    values: dict[str, object] = {}
-    for key in _INT_KEYS:
-        try:
-            values[key] = int(raw[key])
-        except ValueError:
-            raise ConfigError(f"{source}: key {key!r} must be an integer, got {raw[key]!r}") from None
-    outputs = OUTPUT_KINDS
-    if "outputs" in raw:
-        outputs = tuple(part.strip() for part in raw["outputs"].split(",") if part.strip())
+    missing = [key for key, field in _FIELDS.items()
+               if field.default is dataclasses.MISSING and key not in raw]
+    if missing:
+        raise ConfigError(f"{source}: missing required key {missing[0]!r}")
+    values = {_FIELDS[key].name: _field_value(key, text, source) for key, text in raw.items()}
+    spec = values.get("schedule_spec", "")
+    if base_dir is not None and spec.startswith("table:") and spec != "table:":
+        values["schedule_spec"] = f"table:{Path(base_dir) / spec[len('table:'):]}"
     try:
-        config = ExperimentConfig(
-            model=raw["model"],
-            t=values["t"],
-            replicates=values["replicates"],
-            seed=values["seed"],
-            schedule_spec=raw.get("schedule"),
-            outputs=outputs,
-            out=raw.get("out"),
-        )
+        config = ExperimentConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     if config.schedule_spec is not None:
         # Parse now and check the whole horizon; raises its own error classes.
-        schedule = parse_schedule(config.schedule_spec)
-        amounts = schedule.values(config.t)
-        if not np.all(np.isfinite(amounts)) or np.any(amounts < 0):
-            raise ConfigError(
-                f"{source}: schedule {config.schedule_spec!r} is not finite and "
-                f"nonnegative over times 1..{config.t}"
-            )
+        parse_schedule(config.schedule_spec).cumulative(config.t)
     return config
 
 
+def _field_value(key: str, text: str, source: str):
+    kind = _TYPES[_FIELDS[key].name]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{source}: key {key!r} must be an integer, got {text!r}") from None
+    if typing.get_origin(kind) is tuple:
+        return tuple(part.strip() for part in text.split(",") if part.strip())
+    return text
+
+
 def load_config(path) -> ExperimentConfig:
-    """Load a config document from a file."""
+    """Load a config document from a file; its ``table:`` paths are relative to it."""
     path = Path(path)
-    return parse_config_text(path.read_text(), source=str(path))
+    return parse_config_text(path.read_text(), source=str(path), base_dir=path.parent)
 
 
 def config_text(config: ExperimentConfig) -> str:
-    lines = [
-        f"model = {config.model}",
-    ]
-    if config.schedule_spec is not None:
-        lines.append(f"schedule = {config.schedule_spec}")
-    lines.extend(
-        [
-            f"t = {config.t}",
-            f"replicates = {config.replicates}",
-            f"seed = {config.seed}",
-            f"outputs = {','.join(config.outputs)}",
-        ]
-    )
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+    lines = []
+    for key, field in _FIELDS.items():
+        value = getattr(config, field.name)
+        if isinstance(value, tuple):
+            value = ",".join(value)
+        if value is not None:
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def save_config(config: ExperimentConfig, path) -> Path:
-    """Write a config document; ``load_config`` restores an equal config."""
+    """Write a config document; ``load_config`` restores an equal config.
+
+    A relative ``table:`` path is then read as relative to the written file.
+    """
     path = Path(path)
     path.write_text(config_text(config))
     return path
 
 
 def config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "model": config.model,
-        "schedule": config.schedule_spec,
-        "t": config.t,
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "outputs": list(config.outputs),
-    }
+    """Every config key but ``out``, for the JSON summaries."""
+    return {key: getattr(config, field.name) for key, field in _FIELDS.items() if key != "out"}
 
 
 def degree_distribution_csv(result: MonteCarloResult) -> str:

@@ -39,15 +39,18 @@ OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
 BLOCK_ELEMENTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One experiment: a model, a horizon, a replicate count, and a master seed."""
+    """One experiment: a model, a horizon, a replicate count, and a master seed.
+
+    These fields, in this order, are the keys of a config document (``configio``).
+    """
 
     model: str
+    schedule_spec: str | None = None
     t: int
     replicates: int
     seed: int
-    schedule_spec: str | None = None
     outputs: tuple[str, ...] = OUTPUT_KINDS
     out: str | None = None
 
@@ -64,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("model 'polya' requires a schedule")
         if self.model == "ba" and self.schedule_spec:
             raise ValueError("model 'ba' takes no schedule")
+        if not self.outputs:
+            raise ValueError(f"outputs must name at least one of {OUTPUT_KINDS}")
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; known: {OUTPUT_KINDS}")

@@ -5,6 +5,13 @@ extra ball mass added to the drawn color.  Mass is real-valued, not integer,
 so logarithmic and rational schedules are representable.  A value of 0 is
 allowed: the step then adds only the new unit-mass color.
 
+Each schedule class states its rule once, as a vector evaluator over an
+array of times; ``values(horizon)`` and the scalar ``value(t)`` both call
+it.  ``Constant.value`` alone returns its mass unconverted, so a Fraction
+mass replays exactly.  ``value(0)`` is defined for constant and stepped
+schedules and for the constant segments of a rational one; ``ln``, tables
+and a/t segments start at time 1, and a table ends at its last line.
+
 Schedule-string grammar (used by the CLI and config files):
 
     const:<float>          constant amount
@@ -14,7 +21,10 @@ Schedule-string grammar (used by the CLI and config files):
                            may be "inf", and the final value always extends
                            to infinity
     table:<path>           explicit per-time values, one float per line
-                           (line n holds the amount for time n)
+                           (line n holds the amount for time n); a relative
+                           path in a config file is resolved against the
+                           file's directory, anywhere else against the
+                           working directory
     paper-f                bundled increasing step preset used by the
                            figure-reproduction commands
     paper-g                bundled decreasing piecewise-rational preset used
@@ -23,7 +33,6 @@ Schedule-string grammar (used by the CLI and config files):
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,26 +43,39 @@ from .errors import ScheduleParseError, ScheduleRangeError
 
 
 class Schedule:
-    """Base class: a map from integer time t >= 1 to reinforcement mass."""
+    """Base class: a map from integer time t >= 1 to reinforcement mass.
 
-    def value(self, t: int):
-        """Reinforcement mass at time t."""
+    A subclass states its rule once, in ``_at``; ``value`` also accepts time
+    0 unless the class sets ``first_time = 1``.
+    """
+
+    first_time = 0
+
+    def _at(self, ts: np.ndarray) -> np.ndarray:
+        """Masses at the integer times ``ts`` as a float array."""
         raise NotImplementedError
+
+    def value(self, t: int) -> float:
+        """Reinforcement mass at time t."""
+        if t < self.first_time:
+            raise ScheduleRangeError(f"schedule evaluated at time {t} < {self.first_time}")
+        return float(self._at(np.array([t]))[0])
 
     def values(self, horizon: int) -> np.ndarray:
         """Masses for times 1..horizon as a float array."""
-        return np.array([float(self.value(t)) for t in range(1, horizon + 1)])
+        return self._at(np.arange(1, horizon + 1))
 
     def cumulative(self, horizon: int) -> np.ndarray:
-        """Prefix sums: out[n] = sum of masses for times 1..n, out[0] = 0."""
+        """Prefix sums: out[n] = sum of masses for times 1..n, out[0] = 0.
+
+        Raises ``ScheduleRangeError`` if the total mass overflows a float.
+        """
         out = np.zeros(horizon + 1)
-        np.cumsum(self.values(horizon), out=out[1:])
+        with np.errstate(over="ignore"):
+            np.cumsum(self.values(horizon), out=out[1:])
+        if not np.isfinite(out[-1]):
+            raise ScheduleRangeError(f"total reinforcement over times 1..{horizon} overflows")
         return out
-
-
-def _require_time(t: int, minimum: int = 1) -> None:
-    if t < minimum:
-        raise ScheduleRangeError(f"schedule evaluated at time {t} < {minimum}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +83,7 @@ class Constant(Schedule):
     """The same mass at every time.
 
     The mass may be any nonnegative number type, including a Fraction, which
-    keeps forced-draw replays exact.
+    ``value`` returns as it is, so forced-draw replays stay exact.
     """
 
     delta: float
@@ -71,23 +93,21 @@ class Constant(Schedule):
             raise ScheduleRangeError(f"negative reinforcement {self.delta}")
 
     def value(self, t: int):
-        _require_time(t, minimum=0)
+        super().value(t)  # the range check
         return self.delta
 
-    def values(self, horizon: int) -> np.ndarray:
-        return np.full(horizon, float(self.delta))
+    def _at(self, ts):
+        return np.full(len(ts), float(self.delta))
 
 
 @dataclass(frozen=True)
 class NaturalLog(Schedule):
     """Mass ln(t) at time t; ln(1) = 0 is accepted as a valid zero step."""
 
-    def value(self, t: int) -> float:
-        _require_time(t)
-        return math.log(t)
+    first_time = 1
 
-    def values(self, horizon: int) -> np.ndarray:
-        return np.log(np.arange(1, horizon + 1, dtype=float))
+    def _at(self, ts):
+        return np.log(ts.astype(float))
 
 
 @dataclass(frozen=True)
@@ -110,15 +130,8 @@ class Stepped(Schedule):
         if any(v < 0 for v in self.levels):
             raise ScheduleRangeError(f"negative reinforcement in {self.levels}")
 
-    def value(self, t: int) -> float:
-        _require_time(t, minimum=0)
-        idx = bisect.bisect_right(self.ends, t)
-        return self.levels[min(idx, len(self.levels) - 1)]
-
-    def values(self, horizon: int) -> np.ndarray:
-        ts = np.arange(1, horizon + 1)
-        idx = np.searchsorted(np.asarray(self.ends), ts, side="right")
-        idx = np.minimum(idx, len(self.levels) - 1)
+    def _at(self, ts):
+        idx = np.minimum(np.searchsorted(self.ends, ts, side="right"), len(self.levels) - 1)
         return np.asarray(self.levels, dtype=float)[idx]
 
 
@@ -128,7 +141,7 @@ class RationalSegments(Schedule):
 
     Segment i covers times up to and including ``ends[i]``; a time on a
     shared endpoint therefore belongs to the earlier segment.  The final
-    segment extends to infinity.
+    segment extends to infinity.  An a/t segment is defined from t = 1.
     """
 
     ends: tuple[float, ...]
@@ -143,23 +156,13 @@ class RationalSegments(Schedule):
         if any(p < 0 for p in self.params):
             raise ScheduleRangeError(f"negative reinforcement in {self.params}")
 
-    def value(self, t: int) -> float:
-        _require_time(t, minimum=0)
-        idx = bisect.bisect_left(self.ends, t)
-        idx = min(idx, len(self.ends) - 1)
-        if self.kinds[idx] == "const":
-            return self.params[idx]
-        _require_time(t)  # a/t needs t >= 1
-        return self.params[idx] / t
-
-    def values(self, horizon: int) -> np.ndarray:
-        ts = np.arange(1, horizon + 1)
-        idx = np.searchsorted(np.asarray(self.ends), ts, side="left")
-        idx = np.minimum(idx, len(self.ends) - 1)
-        params = np.asarray(self.params, dtype=float)[idx]
-        out = params.astype(float)
+    def _at(self, ts):
+        idx = np.minimum(np.searchsorted(self.ends, ts, side="left"), len(self.ends) - 1)
+        out = np.asarray(self.params, dtype=float)[idx]
         over = np.asarray(self.kinds)[idx] == "over_t"
-        out[over] = params[over] / ts[over]
+        if np.any(ts[over] < 1):
+            raise ScheduleRangeError("an a/t segment is defined from time 1")
+        out[over] /= ts[over]
         return out
 
 
@@ -171,26 +174,17 @@ class Table(Schedule):
     and config loading checks the table covers the experiment horizon.
     """
 
+    first_time = 1
     entries: tuple[float, ...]
 
     def __post_init__(self):
         if any(v < 0 for v in self.entries):
             raise ScheduleRangeError("negative reinforcement in table")
 
-    def value(self, t: int) -> float:
-        _require_time(t)
-        if t > len(self.entries):
-            raise ScheduleRangeError(
-                f"table covers times 1..{len(self.entries)}, got {t}"
-            )
-        return self.entries[t - 1]
-
-    def values(self, horizon: int) -> np.ndarray:
-        if horizon > len(self.entries):
-            raise ScheduleRangeError(
-                f"table covers times 1..{len(self.entries)}, need {horizon}"
-            )
-        return np.asarray(self.entries[:horizon], dtype=float)
+    def _at(self, ts):
+        if len(ts) and ts.max() > len(self.entries):
+            raise ScheduleRangeError(f"table covers times 1..{len(self.entries)}, got {ts.max()}")
+        return np.asarray(self.entries, dtype=float)[ts - 1]
 
 
 def paper_f() -> Stepped:
@@ -266,6 +260,8 @@ def parse_schedule(spec: str) -> Schedule:
             raise ScheduleParseError("empty step schedule", len("step:"))
         return _parse_step(body, len("step:"))
     if spec.startswith("table:"):
+        if spec == "table:":
+            raise ScheduleParseError("empty table path", len("table:"))
         path = Path(spec[len("table:"):])
         entries = []
         for line in path.read_text().splitlines():

@@ -2,8 +2,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyagraph.cli import main
+from polyagraph.experiments import OUTPUT_KINDS
 
 
 @pytest.fixture(name="runner")
@@ -62,6 +65,19 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--replay", str(replay),
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+
+    def test_empty_table_path_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--t", "5", "--schedule", "table:",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "empty table path" in result.output
+
+    def test_overflowing_schedule_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--t", "5", "--schedule", "const:1e308",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "overflows" in result.output
 
 
 class TestExact:
@@ -180,6 +196,50 @@ class TestExperiment:
         assert not (tmp_path / "neg").exists()
 
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_is_usage_error(self, runner, tmp_path, threads):
+        result = runner.invoke(main, ["experiment", "--model", "ba", "--t", "5",
+                                      "--replicates", "2", "--seed", "1",
+                                      "--out", str(tmp_path / "x"), "--threads", str(threads)])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_outputs_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\noutputs = ,\n")
+        result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+        assert result.exit_code == 2
+        assert "outputs must name at least one" in result.output
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_table_path_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["experiment", "--model", "polya", "--schedule", "table:",
+                                      "--t", "5", "--replicates", "2", "--seed", "1",
+                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+        assert result.exit_code == 2
+        assert "empty table path" in result.output
+
+    def test_table_path_is_relative_to_the_config_file(self, runner, tmp_path, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "tab.txt").write_text("1\n" * 30)
+        cfg = tmp_path / "cfg" / "run.cfg"
+        cfg.write_text("model = polya\nschedule = table:tab.txt\nt = 30\nreplicates = 2\n"
+                       "seed = 1\nout = results\n")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        result = _invoke(runner, "experiment", "--config", cfg, "--threads", 1)
+        assert result.exit_code == 0
+        summary = json.loads((tmp_path / "elsewhere" / "results" / "summary.json").read_text())
+        assert summary["config"]["schedule"] == f"table:{tmp_path / 'cfg' / 'tab.txt'}"
+        # An inline --schedule keeps resolving against the working directory.
+        result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                      "--schedule", "table:tab.txt", "--threads", "1"])
+        assert result.exit_code == 4
+        assert "No such file" in result.output
+
+
 class TestRepro:
     def test_fig3(self, runner, tmp_path):
         out = tmp_path / "fig3"
@@ -219,3 +279,89 @@ class TestRepro:
     def test_unknown_figure(self, runner, tmp_path):
         result = runner.invoke(main, ["repro", "fig9", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_is_usage_error(self, runner, tmp_path, threads):
+        result = runner.invoke(main, ["repro", "fig3", "--out", str(tmp_path / "x"),
+                                      "--threads", str(threads)])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+
+
+# Schedule strings near the grammar: keywords, numbers after ``const:``,
+# breakpoint lists after ``step:`` and free text after a prefix.  ``table:``
+# is left out, since it reads files.
+_NUMBER = st.one_of(st.integers(-3, 10**6).map(str), st.floats().map(repr),
+                    st.text(alphabet="0123456789.-+eEinfa", max_size=6))
+_SCHEDULE_TEXT = st.one_of(
+    st.sampled_from(["ln", "paper-f", "paper-g", " ln ", "LN", "paper-h"]),
+    _NUMBER.map("const:{}".format),
+    st.lists(st.tuples(_NUMBER, _NUMBER).map("=".join) | _NUMBER, min_size=1,
+             max_size=4).map(lambda pairs: "step:" + ",".join(pairs)),
+    st.tuples(st.sampled_from(["", "const:", "step:", "paper-"]),
+              st.text(alphabet="0123456789.,=-+eEinfa: ", max_size=16)).map("".join),
+).filter(lambda spec: not spec.strip().startswith("table:"))
+# Values with no digits, so no key can be set to a large integer by accident.
+_JUNK = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs"),
+                                       blacklist_characters="\r\n\x0b\x0c\x1c\x1d\x1e"
+                                                            "\x85\u2028\u2029"),
+                min_size=1, max_size=8)
+_NEAR_VALUES = {
+    "model": st.sampled_from(["polya", "ba", "urn"]),
+    "schedule": st.sampled_from(["ln", "paper-f", "const:0", "step:3=0.5,inf=2"]) | _SCHEDULE_TEXT,
+    "t": st.integers(-2, 30).map(str),
+    "replicates": st.integers(-1, 4).map(str),
+    "seed": st.integers(-5, 2**70).map(str),
+    "outputs": st.lists(st.sampled_from([*OUTPUT_KINDS, "", " ", "plots"]),
+                        min_size=1, max_size=4).map(",".join),
+}
+
+
+@st.composite
+def _config_text(draw):
+    """A valid config with up to two keys dropped or changed, and a stray line."""
+    model = draw(st.sampled_from(["polya", "ba"]))
+    entries = {"model": model, "t": str(draw(st.integers(0, 30))),
+               "replicates": str(draw(st.integers(1, 4))),
+               "seed": str(draw(st.integers(0, 2**70)))}
+    if model == "polya":
+        entries["schedule"] = draw(_NEAR_VALUES["schedule"])
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(_NEAR_VALUES)))
+        change = draw(st.sampled_from(["drop", "near", "junk"]))
+        if change == "drop":
+            entries.pop(key, None)
+        else:
+            entries[key] = draw(_NEAR_VALUES[key] if change == "near" else _JUNK)
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    lines += draw(st.lists(_JUNK | _JUNK.map("burnin = {}".format) | st.just("seed = 3"),
+                           max_size=1))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+class TestGrammarFuzz:
+    """Malformed schedules and configs exit 2 with a message, never a traceback."""
+
+    @staticmethod
+    def _check(result):
+        assert result.exit_code in (0, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 2:
+            assert "Traceback" not in result.output
+            assert "error" in result.output.lower()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=_SCHEDULE_TEXT)
+    def test_schedule_grammar(self, runner, tmp_path, spec):
+        self._check(runner.invoke(main, ["generate", "--t", "6", "--schedule", spec,
+                                         "--seed", "3", "--out", str(tmp_path / "g")]))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_config_text())
+    def test_config_grammar(self, runner, tmp_path, text):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(text)
+        self._check(runner.invoke(main, ["experiment", "--config", str(cfg),
+                                         "--out", str(tmp_path / "out"), "--threads", "1"]))

@@ -1,15 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyagraph.configio import (
+    config_text,
     load_config,
     parse_config_text,
     save_config,
     write_outputs,
 )
 from polyagraph.errors import ConfigError, ScheduleRangeError
-from polyagraph.experiments import ExperimentConfig, run_monte_carlo
+from polyagraph.experiments import OUTPUT_KINDS, ExperimentConfig, run_monte_carlo
 from polyagraph.seeding import SEED_CONTRACT
 
 MINIMAL = """\
@@ -82,6 +85,29 @@ class TestParse:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_empty_outputs_rejected(self):
+        with pytest.raises(ConfigError, match="outputs must name at least one"):
+            parse_config_text(MINIMAL + "outputs = ,\n")
+
+    def test_schedule_total_must_be_finite(self):
+        text = MINIMAL.replace("schedule = const:1", "schedule = const:1e308")
+        with pytest.raises(ScheduleRangeError, match="overflows"):
+            parse_config_text(text)
+
+    def test_table_path_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "tab.txt").write_text("0.5\n" * 100)
+        (tmp_path / "cfg" / "run.cfg").write_text(
+            MINIMAL.replace("schedule = const:1", "schedule = table:tab.txt"))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        config = load_config("../cfg/run.cfg")
+        assert config.schedule_spec == "table:../cfg/tab.txt"
+        assert config.schedule().values(100).tolist() == [0.5] * 100
+        # Text parsed without a file keeps the working directory.
+        with pytest.raises(FileNotFoundError):
+            parse_config_text((tmp_path / "cfg" / "run.cfg").read_text())
+
 
 class TestRoundTrip:
     def test_save_then_load(self, tmp_path):
@@ -95,6 +121,46 @@ class TestRoundTrip:
     def test_ba_round_trip(self, tmp_path):
         config = ExperimentConfig(model="ba", t=12, replicates=2, seed=1)
         assert load_config(save_config(config, tmp_path / "ba.cfg")) == config
+
+    def test_saved_text_key_order(self, tmp_path):
+        config = ExperimentConfig(
+            model="polya", t=30, replicates=4, seed=9, schedule_spec="paper-g",
+            outputs=("degree_distribution", "summary"), out="results",
+        )
+        assert save_config(config, tmp_path / "run.cfg").read_text() == (
+            "model = polya\nschedule = paper-g\nt = 30\nreplicates = 4\nseed = 9\n"
+            "outputs = degree_distribution,summary\nout = results\n"
+        )
+        config = ExperimentConfig(model="ba", t=12, replicates=2, seed=1)
+        assert save_config(config, tmp_path / "ba.cfg").read_text() == (
+            "model = ba\nt = 12\nreplicates = 2\nseed = 1\n"
+            "outputs = degree_distribution,birth_time,summary\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_text_round_trip(self, data):
+        model = data.draw(st.sampled_from(["polya", "ba"]))
+        schedule = None
+        if model == "polya":
+            schedule = data.draw(st.one_of(
+                st.sampled_from(["ln", "paper-f", "paper-g"]),
+                st.floats(0, 1e12).map(lambda x: f"const:{x!r}"),
+                st.lists(st.tuples(st.integers(1, 10**6), st.floats(0, 1e6)), min_size=1,
+                         max_size=4, unique_by=lambda pair: pair[0]).map(
+                    lambda pairs: "step:" + ",".join(f"{t}={v!r}" for t, v in sorted(pairs))),
+            ))
+        config = ExperimentConfig(
+            model=model,
+            schedule_spec=schedule,
+            t=data.draw(st.integers(0, 300)),
+            replicates=data.draw(st.integers(1, 10**9)),
+            seed=data.draw(st.integers(0, 2**80)),
+            outputs=tuple(data.draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1,
+                                             unique=True))),
+            out=data.draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        )
+        assert parse_config_text(config_text(config)) == config
 
 
 class TestWriteOutputs:

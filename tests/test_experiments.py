@@ -96,6 +96,14 @@ class TestConfig:
             ExperimentConfig(model="ba", t=5, replicates=1, seed=0,
                              outputs=("degree_distribution", "plots"))
 
+    def test_empty_outputs(self):
+        with pytest.raises(ValueError, match="outputs must name at least one"):
+            ExperimentConfig(model="ba", t=5, replicates=1, seed=0, outputs=())
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig("ba", None, 5, 1, 0)
+
 
 class TestRunMonteCarlo:
     def test_single_vertex(self):

@@ -73,10 +73,16 @@ class TestParse:
         sched = parse_schedule(f"table:{path}")
         assert sched == Table(entries=(1.0, 0.5, 2.0))
         assert sched.value(2) == 0.5
-        with pytest.raises(ScheduleRangeError):
+        assert sched.values(0).tolist() == []
+        with pytest.raises(ScheduleRangeError, match="1..3, got 4"):
             sched.value(4)
         with pytest.raises(ScheduleRangeError):
             sched.values(10)
+
+    def test_table_empty_path_is_a_parse_error(self):
+        with pytest.raises(ScheduleParseError) as err:
+            parse_schedule("table:")
+        assert err.value.position == len("table:")
 
     def test_table_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -141,15 +147,43 @@ class TestPresets:
             assert g.value(t) == g_ref(t)
 
 
+# The mass at time 0, or None where time 0 is outside the schedule's range.
+AT_TIME_ZERO = {"const:0.5": 0.5, "const:1": 1.0, "const:2": 2.0, "ln": None,
+                "paper-f": 1.0, "paper-g": 10.0, "step:3=0,7=1.5": 0.0, "table": None,
+                "over-t-first": None}
+
+
 class TestEvaluation:
     @pytest.mark.parametrize("spec", ["const:0.5", "const:1", "const:2", "ln",
-                                      "paper-f", "paper-g", "step:3=0,7=1.5"])
-    def test_values_matches_scalar(self, spec):
-        sched = parse_schedule(spec)
+                                      "paper-f", "paper-g", "step:3=0,7=1.5", "table",
+                                      "over-t-first"])
+    def test_values_matches_scalar(self, spec, tmp_path):
+        if spec == "table":
+            path = tmp_path / "deltas.txt"
+            path.write_text("".join(f"{n % 7 * 0.25}\n" for n in range(200)))
+            sched = parse_schedule(f"table:{path}")
+        elif spec == "over-t-first":
+            sched = RationalSegments(ends=(10.0, math.inf), kinds=("over_t", "const"),
+                                     params=(3.0, 0.5))
+        else:
+            sched = parse_schedule(spec)
         vec = sched.values(200)
         assert vec.shape == (200,)
         for t in (1, 2, 3, 50, 199, 200):
             assert vec[t - 1] == sched.value(t)
+            assert type(sched.value(t)) is float
+        if AT_TIME_ZERO[spec] is None:
+            with pytest.raises(ScheduleRangeError):
+                sched.value(0)
+        else:
+            assert sched.value(0) == AT_TIME_ZERO[spec]
+        with pytest.raises(ScheduleRangeError):
+            sched.value(-1)
+
+    def test_cumulative_overflow_is_a_range_error(self):
+        with pytest.raises(ScheduleRangeError, match="overflows"):
+            parse_schedule("const:1e308").cumulative(5)
+        assert parse_schedule("const:1e307").cumulative(5)[-1] == 5e307
 
     @pytest.mark.parametrize("spec", ["const:1", "ln", "paper-f", "paper-g"])
     def test_nonnegative_and_finite_over_horizon(self, spec):
