@@ -70,7 +70,6 @@ from .experiments import (
     DegreeHistogram,
     ExperimentConfig,
     MonteCarloResult,
-    ReplicateSummary,
     average_birth_time,
     average_birth_time_of_graph,
     degree_distribution,

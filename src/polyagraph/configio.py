@@ -147,7 +147,7 @@ def summary_json(result: MonteCarloResult) -> str:
             "vertices_per_replicate": hist.horizon + 1,
             "edges_per_replicate": hist.horizon + 1,
             "total_vertices": hist.total_vertices(),
-            "max_degree": max(s.max_degree for s in result.replicate_summaries),
+            "max_degree": int(result.max_degrees.max()),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

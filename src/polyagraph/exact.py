@@ -210,6 +210,7 @@ def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
     delta = float(delta)
     if delta < 0:
         raise ValueError(f"reinforcement must be >= 0, got {delta}")
+    Constant(delta).cumulative(t)  # raises if the total mass overflows
     window = t - j + 1
     probs = np.zeros(window + 1)
     probs[0] = 1.0
@@ -275,6 +276,7 @@ def brute_force_table(t: int, schedule: Schedule) -> np.ndarray:
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
+    schedule.cumulative(t)  # raises if the total mass overflows
     deltas = [0.0]
     deltas.extend(float(x) for x in schedule.values(t))
     table = np.zeros((t + 1, t + 1))

@@ -1,9 +1,9 @@
 """Monte Carlo experiment engine and birth-time statistics.
 
-Replicated generation with a frozen seeding rule (replicate r uses the
-generator derived from ``(master_seed, r)``), pooled integer aggregation so
-results are independent of worker scheduling, and the exact counterparts of
-the empirical birth-time quantities.
+Replicated generation with a frozen seeding rule (replicate r of a
+length-t run takes draws r·t … (r+1)·t−1 of the master seed's one stream),
+pooled integer aggregation so results are independent of worker scheduling,
+and the exact counterparts of the empirical birth-time quantities.
 
 Birth-time conventions: vertex j is born at time j - 1, and all birth-time
 statistics range over vertices j = 1..t, excluding the final vertex (which
@@ -15,19 +15,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import InsufficientData
 from .exact import ENUMERATION_CAP, pmf_constant_delta_dp, pmf_general
-from .graphs import EvolvingGraph, ba_draws
+from .graphs import EvolvingGraph, ba_block_draws, ba_draws  # noqa: F401
 from .schedules import Constant, Schedule, parse_schedule
-from .seeding import replicate_generator, replicate_generators  # noqa: F401
+from .seeding import replicate_generator, replicate_stream  # noqa: F401
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
-# ``sample_history`` in this module's namespace, and its probe calls
-# ``experiments.replicate_generator`` and ``experiments.sample_history``; the
-# engine calls ``ba_draws`` by this name.
+# ``sample_history`` in this module's namespace, and its probe calls all
+# three by these names; the engine itself calls none of them.
 from .urn import DrawHistory, copy_pointer_draws, sample_history  # noqa: F401
 
 MODELS = ("polya", "ba")
@@ -117,39 +115,37 @@ class BirthTimeCurve:
                 yield k, int(self.birth_sums[k]) / n, n
 
 
-@dataclass(frozen=True)
-class ReplicateSummary:
-    index: int
-    max_degree: int
-
-
 @dataclass
 class MonteCarloResult:
+    """Pooled statistics of a run; ``max_degrees[r]`` is replicate r's largest degree."""
+
     config: ExperimentConfig
     degree_histogram: DegreeHistogram
     birth_time: BirthTimeCurve
-    replicate_summaries: tuple[ReplicateSummary, ...]
+    max_degrees: np.ndarray = field(repr=False)
 
 
 def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
-    """Yield ``(first_index, draws)`` for replicates lo..hi-1, a block at a time.
+    """Yield the draws of replicates lo..hi-1 in order, as (m, t) blocks.
 
-    ``draws`` is an (m, t) array whose row i is replicate first_index + i,
-    driven by its own ``(master_seed, r)`` generator, taken in order from one
-    ``replicate_generators`` stream for the range; a block holds at most
+    The range reads the run's one stream, advanced once to replicate lo by
+    ``replicate_stream``, and each block's uniforms come from one
+    ``rng.random((m, t))`` call, so the block's row for replicate r holds
+    draws r·t … (r+1)·t−1 of the stream.  A block holds at most
     ``BLOCK_ELEMENTS`` draws (always at least one row), which bounds its
-    memory.  Polya rows share one ``copy_pointer_draws`` call and one
-    ``schedule.cumulative(t)``.
+    memory, and is mapped to colors by one ``copy_pointer_draws`` call
+    (Polya, sharing one ``schedule.cumulative(t)``) or one
+    ``ba_block_draws`` call (BA).
     """
     rows = max(1, BLOCK_ELEMENTS // max(t, 1))
     S = schedule.cumulative(t) if model == "polya" else None
-    generators = replicate_generators(master_seed, lo, hi)
+    rng = replicate_stream(master_seed, t, lo)
     for first in range(lo, hi, rows):
-        rngs = list(islice(generators, rows))
+        uniforms = rng.random((min(rows, hi - first), t))
         if model == "ba":
-            yield first, np.stack([ba_draws(t, rng) for rng in rngs])
+            yield ba_block_draws(uniforms)
         else:
-            yield first, copy_pointer_draws(np.stack([rng.random(t) for rng in rngs]), S)
+            yield copy_pointer_draws(uniforms, S)
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
@@ -164,8 +160,8 @@ def _aggregate_range(model, t, schedule, master_seed, lo, hi):
     birth_sums = np.zeros(t + 2, dtype=np.int64)
     n_samples = np.zeros(t + 2, dtype=np.int64)
     births = np.arange(t, dtype=np.float64)  # birth time of vertex j is j - 1
-    summaries = []
-    for first, draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
+    max_degrees = []
+    for draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
         m = len(draws)
         # Row i's colors land in bins i·(t+2) .. i·(t+2)+t+1 of one bincount.
         offsets = (t + 2) * np.arange(m)[:, None]
@@ -178,17 +174,18 @@ def _aggregate_range(model, t, schedule, master_seed, lo, hi):
             birth_sums += np.bincount(interior, weights=np.tile(births, m),
                                       minlength=t + 2).astype(np.int64)
             n_samples += np.bincount(interior, minlength=t + 2)
-        summaries.extend(ReplicateSummary(index=first + i, max_degree=int(k))
-                         for i, k in enumerate(deg.max(axis=1)))
-    return counts, birth_sums, n_samples, summaries
+        max_degrees.append(deg.max(axis=1))
+    return counts, birth_sums, n_samples, np.concatenate(max_degrees)
 
 
 def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> MonteCarloResult:
     """Run the configured replicates and pool their statistics.
 
-    Replicate r draws from the generator seeded by ``(config.seed, r)``
-    regardless of worker layout, and all aggregation is exact integer
-    addition, so the result is identical for any number of worker processes.
+    Replicate r takes draws r·t … (r+1)·t−1 of the stream
+    ``as_generator(config.seed)`` regardless of worker layout (each worker
+    range advances the stream to its first replicate), and all aggregation
+    is exact integer addition, so the result is identical for any number of
+    worker processes.
     """
     t, total = config.t, config.replicates
     schedule = config.schedule()
@@ -205,20 +202,13 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
                 for lo, hi in ranges
             ]
             partials = [f.result() for f in futures]
-    counts = np.zeros(t + 2, dtype=np.int64)
-    birth_sums = np.zeros(t + 2, dtype=np.int64)
-    n_samples = np.zeros(t + 2, dtype=np.int64)
-    summaries: list[ReplicateSummary] = []
-    for c, bs, ns, summ in partials:
-        counts += c
-        birth_sums += bs
-        n_samples += ns
-        summaries.extend(summ)
+    counts, birth_sums, n_samples, max_degrees = zip(*partials)
     return MonteCarloResult(
         config=config,
-        degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=counts),
-        birth_time=BirthTimeCurve(horizon=t, birth_sums=birth_sums, n_samples=n_samples),
-        replicate_summaries=tuple(summaries),
+        degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=sum(counts)),
+        birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums),
+                                  n_samples=sum(n_samples)),
+        max_degrees=np.concatenate(max_degrees),
     )
 
 
@@ -323,12 +313,12 @@ def draw_count_histogram(j: int, t: int, schedule: Schedule | None, replicates: 
     """Empirical histogram of color j's draw count over replicates.
 
     Entry k counts the replicates in which color j was drawn exactly k times
-    through the horizon; the support is 0..t-j+1.  Uses the same per-replicate
-    seeding rule as ``run_monte_carlo``.
+    through the horizon; the support is 0..t-j+1.  Uses the same seeding rule
+    as ``run_monte_carlo``.
     """
     if not 1 <= j <= t:
         raise ValueError(f"color {j} outside 1..{t}")
     hist = np.zeros(t - j + 2, dtype=np.int64)
-    for _, draws in _replicate_blocks(model, t, schedule, master_seed, 0, replicates):
+    for draws in _replicate_blocks(model, t, schedule, master_seed, 0, replicates):
         hist += np.bincount(np.count_nonzero(draws == j, axis=1), minlength=t - j + 2)
     return hist

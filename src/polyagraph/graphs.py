@@ -78,7 +78,15 @@ def generate(t: int, schedule: Schedule, seed) -> tuple[DrawHistory, EvolvingGra
 
 
 def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample t degree-proportional attachment targets.
+    """Sample t degree-proportional attachment targets from one ``rng.random(t)`` call.
+
+    The uniforms map to targets by ``ba_block_draws``, as one row.
+    """
+    return ba_block_draws(rng.random(t)[None, :])[0]
+
+
+def ba_block_draws(uniforms: np.ndarray) -> np.ndarray:
+    """Map an (m, t) matrix of uniforms to m independent rows of attachment targets.
 
     Starts from a single vertex whose self-loop counts 1 toward its degree,
     so at step n the attachment probability of vertex j is its degree over
@@ -86,21 +94,25 @@ def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:
     which holds vertex 1 in slot 0 and, for each step k, its target in slot
     2k - 1 and vertex k + 1 in slot 2k.  Step n picks slot
     idx = floor(u_n·(2n - 1)): an even slot is vertex idx/2 + 1, an odd one
-    copies the target of step (idx + 1)/2.  The copies are resolved by
-    pointer jumping, O(t log t) numpy work.  This is kept apart from the
-    urn's sampler so it stays an independent baseline.
+    copies the target of step (idx + 1)/2.  The copies of all rows are
+    resolved together by pointer jumping on the flattened block, O(m·t·log t)
+    numpy work.  This is kept apart from the urn's sampler so it stays an
+    independent baseline.
     """
+    m, t = uniforms.shape
     n = np.arange(1, t + 1)
-    idx = (rng.random(t) * (2 * n - 1)).astype(np.int64)
+    idx = (uniforms * (2 * n - 1)).astype(np.int64)
     # src is the 0-based step whose target step n takes; a step that lands
-    # on a vertex slot points to itself.
+    # on a vertex slot points to itself.  Row offsets make the pointers
+    # index the flattened block.
     src = np.where(idx & 1, idx >> 1, n - 1)
+    src = (src + t * np.arange(m)[:, None]).ravel()
     while True:
         nxt = src[src]
         if (nxt == src).all():
             break
         src = nxt
-    return (idx >> 1)[src] + 1
+    return (idx >> 1).ravel()[src].reshape(m, t) + 1
 
 
 def ba_generate(t: int, seed) -> EvolvingGraph:

@@ -77,6 +77,32 @@ def ba_draws_loop(t, rng):
     return draws
 
 
+# PCG64's 128-bit LCG multiplier; each 64-bit output is one step of
+# state <- state * mult + inc (mod 2**128).
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def stream_at(master_seed, steps):
+    """``as_generator(master_seed)`` after ``steps`` 64-bit outputs (one per double).
+
+    The scalar reference for PCG64's ``advance``: the LCG step is composed
+    with itself by square-and-multiply in Python integers, so a stream can
+    be positioned past 2**32 replicates without drawing them.
+    """
+    bit_generator = np.random.PCG64(np.random.SeedSequence(master_seed))
+    state = bit_generator.state
+    x, mult, plus = state["state"]["state"], _PCG64_MULT, state["state"]["inc"]
+    while steps:
+        if steps & 1:
+            x = (x * mult + plus) % 2**128
+        plus = (mult + 1) * plus % 2**128
+        mult = mult * mult % 2**128
+        steps >>= 1
+    state["state"]["state"] = x
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 def path_degrees(path):
     """Degrees of vertices 1..t+1 for a draw sequence (1-based list, entry 0 unused)."""
     t = len(path)

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyagraph.cli import main
-from polyagraph.experiments import OUTPUT_KINDS
+from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
+from polyagraph.schedules import parse_schedule
 
 
 @pytest.fixture(name="runner")
@@ -79,6 +80,23 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "overflows" in result.output
 
+    def test_history_is_replicate_zero_of_experiment(self, runner, tmp_path):
+        # Both read the master seed's one stream from its first draw.
+        _invoke(runner, "generate", "--t", 40, "--schedule", "paper-g", "--seed", 17,
+                "--out", tmp_path / "g")
+        edges = (tmp_path / "g" / "edges.txt").read_text().splitlines()[1:]
+        draws = [int(edge.split()[0]) for edge in edges]
+        block = next(_replicate_blocks("polya", 40, parse_schedule("paper-g"), 17, 0, 3))
+        assert draws == block[0].tolist()
+
+        _invoke(runner, "experiment", "--model", "polya", "--schedule", "paper-g",
+                "--t", 40, "--replicates", 1, "--seed", 17, "--out", tmp_path / "e")
+        degrees = [int(row.split(",")[1]) for row in
+                   (tmp_path / "g" / "degrees.csv").read_text().splitlines()[1:]]
+        rows = (tmp_path / "e" / "degree_distribution.csv").read_text().splitlines()[1:]
+        expected = sorted({k: degrees.count(k) / 41 for k in degrees}.items())
+        assert [(int(k), float(p)) for k, p in (row.split(",") for row in rows)] == expected
+
 
 class TestExact:
     def test_stdout_csv(self, runner):
@@ -119,6 +137,15 @@ class TestExact:
                                       "--schedule", "ln", "--method", "general"])
         assert result.exit_code == 3
         assert "cap" in result.output
+
+    @pytest.mark.parametrize("method", ["general", "constant", "dp", "oracle"])
+    def test_overflowing_schedule_is_usage_error(self, runner, method):
+        result = runner.invoke(main, ["exact", "--j", 1, "--t", 5,
+                                      "--schedule", "const:1e308", "--method", method])
+        assert result.exit_code == 2
+        assert "error: total reinforcement over times 1..5 overflows" in result.output
+        assert "Traceback" not in result.output
+        assert "nan" not in result.output
 
     def test_dp_requires_constant_schedule(self, runner):
         result = runner.invoke(main, ["exact", "--j", 1, "--t", 5,

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ba_draws_loop, battery_schedules, enumerate_paths, path_degrees
+from conftest import ba_draws_loop, battery_schedules, enumerate_paths, path_degrees, stream_at
 from polyagraph.errors import CapExceeded, InsufficientData
 from polyagraph.exact import pmf_constant_delta_dp
 from polyagraph.experiments import (
+    BLOCK_ELEMENTS,
     ExperimentConfig,
-    ReplicateSummary,
+    _replicate_blocks,
     average_birth_time,
     average_birth_time_of_graph,
     degree_distribution,
@@ -22,10 +23,10 @@ from polyagraph.experiments import (
     run_monte_carlo,
     tail_slope,
 )
-from polyagraph.graphs import generate
+from polyagraph.graphs import ba_block_draws, generate
 from polyagraph.schedules import Constant, NaturalLog
-from polyagraph.seeding import replicate_generator
-from polyagraph.urn import DrawHistory, sample_history
+from polyagraph.seeding import as_generator
+from polyagraph.urn import DrawHistory, copy_pointer_draws, sample_history
 
 
 def _polya(t, replicates, seed, schedule="const:1"):
@@ -33,12 +34,15 @@ def _polya(t, replicates, seed, schedule="const:1"):
                             schedule_spec=schedule)
 
 
-def _reference_draws(model, t, schedule, master_seed, index):
-    """One replicate's draws, sampled on its own."""
-    rng = replicate_generator(master_seed, index)
-    if model == "ba":
-        return ba_draws_loop(t, rng)
-    return sample_history(t, schedule, rng).draws
+def _reference_draws(model, t, schedule, master_seed, replicates):
+    """Each replicate's draws, sampled on its own, in replicate order.
+
+    Replicate r reads the next t uniforms of the one stream, that is row r
+    of ``as_generator(master_seed).random((replicates, t))``.
+    """
+    rng = as_generator(master_seed)
+    for _ in range(replicates):
+        yield ba_draws_loop(t, rng) if model == "ba" else sample_history(t, schedule, rng).draws
 
 
 def _reference_result(config):
@@ -52,9 +56,9 @@ def _reference_result(config):
     birth_sums = np.zeros(t + 2, dtype=np.int64)
     n_samples = np.zeros(t + 2, dtype=np.int64)
     births = np.arange(t, dtype=np.float64)
-    summaries = []
-    for r in range(config.replicates):
-        draws = _reference_draws(config.model, t, config.schedule(), config.seed, r)
+    max_degrees = []
+    for draws in _reference_draws(config.model, t, config.schedule(), config.seed,
+                                  config.replicates):
         deg = np.bincount(draws, minlength=t + 2)
         deg += 1
         deg[0] = 0
@@ -63,8 +67,8 @@ def _reference_result(config):
             interior = deg[1 : t + 1]
             birth_sums += np.bincount(interior, weights=births, minlength=t + 2).astype(np.int64)
             n_samples += np.bincount(interior, minlength=t + 2)
-        summaries.append(ReplicateSummary(index=r, max_degree=int(deg.max())))
-    return counts, birth_sums, n_samples, tuple(summaries)
+        max_degrees.append(deg.max())
+    return counts, birth_sums, n_samples, np.array(max_degrees)
 
 
 class TestConfig:
@@ -129,7 +133,7 @@ class TestRunMonteCarlo:
         b = run_monte_carlo(_polya(60, 10, 99), threads=1)
         assert np.array_equal(a.degree_histogram.counts, b.degree_histogram.counts)
         assert np.array_equal(a.birth_time.birth_sums, b.birth_time.birth_sums)
-        assert a.replicate_summaries == b.replicate_summaries
+        assert np.array_equal(a.max_degrees, b.max_degrees)
 
     def test_thread_count_does_not_change_results(self):
         config = ExperimentConfig(model="ba", t=50, replicates=21, seed=4)
@@ -139,18 +143,18 @@ class TestRunMonteCarlo:
                               parallel.degree_histogram.counts)
         assert np.array_equal(serial.birth_time.birth_sums, parallel.birth_time.birth_sums)
         assert np.array_equal(serial.birth_time.n_samples, parallel.birth_time.n_samples)
-        assert serial.replicate_summaries == parallel.replicate_summaries
+        assert np.array_equal(serial.max_degrees, parallel.max_degrees)
 
     def test_replicate_seeding_rule_is_frozen(self):
-        # Replicate r must be driven by the generator seeded by (seed, r).
+        # Replicate r must take draws 20r .. 20r+19 of the master seed's stream.
         config = _polya(20, 3, 1234)
         result = run_monte_carlo(config, threads=1)
-        from polyagraph.urn import sample_history
+        uniforms = as_generator(1234).random((3, 20))
 
         counts = np.zeros(22, dtype=np.int64)
         for r in range(3):
-            history = sample_history(20, Constant(1.0), replicate_generator(1234, r))
-            deg = np.bincount(history.draws, minlength=22) + 1
+            draws = copy_pointer_draws(uniforms[r : r + 1], Constant(1.0).cumulative(20))[0]
+            deg = np.bincount(draws, minlength=22) + 1
             deg[0] = 0
             counts += np.bincount(deg[1:], minlength=22)
         assert np.array_equal(result.degree_histogram.counts, counts)
@@ -173,11 +177,27 @@ class TestBlockedEngine:
             else:
                 config = _polya(t, replicates, seed, schedule=spec)
             result = run_monte_carlo(config, threads=threads)
-            counts, birth_sums, n_samples, summaries = _reference_result(config)
+            counts, birth_sums, n_samples, max_degrees = _reference_result(config)
             assert np.array_equal(result.degree_histogram.counts, counts), (seed, t)
             assert np.array_equal(result.birth_time.birth_sums, birth_sums), (seed, t)
             assert np.array_equal(result.birth_time.n_samples, n_samples), (seed, t)
-            assert result.replicate_summaries == summaries, (seed, t)
+            assert np.array_equal(result.max_degrees, max_degrees), (seed, t)
+
+    # Block boundaries at t=12 fall every 341 replicates; 2³²+3 is past the
+    # point where a 32-bit replicate index or offset would wrap.
+    @pytest.mark.parametrize("lo", [0, 1, 340, 341, 4095, 4097, 2**32 + 3])
+    @pytest.mark.parametrize("t", [0, 1, 12, 4097])
+    @pytest.mark.parametrize("model", ["polya", "ba"])
+    def test_range_rows_are_the_streams_rows(self, model, t, lo):
+        rows = max(1, BLOCK_ELEMENTS // max(t, 1))
+        hi = lo + 2 * rows + 1  # two full blocks and one short one
+        schedule = NaturalLog() if model == "polya" else None
+        blocks = list(_replicate_blocks(model, t, schedule, 606, lo, hi))
+        assert [len(block) for block in blocks] == [rows, rows, 1]
+        uniforms = stream_at(606, lo * t).random((hi - lo, t))
+        expected = (ba_block_draws(uniforms) if model == "ba"
+                    else copy_pointer_draws(uniforms, schedule.cumulative(t)))
+        assert np.array_equal(np.concatenate(blocks), expected)
 
 
 class TestBirthTimeCurve:
@@ -288,8 +308,7 @@ class TestDrawCountHistogram:
         j, t, replicates = 3, 12, 1000
         hist = draw_count_histogram(j, t, schedule, replicates, master_seed=8, model=model)
         expected = np.zeros(t - j + 2, dtype=np.int64)
-        for r in range(replicates):
-            draws = _reference_draws(model, t, schedule, 8, r)
+        for draws in _reference_draws(model, t, schedule, 8, replicates):
             expected[np.count_nonzero(draws == j)] += 1
         assert np.array_equal(hist, expected)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import ba_draws_loop, battery_schedules, enumerate_paths
 from polyagraph.graphs import (
+    ba_block_draws,
     ba_draws,
     ba_generate,
     generate,
@@ -142,6 +143,15 @@ class TestBaseline:
             draws = ba_draws(t, as_generator(seed))
             assert draws.dtype == np.int64
             assert np.array_equal(draws, ba_draws_loop(t, as_generator(seed))), seed
+
+    @pytest.mark.parametrize("t", [0, 1, 12, 4097])
+    def test_block_rows_match_endpoint_list_loop(self, t):
+        # Row r of the block reads uniforms r·t .. r·t+t-1, as the loop does
+        # when it is called once per row on one generator.
+        block = ba_block_draws(as_generator(9).random((5, t)))
+        rng = as_generator(9)
+        for row in block:
+            assert np.array_equal(row, ba_draws_loop(t, rng))
 
 
 class TestCoupling:

@@ -7,44 +7,42 @@ import numpy as np
 import pytest
 
 import polyagraph
+from conftest import stream_at
 from polyagraph.experiments import draw_count_histogram
 from polyagraph.schedules import parse_schedule
-from polyagraph.seeding import replicate_generator, replicate_generators
+from polyagraph.seeding import as_generator, replicate_generator, replicate_stream
 
-# 2³²−1 and 2³² straddle the one-to-two-word split of the master seed; 2⁶⁴+5
-# is three words and 2²⁰⁰+3 is seven, more than the pool of four holds.
-MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, 918273]
-# One row; past one chunk of 4096; across a chunk boundary not at its start;
-# and across r = 2³², where r's own entropy grows to two words.
-RANGES = [(0, 1), (0, 4097), (4095, 8200), (2**32 - 2, 2**32 + 2)]
+# 2⁶⁴+5 is a three-word SeedSequence entropy; 918273 is one word.
+MASTER_SEEDS = [0, 1, 2**64 + 5, 918273]
 
 
-class TestReplicateGenerators:
-    @pytest.mark.parametrize("lo,hi", RANGES)
+class TestReplicateStream:
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
-    def test_equals_one_at_a_time_rule(self, seed, lo, hi):
-        generators = list(replicate_generators(seed, lo, hi))
-        assert len(generators) == hi - lo
-        for r, bulk in zip(range(lo, hi), generators):
-            reference = replicate_generator(seed, r)
-            assert bulk.bit_generator.state == reference.bit_generator.state, r
-            assert np.array_equal(bulk.random(7), reference.random(7)), r
+    def test_reference_jump_matches_contiguous_stream(self, seed):
+        # Check the LCG reference against plain consumption of the stream.
+        whole = as_generator(seed).random(4097 * 3 + 5)
+        for steps in (0, 1, 12, 4097, 4097 * 3):
+            assert np.array_equal(stream_at(seed, steps).random(5), whole[steps : steps + 5])
 
-    def test_empty_range(self):
-        assert list(replicate_generators(5, 3, 3)) == []
+    @pytest.mark.parametrize("first", [1, 341, 2**32 + 3])
+    @pytest.mark.parametrize("t", [0, 12])
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_starts_at_replicate_first(self, seed, t, first):
+        rng = replicate_stream(seed, t, first)
+        assert rng.bit_generator.state == stream_at(seed, first * t).bit_generator.state
 
-    # A negative seed has no little-endian word split; it must fail at the
-    # call, as SeedSequence does, not loop.
+    # A negative seed or start must fail at the call with the engine's own
+    # message, for every caller ExperimentConfig's check does not cover.
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed(self, seed):
         with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
-            replicate_generators(seed, 0, 1)
+            replicate_stream(seed, 5, 0)
         with pytest.raises(ValueError):
             replicate_generator(seed, 0)
 
     def test_negative_start(self):
         with pytest.raises(ValueError, match="replicate index must be >= 0, got -1"):
-            replicate_generators(5, -1, 2)
+            replicate_stream(5, 3, -1)
 
     @pytest.mark.parametrize("model", ["polya", "ba"])
     def test_draw_count_histogram_negative_seed(self, model):
