@@ -8,15 +8,35 @@ import pytest
 
 import polyagraph
 from conftest import stream_at
-from polyagraph.experiments import draw_count_histogram
+from polyagraph.experiments import _replicate_blocks, draw_count_histogram
 from polyagraph.schedules import parse_schedule
 from polyagraph.seeding import as_generator, replicate_generator, replicate_stream
 
-# 2⁶⁴+5 is a three-word SeedSequence entropy; 918273 is one word.
-MASTER_SEEDS = [0, 1, 2**64 + 5, 918273]
+# 2³²−1 and 2³² straddle the one-to-two-word split of the SeedSequence
+# entropy; 2⁶⁴+5 is three words and 2²⁰⁰+3 is seven.
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, 918273]
+# One row; past 4096 rows; a range not starting at 0; and across r = 2³².
+RANGES = [(0, 1), (0, 4097), (4095, 8200), (2**32 - 2, 2**32 + 2)]
 
 
-class TestReplicateStream:
+class TestReplicateGenerators:
+    @pytest.mark.parametrize("lo,hi", RANGES)
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_equals_one_at_a_time_rule(self, seed, lo, hi):
+        # A range's rows, drawn in one call from the stream advanced to lo,
+        # equal each replicate's draws r·t … (r+1)·t−1 taken on their own.
+        t = 7
+        rng = replicate_stream(seed, t, lo)
+        rows = rng.random((hi - lo, t))
+        for r, row in zip(range(lo, hi), rows):
+            assert np.array_equal(row, stream_at(seed, r * t).random(t)), r
+        assert rng.bit_generator.state == stream_at(seed, hi * t).bit_generator.state
+
+    def test_empty_range(self):
+        schedule = parse_schedule("const:1")
+        for model in ("polya", "ba"):
+            assert list(_replicate_blocks(model, 3, schedule, 5, 3, 3)) == []
+
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_reference_jump_matches_contiguous_stream(self, seed):
         # Check the LCG reference against plain consumption of the stream.
