@@ -58,7 +58,6 @@ from .exact import (
     brute_force_pmf,
     brute_force_table,
     delta_one_simplified_pmf,
-    draw_time_tuples,
     normalization_check,
     pmf_constant_delta,
     pmf_constant_delta_dp,

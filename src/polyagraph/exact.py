@@ -1,29 +1,28 @@
 """Exact distributions of per-color draw counts.
 
 For a color j and horizon t, the number of times color j is drawn lies in
-0..t-j+1, and the corresponding vertex degree is that count plus one.  Four
+0..t-j+1, and the corresponding vertex degree is that count plus one.  Three
 routes compute the distribution:
 
-- ``pmf_general``: the exact sum over ascending tuples of candidate draw
-  times, valid for any schedule.  Each tuple contributes a chain of
-  conditional draw/no-draw probabilities; the number of tuples grows as
-  2**(t-j+1), so the support window is capped.
-- ``pmf_constant_delta``: ``pmf_general`` at a constant reinforcement
-  amount.
+- ``pmf_general``: the exact sum, valid for any schedule, over the subsets
+  of times j..t at which color j is drawn.  Each subset contributes a chain
+  of conditional draw/no-draw probabilities, built by one forward pass over
+  the subsets; there are 2**(t-j+1) of them, so the support window is
+  capped.  ``pmf_constant_delta`` and ``pmf_delta_one`` are this route at a
+  constant amount.
 - ``pmf_constant_delta_dp``: a quadratic-time forward recurrence for constant
   amounts with no cap; the draw probability at time n depends only on the
   number of prior draws.
 - ``brute_force_pmf``: an independent oracle that enumerates every possible
   draw sequence outright and replays the urn along each path.
 
-Each summand in the tuple sums is accumulated as a running product of
-per-time conditional probabilities (factor over matching denominator), so
-every partial product lies in [0, 1] and cannot overflow.
+Each chain is accumulated as a running product of per-time conditional
+probabilities (factor, then divided by its denominator), so every partial
+product lies in [0, 1] and cannot overflow.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ logger = logging.getLogger(__name__)
 ENUMERATION_CAP = 25
 BRUTE_FORCE_CAP = 9
 
-_CHUNK = 200_000
+_SPLIT = 2 ** 18  # the forward pass halves any larger set of subset states
 _DELTA_ONE_TOL = 1e-10
 
 
@@ -81,32 +80,6 @@ def normalization_check(pmf: Pmf) -> float:
     return pmf.sum_deviation()
 
 
-def draw_time_tuples(j: int, k: int, t: int):
-    """Ascending k-tuples of times at which color j can be drawn.
-
-    Candidate times run over j..t.  For color 1 the draw at time 1 is forced,
-    so the leading entry is pinned to 1 and only the remaining k-1 times vary.
-    """
-    if k < 0:
-        raise ValueError(f"tuple length must be >= 0, got {k}")
-    if j == 1:
-        if k == 0:
-            return
-        for rest in itertools.combinations(range(2, t + 1), k - 1):
-            yield (1, *rest)
-    else:
-        yield from itertools.combinations(range(j, t + 1), k)
-
-
-def _tuple_chunks(j: int, k: int, t: int, chunk_size: int):
-    source = draw_time_tuples(j, k, t)
-    while True:
-        block = list(itertools.islice(source, chunk_size))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.int64)
-
-
 def _validate_color(j: int, t: int) -> None:
     if not 1 <= j <= t:
         raise InvalidColor(f"need 1 <= color <= horizon, got color {j} at horizon {t}")
@@ -121,50 +94,49 @@ def _validate_cap(j: int, t: int, cap: int) -> None:
         )
 
 
-def _sum_over_tuples(j, t, k, *, mode, S=None, deltas=None, chunk_size=_CHUNK) -> float:
-    """Total over draw-time tuples of the conditional-probability chain.
+def _forward(n, t, S, deltas, drawn, count, prob, out) -> None:
+    """Add to ``out`` the count law of color j's draws over times n..t.
 
-    Walks times p = j..t once per tuple chunk, pairing each numerator factor
-    with its denominator so partial products stay in [0, 1] (the chains are
-    probabilities).  ``mode`` selects the factor family:
-
-    - "general": any schedule; tracks the drawn-mass running sum.
-    - "unit_printed": the simplified unit-reinforcement form, which applies
-      the no-draw factor at every time (draw times included) and multiplies
-      by k! at the end.
+    Each state is one subset of the draws so far: its drawn mass, its draw
+    count and its probability.  At time p a state splits into no draw, with
+    factor ((p-1) + S[p-1] - drawn) / (p + S[p-1]), and a draw, with factor
+    (1 + drawn) / (p + S[p-1]); multiplying before dividing keeps every
+    partial product a probability.  A set larger than ``_SPLIT`` is halved
+    and each half carried on alone, which bounds memory.
     """
-    parts = []
-    for tup in _tuple_chunks(j, k, t, chunk_size):
-        m = tup.shape[0]
-        rows = np.arange(m)
-        ratio = np.ones(m)
-        drawsum = np.zeros(m)
-        ptr = np.zeros(m, dtype=np.int64)
-        last = k - 1
-        for p in range(j, t + 1):
-            here = tup[rows, np.minimum(ptr, last)]
-            is_draw = (ptr < k) & (here == p)
-            if mode == "general":
-                den = p + S[p - 1]
-                num = np.where(is_draw, 1.0 + drawsum, (p - 1.0) + S[p - 1] - drawsum)
-                drawsum = drawsum + np.where(is_draw, deltas[p - 1], 0.0)
-            else:  # unit_printed
-                den = 2.0 * (p - 1) + 1.0
-                num = 2.0 * (p - 1) - ptr  # ptr counts the draws so far
-            ratio *= num
-            ratio /= den
-            ptr += is_draw
-        if mode == "unit_printed":
-            ratio *= float(math.factorial(k))
-        parts.append(float(ratio.sum()))
-    return math.fsum(parts)
+    for p in range(n, t + 1):
+        if len(prob) > _SPLIT:
+            half = len(prob) // 2
+            for part in (slice(None, half), slice(half, None)):
+                _forward(p, t, S, deltas, drawn[part], count[part], prob[part], out)
+            return
+        den = p + S[p - 1]
+        stay = prob * ((p - 1.0) + S[p - 1] - drawn)
+        stay /= den
+        move = prob * (1.0 + drawn)
+        move /= den
+        prob = np.concatenate((stay, move))
+        drawn = np.concatenate((drawn, drawn + deltas[p - 1]))
+        count = np.concatenate((count, count + 1))
+    out += np.bincount(count, weights=prob, minlength=len(out))
 
 
-def _zero_draws_general(j: int, t: int, S: np.ndarray) -> float:
-    ratio = 1.0
-    for p in range(j, t + 1):
-        ratio *= ((p - 1.0) + S[p - 1]) / (p + S[p - 1])
-    return ratio
+def _count_chain(j: int, t: int, factors) -> np.ndarray:
+    """Mass over draw counts 0..t-j+1, moved one time at a time.
+
+    ``factors(n, ks)`` gives the (no draw, draw) factors at time n for the
+    draw counts ``ks`` held before it.
+    """
+    window = t - j + 1
+    probs = np.zeros(window + 1)
+    probs[0] = 1.0
+    ks = np.arange(window + 1, dtype=float)
+    for n in range(j, t + 1):
+        stay, move = factors(n, ks)
+        moved = probs * move
+        probs = probs * stay
+        probs[1:] += moved[:-1]
+    return probs
 
 
 def _zero_draws_unit_simplified(j: int, t: int) -> float:
@@ -177,21 +149,22 @@ def _zero_draws_unit_simplified(j: int, t: int) -> float:
 
 
 def pmf_general(j: int, t: int, schedule: Schedule, *, cap: int = ENUMERATION_CAP) -> Pmf:
-    """Exact draw-count distribution for any schedule via the tuple sum."""
+    """Exact draw-count distribution for any schedule.
+
+    Sums the chain of draw and no-draw factors over every subset of the
+    times j..t at which color j can be drawn, by one forward pass over
+    those subsets; there are 2**(t-j+1) of them, so the window is capped.
+    """
     _validate_color(j, t)
     _validate_cap(j, t, cap)
-    deltas = schedule.values(t)
-    S = schedule.cumulative(t)
-    window = t - j + 1
-    probs = np.zeros(window + 1)
-    probs[0] = _zero_draws_general(j, t, S)
-    for k in range(1, window + 1):
-        probs[k] = _sum_over_tuples(j, t, k, mode="general", S=S, deltas=deltas)
+    probs = np.zeros(t - j + 2)
+    _forward(j, t, schedule.cumulative(t), schedule.values(t), np.zeros(1),
+             np.zeros(1, dtype=np.intp), np.ones(1), probs)
     return Pmf(color=j, horizon=t, probs=probs)
 
 
 def pmf_constant_delta(j: int, t: int, delta: float, *, cap: int = ENUMERATION_CAP) -> Pmf:
-    """Exact draw-count distribution for a constant amount via the tuple sum."""
+    """Exact draw-count distribution for a constant amount via ``pmf_general``."""
     delta = float(delta)
     if delta < 0:
         raise ValueError(f"reinforcement must be >= 0, got {delta}")
@@ -211,16 +184,12 @@ def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
     if delta < 0:
         raise ValueError(f"reinforcement must be >= 0, got {delta}")
     Constant(delta).cumulative(t)  # raises if the total mass overflows
-    window = t - j + 1
-    probs = np.zeros(window + 1)
-    probs[0] = 1.0
-    ks = np.arange(window + 1, dtype=float)
-    for n in range(j, t + 1):
+
+    def factors(n, ks):
         q = (1.0 + ks * delta) / (n + (n - 1) * delta)
-        moved = probs * q
-        probs = probs * (1.0 - q)
-        probs[1:] += moved[:-1]
-    return Pmf(color=j, horizon=t, probs=probs)
+        return 1.0 - q, q
+
+    return Pmf(color=j, horizon=t, probs=_count_chain(j, t, factors))
 
 
 def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
@@ -228,7 +197,7 @@ def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
     """Draw-count distribution at unit reinforcement.
 
     At unit reinforcement the a-th draw contributes factor a, so each
-    tuple's draw product collapses to k!.  An alternative closed form
+    subset's draw product collapses to k!.  An alternative closed form
     (``delta_one_simplified_pmf``) further drops the pruning of draw times
     from the no-draw product and rewrites the zero-draw term as a gamma
     ratio; it disagrees with the verified law for colors >= 2.  This
@@ -258,11 +227,14 @@ def delta_one_simplified_pmf(j: int, t: int, *, cap: int = ENUMERATION_CAP) -> P
     """
     _validate_color(j, t)
     _validate_cap(j, t, cap)
-    window = t - j + 1
-    probs = np.zeros(window + 1)
+
+    def factors(n, ks):
+        f = (2.0 * (n - 1) - ks) / (2.0 * n - 1.0)
+        return f, f
+
+    probs = _count_chain(j, t, factors)
+    probs *= [float(math.factorial(k)) for k in range(len(probs))]
     probs[0] = _zero_draws_unit_simplified(j, t)
-    for k in range(1, window + 1):
-        probs[k] = _sum_over_tuples(j, t, k, mode="unit_printed")
     return Pmf(color=j, horizon=t, probs=probs)
 
 
@@ -271,8 +243,8 @@ def brute_force_table(t: int, schedule: Schedule) -> np.ndarray:
 
     Walks all t! draw sequences depth-first, replaying the urn weights along
     each path; entry [j, k] is the probability that color j is drawn exactly
-    k times through time t.  Row 0 is unused.  Independent of the tuple-sum
-    and recurrence routes, so it serves as their oracle.
+    k times through time t.  Row 0 is unused.  Independent of the subset pass
+    and the recurrence, so it serves as their oracle.
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")

@@ -263,10 +263,18 @@ def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
     return _mean_birth(np.asarray(graph.degrees[1 : t + 1]), k)
 
 
-def _count_pmf(j: int, t: int, schedule: Schedule, cap: int):
-    if isinstance(schedule, Constant):
-        return pmf_constant_delta_dp(j, t, float(schedule.delta))
-    return pmf_general(j, t, schedule, cap=cap)
+def _exact_tables(t: int, schedule: Schedule, cap: int):
+    """Per-degree (birth-time total, vertex count) expectations, one pass over colors."""
+    births = np.zeros(t + 2)
+    counts = np.zeros(t + 2)
+    for j in range(1, t + 1):
+        if isinstance(schedule, Constant):
+            probs = pmf_constant_delta_dp(j, t, float(schedule.delta)).probs
+        else:
+            probs = pmf_general(j, t, schedule, cap=cap).probs
+        births[1 : 1 + len(probs)] += (j - 1) * probs
+        counts[1 : 1 + len(probs)] += probs
+    return births, counts
 
 
 def expected_birth_time_exact(t: int, k: int, schedule: Schedule, *,
@@ -279,33 +287,19 @@ def expected_birth_time_exact(t: int, k: int, schedule: Schedule, *,
     """
     if not 1 <= k <= t + 1:
         raise ValueError(f"degree {k} outside 1..{t + 1}")
-    total = 0.0
-    for j in range(1, t + 1):
-        if k - 1 > t - j + 1:
-            continue
-        pmf = _count_pmf(j, t, schedule, cap)
-        total += (j - 1) * float(pmf.probs[k - 1])
-    return total
+    return float(expected_birth_time_table(t, schedule, cap=cap)[k])
 
 
 def expected_birth_time_table(t: int, schedule: Schedule, *,
                               cap: int = ENUMERATION_CAP) -> np.ndarray:
     """``expected_birth_time_exact`` for every degree at once (index = degree)."""
-    table = np.zeros(t + 2)
-    for j in range(1, t + 1):
-        pmf = _count_pmf(j, t, schedule, cap)
-        table[1 : 1 + len(pmf.probs)] += (j - 1) * pmf.probs
-    return table
+    return _exact_tables(t, schedule, cap)[0]
 
 
 def expected_degree_count_table(t: int, schedule: Schedule, *,
                                 cap: int = ENUMERATION_CAP) -> np.ndarray:
     """Expected number of degree-k vertices among those born before the horizon."""
-    table = np.zeros(t + 2)
-    for j in range(1, t + 1):
-        pmf = _count_pmf(j, t, schedule, cap)
-        table[1 : 1 + len(pmf.probs)] += pmf.probs
-    return table
+    return _exact_tables(t, schedule, cap)[1]
 
 
 def draw_count_histogram(j: int, t: int, schedule: Schedule | None, replicates: int,

@@ -186,17 +186,12 @@ def new_color_draw_prob(t: int, schedule: Schedule) -> float:
 def marginal_draw_prob(j: int, t: int, schedule: Schedule) -> float:
     """Unconditional probability that color j is drawn at time t.
 
-    Computed by the one-pass recursion over n = j..t in which the
-    probability at time n feeds the weighted sum for all later times.
+    With D_n = n + S[n-1] the total mass before the draw at time n, the
+    expected mass of color j grows by the factor 1 + delta_n / D_n at each
+    time n = j..t-1, so the probability is prod(1 + delta_n / D_n) / D_t.
     """
     if not 1 <= j <= t:
         raise InvalidColor(f"color {j} cannot be drawn at time {t}")
-    deltas = schedule.values(t - 1) if t > 1 else np.empty(0)
-    cum = schedule.cumulative(t - 1) if t > 1 else np.zeros(1)
-    acc = 0.0
-    p = 1.0
-    for n in range(j, t + 1):
-        p = (1.0 + acc) / (n + float(cum[n - 1]))
-        if n < t:
-            acc += float(deltas[n - 1]) * p
-    return p
+    n = np.arange(j, t + 1)
+    D = n + schedule.cumulative(t - 1)[n - 1]
+    return float(np.prod(1.0 + schedule.values(t - 1)[j - 1:] / D[:-1]) / D[-1])

@@ -5,42 +5,20 @@ import numpy as np
 import pytest
 
 from conftest import battery_schedules, enumerate_paths
+from polyagraph import exact
 from polyagraph.errors import CapExceeded, InvalidColor
 from polyagraph.exact import (
     Pmf,
     brute_force_pmf,
     brute_force_table,
     delta_one_simplified_pmf,
-    draw_time_tuples,
     normalization_check,
     pmf_constant_delta,
     pmf_constant_delta_dp,
     pmf_delta_one,
     pmf_general,
 )
-from polyagraph.schedules import Constant, paper_g
-
-
-class TestDrawTimeTuples:
-    @pytest.mark.parametrize("t", [2, 5, 8])
-    def test_cardinality(self, t):
-        for j in range(1, t + 1):
-            window = t - j + 1
-            for k in range(0, window + 1):
-                tuples = list(draw_time_tuples(j, k, t))
-                if j == 1:
-                    assert len(tuples) == (math.comb(t - 1, k - 1) if k else 0)
-                else:
-                    assert len(tuples) == math.comb(window, k)
-
-    def test_ascending_within_bounds(self):
-        for tup in draw_time_tuples(3, 2, 7):
-            assert 3 <= tup[0] < tup[1] <= 7
-
-    def test_first_time_pinned_for_color_one(self):
-        for tup in draw_time_tuples(1, 3, 6):
-            assert tup[0] == 1
-            assert all(a < b for a, b in zip(tup, tup[1:]))
+from polyagraph.schedules import Constant, NaturalLog, paper_g
 
 
 class TestPmfGeneral:
@@ -64,6 +42,26 @@ class TestPmfGeneral:
                 for j in range(1, t + 1):
                     got = pmf_general(j, t, sched)
                     assert np.max(np.abs(got.probs - table[j, : t - j + 2])) <= 1e-12
+
+    def test_split_states_match_oracles(self, battery, monkeypatch):
+        # Past 4 subset states the pass halves its set, so every window of
+        # 4 or more is carried on in halves.
+        monkeypatch.setattr(exact, "_SPLIT", 4)
+        for _, sched in [*battery, ("paper-g", paper_g())]:
+            for t in range(1, 8):
+                table = brute_force_table(t, sched)
+                paths = enumerate_paths(t, sched)
+                for j in range(1, t + 1):
+                    got = pmf_general(j, t, sched).probs
+                    masses = np.zeros(t - j + 2)
+                    for path, prob in paths:
+                        masses[path.count(j)] += prob
+                    assert np.max(np.abs(got - table[j, : t - j + 2])) <= 1e-12
+                    assert np.max(np.abs(got - masses)) <= 1e-12
+
+    def test_normalized_at_the_cap(self):
+        pmf = pmf_general(3, 27, NaturalLog())  # window 25, split at the default size
+        assert normalization_check(pmf) <= 1e-12
 
     def test_color_out_of_range(self):
         with pytest.raises(InvalidColor):
