@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib.resources
 import json
+import os
 import time
 from pathlib import Path
+
+# numpy's bundled OpenBLAS starts worker threads when it loads, and they spin
+# idle: the CLI makes no multithreaded BLAS call (its parallelism is the
+# replicate pool), so cap BLAS before the first import that loads numpy.
+# A value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -221,6 +227,8 @@ _BIRTHTIME_RUNS = (
 
 
 def _repro_config(name: str, flags) -> ExperimentConfig:
+    import importlib.resources
+
     text = (importlib.resources.files("polyagraph") / "repro" / name).read_text()
     return dataclasses.replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
 

@@ -157,9 +157,12 @@ def pmf_general(j: int, t: int, schedule: Schedule, *, cap: int = ENUMERATION_CA
     """
     _validate_color(j, t)
     _validate_cap(j, t, cap)
+    S, deltas = schedule.cumulative(t), schedule.values(t)
+    # Color 1 is the only ball at time 1, so its first draw is forced.
+    n, drawn, count = (2, deltas[0], 1) if j == 1 else (j, 0.0, 0)
     probs = np.zeros(t - j + 2)
-    _forward(j, t, schedule.cumulative(t), schedule.values(t), np.zeros(1),
-             np.zeros(1, dtype=np.intp), np.ones(1), probs)
+    _forward(n, t, S, deltas, np.full(1, drawn, dtype=float),
+             np.full(1, count, dtype=np.intp), np.ones(1), probs)
     return Pmf(color=j, horizon=t, probs=probs)
 
 

@@ -13,7 +13,6 @@ always has degree 1 and birth time t).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +195,8 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
     if len(ranges) <= 1:
         partials = [_aggregate_range(config.model, t, schedule, config.seed, 0, total)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             futures = [
                 pool.submit(_aggregate_range, config.model, t, schedule, config.seed, lo, hi)

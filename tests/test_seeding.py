@@ -77,3 +77,13 @@ def test_cli_import_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, polyagraph.cli; sys.exit('numpy.random' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Loading the pool costs ~1 MB of resident memory in every CLI process;
+    # generate, exact and --threads 1 never use it.
+    src = str(Path(polyagraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, polyagraph.cli; sys.exit(any(m in sys.modules for m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

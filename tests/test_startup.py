@@ -1,0 +1,70 @@
+"""What importing the package and the CLI does to a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polyagraph
+
+SRC = str(Path(polyagraph.__file__).resolve().parents[1])
+
+
+def _run(code, **env):
+    """Run ``code`` in a fresh interpreter and return its standard output.
+
+    The caller's ``OPENBLAS_NUM_THREADS`` is dropped unless given in ``env``.
+    """
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**base, "PYTHONPATH": SRC, **env})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_package_import_is_lazy():
+    out = _run("import os, sys\n"
+               "before = dict(os.environ)\n"
+               "import polyagraph\n"
+               "assert dict(os.environ) == before\n"
+               "print(sorted(m for m in sys.modules\n"
+               "             if m in ('numpy', 'click') or m.startswith('polyagraph.')))")
+    assert out == ["[]"]
+
+
+def test_cli_caps_openblas_at_one_thread():
+    out = _run("import os, polyagraph.cli\n"
+               "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))\n"
+               "      if os.path.isdir('/proc/self/task') else -1)")
+    assert out[0] == "1"
+    if not sys.platform.startswith("linux"):
+        pytest.skip("thread count read from /proc/self/task, which is Linux only")
+    assert out[1] == "1", "an idle BLAS worker thread was started"
+
+
+def test_caller_openblas_setting_wins():
+    out = _run("import os, polyagraph.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+               OPENBLAS_NUM_THREADS="3")
+    assert out == ["3"]
+
+
+def test_public_names_are_their_submodules_objects():
+    out = _run("import importlib, polyagraph\n"
+               "for name in polyagraph.__all__:\n"
+               "    module = importlib.import_module(f'polyagraph.{polyagraph._SUBMODULE[name]}')\n"
+               "    assert getattr(polyagraph, name) is getattr(module, name), name\n"
+               "    assert name in vars(polyagraph), name\n"
+               "from polyagraph import cli\n"
+               "print(len(polyagraph.__all__), cli.__name__)")
+    assert out == [str(len(polyagraph.__all__)), "polyagraph.cli"]
+
+
+def test_unknown_attribute_raises():
+    out = _run("import polyagraph\n"
+               "try:\n"
+               "    polyagraph.no_such_name\n"
+               "except AttributeError as err:\n"
+               "    print(type(err).__name__)")
+    assert out == ["AttributeError"]
