@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -23,6 +24,11 @@ from pathlib import Path
 # replicate pool), so cap BLAS before the first import that loads numpy.
 # A value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
+# libcrypto (~3.4 MB resident) although the CLI computes no hash.  Without
+# _hashlib, hmac and hashlib use their built-in implementations.  A process
+# that already imported _hashlib keeps it.
+sys.modules.setdefault("_hashlib", None)
 
 import click
 import numpy as np
@@ -51,6 +57,7 @@ from .exact import (
     pmf_general,
 )
 from .experiments import (
+    POOL_MIN_DRAWS,
     ExperimentConfig,
     draw_count_histogram,
     run_monte_carlo,
@@ -185,8 +192,13 @@ def _merged_config(config_path, flags) -> ExperimentConfig:
     return dataclasses.replace(load_config(config_path), **overrides)
 
 
-_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores; "
-                 "1 runs in-process).")
+_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores). "
+                 f"Runs of fewer than {POOL_MIN_DRAWS} draws (t*R) use one process "
+                 "whatever the cap.")
+
+
+def _processes(result) -> str:
+    return f"{result.processes} process" + ("es" if result.processes > 1 else "")
 
 
 @main.command("experiment")
@@ -211,7 +223,7 @@ def cmd_experiment(config_path, threads, **flags):
     elapsed = time.perf_counter() - started
     click.echo(
         f"{config.model} t={config.t} R={config.replicates}: wrote "
-        f"{', '.join(str(p) for p in written)} ({elapsed:.2f}s)",
+        f"{', '.join(str(p) for p in written)} ({elapsed:.2f}s, {_processes(result)})",
         err=True,
     )
 
@@ -267,10 +279,11 @@ def cmd_repro(figure, out, threads, **flags):
     elif figure.startswith("degree-"):
         config = _repro_config(f"{figure}.cfg", flags)
         baseline = _repro_config("ba-baseline.cfg", flags)
-        result = run_monte_carlo(config, threads=threads)
-        ba_result = run_monte_carlo(baseline, threads=threads)
-        (out / "degree_distribution_polya.csv").write_text(degree_distribution_csv(result))
-        (out / "degree_distribution_ba.csv").write_text(degree_distribution_csv(ba_result))
+        for label, run_config in (("polya", config), ("ba", baseline)):
+            result = run_monte_carlo(run_config, threads=threads)
+            (out / f"degree_distribution_{label}.csv").write_text(
+                degree_distribution_csv(result))
+            click.echo(f"repro {figure}: finished {label} ({_processes(result)})", err=True)
         payload = {"polya": config_echo(config), "ba": config_echo(baseline)}
         (out / "summary.json").write_text(_json_text(payload))
     else:  # birthtime-all
@@ -280,7 +293,7 @@ def cmd_repro(figure, out, threads, **flags):
             result = run_monte_carlo(config, threads=threads)
             (out / f"birth_time_{label}.csv").write_text(birth_time_csv(result))
             payload[label] = config_echo(config)
-            click.echo(f"repro {figure}: finished {label}", err=True)
+            click.echo(f"repro {figure}: finished {label} ({_processes(result)})", err=True)
         (out / "summary.json").write_text(_json_text(payload))
     elapsed = time.perf_counter() - started
     click.echo(f"repro {figure}: outputs in {out} ({elapsed:.2f}s)", err=True)

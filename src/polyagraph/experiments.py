@@ -35,6 +35,12 @@ OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
 # replicate at a time.
 BLOCK_ELEMENTS = 4096
 
+# Runs of fewer draws (t·R) than this go in one process whatever the thread
+# cap: below it, starting and feeding a process pool costs more than splitting
+# the replicates saves (the break-even, measured on 2 cores, is in ROADMAP
+# item 4).
+POOL_MIN_DRAWS = 1 << 20
+
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
@@ -122,6 +128,7 @@ class MonteCarloResult:
     degree_histogram: DegreeHistogram
     birth_time: BirthTimeCurve
     max_degrees: np.ndarray = field(repr=False)
+    processes: int  # processes that sampled the replicates
 
 
 def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
@@ -177,30 +184,41 @@ def _aggregate_range(model, t, schedule, master_seed, lo, hi):
     return counts, birth_sums, n_samples, np.concatenate(max_degrees)
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> MonteCarloResult:
     """Run the configured replicates and pool their statistics.
 
-    Replicate r takes draws r·t … (r+1)·t−1 of the stream
-    ``as_generator(config.seed)`` regardless of worker layout (each worker
-    range advances the stream to its first replicate), and all aggregation
-    is exact integer addition, so the result is identical for any number of
-    worker processes.
+    A run of fewer than ``POOL_MIN_DRAWS`` draws (t·R) runs in this process.
+    A larger one splits its replicates into contiguous ranges over a process
+    pool of at most ``threads`` workers (default: the cores this process may
+    run on) and never more workers than replicates; ``result.processes``
+    says how many sampled.  Replicate r takes draws r·t … (r+1)·t−1 of the
+    stream ``as_generator(config.seed)`` regardless of layout (each range
+    advances the stream to its first replicate), and all aggregation is exact
+    integer addition, so the result is identical for any number of processes.
     """
     t, total = config.t, config.replicates
     schedule = config.schedule()
-    workers = threads if threads is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, total))
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
-    ranges = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if len(ranges) <= 1:
+    workers = 1
+    if t * total >= POOL_MIN_DRAWS:
+        workers = max(1, min(threads if threads is not None else _available_cores(), total))
+    if workers == 1:
         partials = [_aggregate_range(config.model, t, schedule, config.seed, 0, total)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        bounds = np.linspace(0, total, workers + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_aggregate_range, config.model, t, schedule, config.seed, lo, hi)
-                for lo, hi in ranges
+                pool.submit(_aggregate_range, config.model, t, schedule, config.seed,
+                            int(lo), int(hi))
+                for lo, hi in zip(bounds, bounds[1:])
             ]
             partials = [f.result() for f in futures]
     counts, birth_sums, n_samples, max_degrees = zip(*partials)
@@ -210,6 +228,7 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
         birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums),
                                   n_samples=sum(n_samples)),
         max_degrees=np.concatenate(max_degrees),
+        processes=workers,
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import battery_schedules, pooled_chi_square_p
+from polyagraph import experiments
 from polyagraph.cli import main as cli_main
 from polyagraph.exact import (
     brute_force_table,
@@ -264,9 +265,12 @@ def test_09_birth_time_consistency():
               f"{worst:.2f} standard errors")
 
 
-def test_10_byte_identical_reruns(tmp_path):
+def test_10_byte_identical_reruns(tmp_path, monkeypatch):
     with criterion(10, "experiment reruns with one master seed are "
                        "byte-identical for any thread count"):
+        # This run is far below the pool's threshold; lower it so that
+        # --threads 2 really runs two processes.
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)
         runner = CliRunner()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -282,6 +286,7 @@ def test_10_byte_identical_reruns(tmp_path):
                 catch_exceptions=False,
             )
             assert result.exit_code == 0
+            assert f" {threads} process" in result.stderr
             outputs.append(out)
         for name in ("degree_distribution.csv", "birth_time.csv", "summary.json"):
             blobs = {(out / name).read_bytes() for out in outputs}

@@ -222,6 +222,15 @@ class TestExperiment:
         assert "seed must be >= 0, got -5" in result.output
         assert not (tmp_path / "neg").exists()
 
+    def test_progress_names_the_processes_that_ran(self, runner, tmp_path):
+        # 40·3 draws are below POOL_MIN_DRAWS, so --threads 2 runs in-process;
+        # acceptance 10 checks the pooled line.
+        result = _invoke(runner, "experiment", "--model", "ba", "--t", 40,
+                         "--replicates", 3, "--seed", 9, "--out", tmp_path / "o",
+                         "--threads", 2)
+        assert result.exit_code == 0
+        assert result.stderr.startswith("ba t=40 R=3: wrote ")
+        assert result.stderr.endswith("s, 1 process)\n")
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_is_usage_error(self, runner, tmp_path, threads):
@@ -287,6 +296,8 @@ class TestRepro:
         result = _invoke(runner, "repro", "degree-ln", "--out", out,
                          "--t", 200, "--replicates", 4, "--threads", 1)
         assert result.exit_code == 0
+        assert result.stderr.splitlines()[:2] == ["repro degree-ln: finished polya (1 process)",
+                                                  "repro degree-ln: finished ba (1 process)"]
         names = sorted(p.name for p in out.iterdir())
         assert names == [
             "degree_distribution_ba.csv", "degree_distribution_polya.csv", "summary.json",

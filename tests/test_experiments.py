@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ba_draws_loop, battery_schedules, enumerate_paths, path_degrees, stream_at
+from polyagraph import experiments
 from polyagraph.errors import CapExceeded, InsufficientData
 from polyagraph.exact import pmf_constant_delta_dp
 from polyagraph.experiments import (
     BLOCK_ELEMENTS,
+    POOL_MIN_DRAWS,
     ExperimentConfig,
     _replicate_blocks,
     average_birth_time,
@@ -135,10 +137,12 @@ class TestRunMonteCarlo:
         assert np.array_equal(a.birth_time.birth_sums, b.birth_time.birth_sums)
         assert np.array_equal(a.max_degrees, b.max_degrees)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # pool this small run
         config = ExperimentConfig(model="ba", t=50, replicates=21, seed=4)
         serial = run_monte_carlo(config, threads=1)
         parallel = run_monte_carlo(config, threads=2)
+        assert (serial.processes, parallel.processes) == (1, 2)
         assert np.array_equal(serial.degree_histogram.counts,
                               parallel.degree_histogram.counts)
         assert np.array_equal(serial.birth_time.birth_sums, parallel.birth_time.birth_sums)
@@ -159,6 +163,27 @@ class TestRunMonteCarlo:
             counts += np.bincount(deg[1:], minlength=22)
         assert np.array_equal(result.degree_histogram.counts, counts)
 
+    @pytest.mark.parametrize("t, replicates, processes", [
+        (1024, POOL_MIN_DRAWS // 1024 - 1, 1),   # one replicate below the threshold
+        (1024, POOL_MIN_DRAWS // 1024, 2),       # at the threshold
+        (POOL_MIN_DRAWS, 1, 1),                  # never more processes than replicates
+    ])
+    def test_run_size_picks_the_process_count(self, t, replicates, processes):
+        config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=0)
+        assert run_monte_carlo(config, threads=2).processes == processes
+
+    @pytest.mark.parametrize("cores, processes", [({0}, 1), ({0, 3, 5}, 3), (None, 2)])
+    def test_default_process_count_follows_the_affinity(self, cores, processes,
+                                                        monkeypatch):
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        if cores is None:  # an OS without affinity masks: fall back to cpu_count
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: cores,
+                                raising=False)
+        assert run_monte_carlo(_polya(12, 10, 3), threads=None).processes == processes
+
 
 class TestBlockedEngine:
     # Blocks hold at most 4096 draws: t=12 packs 341 replicates per block,
@@ -170,13 +195,15 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()] + [None])
-    def test_equals_per_replicate_loop(self, spec, threads):
+    def test_equals_per_replicate_loop(self, spec, threads, monkeypatch):
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # threads=2 pools these runs
         for seed, (t, replicates) in itertools.product(self.SEEDS, self.SIZES):
             if spec is None:
                 config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=seed)
             else:
                 config = _polya(t, replicates, seed, schedule=spec)
             result = run_monte_carlo(config, threads=threads)
+            assert result.processes == min(threads, replicates)
             counts, birth_sums, n_samples, max_degrees = _reference_result(config)
             assert np.array_equal(result.degree_histogram.counts, counts), (seed, t)
             assert np.array_equal(result.birth_time.birth_sums, birth_sums), (seed, t)

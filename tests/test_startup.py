@@ -1,5 +1,6 @@
 """What importing the package and the CLI does to a fresh interpreter."""
 
+import hmac
 import os
 import subprocess
 import sys
@@ -68,3 +69,36 @@ def test_unknown_attribute_raises():
                "except AttributeError as err:\n"
                "    print(type(err).__name__)")
     assert out == ["AttributeError"]
+
+
+def test_small_run_with_two_threads_starts_no_pool(tmp_path):
+    # t·R = 2.4·10⁵ draws, below POOL_MIN_DRAWS: --threads 2 is only a cap.
+    args = ["experiment", "--model", "polya", "--schedule", "ln", "--t", "12",
+            "--replicates", "20000", "--seed", "1", "--out", str(tmp_path), "--threads", "2"]
+    out = _run("import sys\n"
+               "from polyagraph.cli import main\n"
+               f"main({args!r}, standalone_mode=False)\n"
+               "print('concurrent.futures.process' in sys.modules)")
+    assert out == ["False"]
+
+
+def test_cli_keeps_openssl_unmapped():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("mapped libraries read from /proc/self/maps, which is Linux only")
+    out = _run("import polyagraph.cli, numpy.random\n"
+               "print(any('libcrypto' in line for line in open('/proc/self/maps')))")
+    assert out == ["False"], "numpy.random mapped OpenSSL's libcrypto"
+
+
+def test_hashes_work_without_openssl():
+    out = _run("import polyagraph.cli, hashlib, hmac, numpy.random\n"
+               "print(hashlib.sha256(b'abc').hexdigest(),\n"
+               "      hmac.new(b'key', b'message', 'sha256').hexdigest())")
+    assert out == ["ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+                   hmac.new(b"key", b"message", "sha256").hexdigest()]
+
+
+def test_process_that_loaded_hashlib_keeps_it():
+    out = _run("import _hashlib, sys, polyagraph.cli\n"
+               "print(sys.modules['_hashlib'] is _hashlib)")
+    assert out == ["True"]
