@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
 import sys
 import time
@@ -37,9 +36,10 @@ from .configio import (
     birth_time_csv,
     config_echo,
     degree_distribution_csv,
-    fmt_float,
+    json_text,
     load_config,
     parse_config_text,
+    pmf_csv,
     write_outputs,
 )
 from .errors import (
@@ -109,11 +109,13 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
     schedule = parse_schedule(schedule_spec)
     started = time.perf_counter()
     if replay is not None:
-        draws = np.array([int(tok) for tok in replay.read_text().split()], dtype=np.int64)
+        try:
+            draws = np.array([int(tok) for tok in replay.read_text().split()], dtype=np.int64)
+        except OverflowError:
+            raise InvalidColor(f"{replay}: a draw exceeds int64, so it is not a color") from None
         if t is not None and t != len(draws):
             raise click.UsageError(f"--t {t} disagrees with {len(draws)} replay draws")
-        history = DrawHistory(schedule=schedule, draws=draws)
-        graph = reconstruct_graph(history)
+        graph = reconstruct_graph(DrawHistory(schedule=schedule, draws=draws))
     else:
         if t is None:
             raise click.UsageError("--t is required unless --replay is given")
@@ -122,8 +124,7 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
         _, graph = generate_graph(t, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.txt").write_text(graph.edge_list_text())
-    degree_rows = "".join(f"{v},{d},{b}\n" for v, d, b in graph.degree_rows())
-    (out / "degrees.csv").write_text("vertex,degree,birth_time\n" + degree_rows)
+    (out / "degrees.csv").write_text(graph.degree_table_text())
     elapsed = time.perf_counter() - started
     click.echo(
         f"wrote {graph.num_vertices} vertices, {len(graph.edges)} edges to {out} "
@@ -158,12 +159,12 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
         pmf = brute_force_pmf(j, t, schedule)
     else:
         pmf = pmf_general(j, t, schedule)
-    rows = list(pmf.csv_rows())
+    ks = pmf.support
     if k is not None:
-        rows = [(kk, p) for kk, p in rows if kk == k]
-        if not rows:
+        if not 0 <= k < len(ks):
             raise click.UsageError(f"k={k} outside the support 0..{t - j + 1}")
-    text = "k,prob\n" + "".join(f"{kk},{fmt_float(p)}\n" for kk, p in rows)
+        ks = ks[k:k + 1]
+    text = pmf_csv(ks, pmf.probs[ks])
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -228,14 +229,15 @@ def cmd_experiment(config_path, threads, **flags):
     )
 
 
-_REPRO_FIGURES = ("fig3", "degree-ln", "degree-f", "degree-g", "birthtime-all")
-_BIRTHTIME_RUNS = (
-    ("delta1", "polya-one.cfg"),
-    ("ln", "degree-ln.cfg"),
-    ("f", "degree-f.cfg"),
-    ("g", "degree-g.cfg"),
-    ("ba", "ba-baseline.cfg"),
-)
+# figure -> (file prefix, writer, runs); run (label, frozen config) writes <prefix>_<label>.csv
+_REPRO_RUNS = {
+    **{figure: ("degree_distribution", degree_distribution_csv,
+                (("polya", f"{figure}.cfg"), ("ba", "ba-baseline.cfg")))
+       for figure in ("degree-ln", "degree-f", "degree-g")},
+    "birthtime-all": ("birth_time", birth_time_csv, (
+        ("delta1", "polya-one.cfg"), ("ln", "degree-ln.cfg"), ("f", "degree-f.cfg"),
+        ("g", "degree-g.cfg"), ("ba", "ba-baseline.cfg"))),
+}
 
 
 def _repro_config(name: str, flags) -> ExperimentConfig:
@@ -246,7 +248,7 @@ def _repro_config(name: str, flags) -> ExperimentConfig:
 
 
 @main.command("repro")
-@click.argument("figure", type=click.Choice(_REPRO_FIGURES))
+@click.argument("figure", type=click.Choice(("fig3", *_REPRO_RUNS)))
 @click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
 @click.option("--threads", type=click.IntRange(min=1), default=None, help=_THREADS_HELP)
 @click.option("--t", type=int, default=None,
@@ -265,42 +267,22 @@ def cmd_repro(figure, out, threads, **flags):
         exact = pmf_constant_delta_dp(vertex, config.t, float(schedule.delta))
         hist = draw_count_histogram(vertex, config.t, schedule,
                                     config.replicates, config.seed)
-        (out / "exact_pmf.csv").write_text(
-            "k,prob\n" + "".join(f"{k},{fmt_float(p)}\n" for k, p in exact.csv_rows())
-        )
+        (out / "exact_pmf.csv").write_text(pmf_csv(exact.support, exact.probs))
         (out / "empirical_pmf.csv").write_text(
-            "k,frequency\n"
-            + "".join(
-                f"{k},{fmt_float(c / config.replicates)}\n" for k, c in enumerate(hist)
-            )
-        )
+            pmf_csv(exact.support, hist / config.replicates, column="frequency"))
         payload = {"config": config_echo(config), "vertex": vertex}
-        (out / "summary.json").write_text(_json_text(payload))
-    elif figure.startswith("degree-"):
-        config = _repro_config(f"{figure}.cfg", flags)
-        baseline = _repro_config("ba-baseline.cfg", flags)
-        for label, run_config in (("polya", config), ("ba", baseline)):
-            result = run_monte_carlo(run_config, threads=threads)
-            (out / f"degree_distribution_{label}.csv").write_text(
-                degree_distribution_csv(result))
-            click.echo(f"repro {figure}: finished {label} ({_processes(result)})", err=True)
-        payload = {"polya": config_echo(config), "ba": config_echo(baseline)}
-        (out / "summary.json").write_text(_json_text(payload))
-    else:  # birthtime-all
+    else:
+        prefix, writer, runs = _REPRO_RUNS[figure]
         payload = {}
-        for label, cfg_name in _BIRTHTIME_RUNS:
+        for label, cfg_name in runs:
             config = _repro_config(cfg_name, flags)
             result = run_monte_carlo(config, threads=threads)
-            (out / f"birth_time_{label}.csv").write_text(birth_time_csv(result))
+            (out / f"{prefix}_{label}.csv").write_text(writer(result))
             payload[label] = config_echo(config)
             click.echo(f"repro {figure}: finished {label} ({_processes(result)})", err=True)
-        (out / "summary.json").write_text(_json_text(payload))
+    (out / "summary.json").write_text(json_text(payload))
     elapsed = time.perf_counter() - started
     click.echo(f"repro {figure}: outputs in {out} ({elapsed:.2f}s)", err=True)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

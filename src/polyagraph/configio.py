@@ -10,7 +10,8 @@ duplicate keys are rejected, and the schedule must cover the horizon with a
 finite total mass.  A relative ``table:`` path in a config file is resolved
 against the file's directory.
 
-Result files (all floats with 17 significant digits):
+Result files: every CSV row the CLI writes comes from whole columns through
+``rows_text`` (floats with 17 significant digits), every JSON file from ``json_text``.
 
     degree_distribution.csv   header ``k,p``
     birth_time.csv            header ``k,mean_birth_time,n_samples``
@@ -23,7 +24,10 @@ import dataclasses
 import json
 import re
 import typing
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig, MonteCarloResult, degree_distribution
@@ -37,8 +41,23 @@ _TYPES = typing.get_type_hints(ExperimentConfig)
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def rows_text(row: str, *columns) -> str:
+    """The %-template ``row`` (e.g. ``"%d,%.17g\\n"``) once per entry of the columns.
+
+    One ``%`` over the interleaved values renders every row; ``%.17g`` round-trips floats.
+    """
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return (row * len(columns[0])) % tuple(chain.from_iterable(rows))
+
+
+def pmf_csv(k, probs, column: str = "prob") -> str:
+    """``k,<column>`` CSV of a law over the draw counts ``k`` (``exact``, ``repro fig3``)."""
+    return f"k,{column}\n" + rows_text("%d,%.17g\n", k, probs)
+
+
+def json_text(payload) -> str:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> ExperimentConfig:
@@ -125,15 +144,12 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def degree_distribution_csv(result: MonteCarloResult) -> str:
-    rows = degree_distribution(result.degree_histogram)
-    return "k,p\n" + "".join(f"{k},{fmt_float(p)}\n" for k, p in rows)
+    k, p = zip(*degree_distribution(result.degree_histogram))
+    return "k,p\n" + rows_text("%d,%.17g\n", k, p)
 
 
 def birth_time_csv(result: MonteCarloResult) -> str:
-    rows = result.birth_time.rows()
-    return "k,mean_birth_time,n_samples\n" + "".join(
-        f"{k},{fmt_float(mean)},{n}\n" for k, mean, n in rows
-    )
+    return "k,mean_birth_time,n_samples\n" + rows_text("%d,%.17g,%d\n", *result.birth_time.table())
 
 
 def summary_json(result: MonteCarloResult) -> str:
@@ -150,7 +166,7 @@ def summary_json(result: MonteCarloResult) -> str:
             "max_degree": int(result.max_degrees.max()),
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def write_outputs(result: MonteCarloResult, out_dir) -> list[Path]:
@@ -163,17 +179,10 @@ def write_outputs(result: MonteCarloResult, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    requested = result.config.outputs
-    if "degree_distribution" in requested:
-        path = out_dir / "degree_distribution.csv"
-        path.write_text(degree_distribution_csv(result))
-        written.append(path)
-    if "birth_time" in requested:
-        path = out_dir / "birth_time.csv"
-        path.write_text(birth_time_csv(result))
-        written.append(path)
-    if "summary" in requested:
-        path = out_dir / "summary.json"
-        path.write_text(summary_json(result))
-        written.append(path)
+    for name, writer in (("degree_distribution.csv", degree_distribution_csv),
+                         ("birth_time.csv", birth_time_csv), ("summary.json", summary_json)):
+        path = out_dir / name
+        if path.stem in result.config.outputs:
+            path.write_text(writer(result))
+            written.append(path)
     return written

@@ -70,10 +70,6 @@ class Pmf:
     def sum_deviation(self) -> float:
         return abs(math.fsum(self.probs.tolist()) - 1.0)
 
-    def csv_rows(self):
-        for k, p in enumerate(self.probs):
-            yield int(k), float(p)
-
 
 def normalization_check(pmf: Pmf) -> float:
     """Absolute deviation of the total mass from one."""

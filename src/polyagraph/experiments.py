@@ -112,12 +112,10 @@ class BirthTimeCurve:
             return None
         return int(self.birth_sums[k]) / n
 
-    def rows(self):
-        """Yield (degree, mean_birth_time, n_samples) for present degrees."""
-        for k in range(1, self.horizon + 2):
-            n = int(self.n_samples[k])
-            if n:
-                yield k, int(self.birth_sums[k]) / n, n
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns (degree, mean_birth_time, n_samples) of the degrees 1..t+1 present."""
+        k = 1 + np.flatnonzero(self.n_samples[1:])
+        return k, self.birth_sums[k] / self.n_samples[k], self.n_samples[k]
 
 
 @dataclass

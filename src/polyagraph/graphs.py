@@ -21,13 +21,13 @@ from .urn import DrawHistory, sample_history
 class EvolvingGraph:
     """Undirected attachment graph after t steps: t + 1 vertices, t + 1 edges.
 
-    ``edges`` lists the initial self-loop (1, 1) first, then one attachment
-    edge per step in birth order.  ``degrees`` is 1-indexed (entry 0 unused);
-    the degree total is 2t + 1.
+    ``edges`` is an int64 array of shape (t + 1, 2): the initial self-loop
+    (1, 1) first, then one attachment edge per step in birth order.
+    ``degrees`` is 1-indexed (entry 0 unused); the degree total is 2t + 1.
     """
 
     num_vertices: int
-    edges: list[tuple[int, int]]
+    edges: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
     @property
@@ -45,20 +45,23 @@ class EvolvingGraph:
 
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, the self-loop first."""
-        return "".join(f"{u} {v}\n" for u, v in self.edges)
+        from .configio import rows_text  # not at the top: configio imports graphs via experiments
+        return rows_text("%d %d\n", self.edges[:, 0], self.edges[:, 1])
 
-    def degree_rows(self):
-        """Yield (vertex, degree, birth_time) for every vertex."""
-        for j in range(1, self.num_vertices + 1):
-            yield j, int(self.degrees[j]), j - 1
+    def degree_table_text(self) -> str:
+        """``vertex,degree,birth_time`` CSV with one row per vertex."""
+        from .configio import rows_text
+        vertices = np.arange(1, self.num_vertices + 1)
+        return "vertex,degree,birth_time\n" + rows_text(
+            "%d,%d,%d\n", vertices, self.degrees[1:], vertices - 1)
 
 
 def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
     """Build the graph encoded by a sequence of drawn colors."""
     draws = np.asarray(draws, dtype=np.int64)
     t = len(draws)
-    edges = [(1, 1)]
-    edges.extend((int(draws[n]), n + 2) for n in range(t))
+    # Step n joins the color drawn then to the new vertex n + 1.
+    edges = np.column_stack((np.concatenate(([1], draws)), np.arange(1, t + 2)))
     degrees = np.bincount(draws, minlength=t + 2)
     degrees += 1
     degrees[0] = 0

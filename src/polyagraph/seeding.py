@@ -29,9 +29,11 @@ seed to histories changes.
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Return a PCG64 generator; pass through an existing Generator unchanged."""
+    """Return a PCG64 generator for a seed >= 0; pass through a Generator unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -45,13 +47,11 @@ def replicate_stream(master_seed: int, t: int, first: int) -> np.random.Generato
 
     Raises ValueError for a negative ``master_seed`` or ``first``.
     """
-    if master_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {master_seed}")
+    rng = as_generator(master_seed)
     if first < 0:
         raise ValueError(f"replicate index must be >= 0, got {first}")
-    bit_generator = np.random.PCG64(np.random.SeedSequence(master_seed))
-    bit_generator.advance(first * t)
-    return np.random.Generator(bit_generator)
+    rng.bit_generator.advance(first * t)
+    return rng
 
 
 def replicate_generator(master_seed: int, index: int) -> np.random.Generator:

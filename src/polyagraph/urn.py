@@ -122,13 +122,20 @@ class DrawHistory:
         return np.bincount(self.draws[:t], minlength=t + 2)
 
     def replay(self, t: int | None = None) -> UrnState:
-        """Rebuild the urn state at time t by forced re-stepping."""
+        """The urn at time t, in one pass of ``step``'s additions in its order.
+
+        Fraction masses stay exact; float masses equal forced re-stepping bit for bit.
+        """
         if t is None:
             t = len(self.draws)
-        urn = new_urn()
-        for n in range(t):
-            urn, _ = step(urn, self.schedule, drawn=int(self.draws[n]))
-        return urn
+        if not 0 <= t <= len(self.draws):
+            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
+        weights, total = [1] * (t + 1), 1
+        for n, drawn in enumerate(self.draws[:t].tolist(), start=1):
+            delta = self.schedule.value(n)
+            weights[drawn - 1] = weights[drawn - 1] + delta
+            total = total + delta + 1
+        return UrnState(time=t, weights=tuple(weights), total_weight=total)
 
 
 def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ def test_02_golden_graph():
         from polyagraph.graphs import graph_from_draws
 
         graph = graph_from_draws(np.array([1, 1, 2, 2]))
-        assert set(graph.edges) == {(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
+        assert set(map(tuple, graph.edges.tolist())) == {(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
         assert len(graph.edges) == 5
 
 

@@ -68,6 +68,21 @@ class TestGenerate:
         assert result.exit_code == 2
 
 
+    def test_replay_draw_beyond_int64_is_usage_error(self, runner, tmp_path):
+        replay = tmp_path / "draws.txt"
+        replay.write_text("1 99999999999999999999999\n")
+        result = runner.invoke(main, ["generate", "--replay", str(replay),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "exceeds int64" in result.output
+        assert "Traceback" not in result.output
+
+    def test_negative_seed_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["generate", "--t", "5", "--seed", "-1",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "seed must be >= 0, got -1" in result.output
+
     def test_empty_table_path_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--t", "5", "--schedule", "table:",
                                       "--out", str(tmp_path / "x")])

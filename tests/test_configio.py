@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from polyagraph.configio import (
     config_text,
     load_config,
     parse_config_text,
+    rows_text,
     save_config,
     write_outputs,
 )
@@ -203,9 +205,25 @@ class TestWriteOutputs:
         written = write_outputs(run_monte_carlo(config, threads=1), tmp_path / "s")
         assert [p.name for p in written] == ["summary.json"]
 
-    def test_seventeen_digit_floats(self, tmp_path):
-        from polyagraph.configio import fmt_float
+    def test_rows_text_matches_format_17g(self):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.random(2000) * 10.0 ** rng.integers(-300, 300, 2000),
+            [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308],
+        ])
+        k = np.arange(len(values))
+        expected = "".join(f"{i},{format(float(v), '.17g')}\n" for i, v in zip(k, values))
+        assert rows_text("%d,%.17g\n", k, values) == expected
 
-        assert fmt_float(1 / 3) == "0.33333333333333331"
-        assert fmt_float(0.5) == "0.5"
-        assert fmt_float(2.0) == "2"
+    def test_rows_text_of_no_rows_is_empty(self):
+        assert rows_text("%d,%.17g,%d\n", np.array([], dtype=np.int64), [], []) == ""
+
+    def test_zero_horizon_birth_time_is_header_only(self, tmp_path):
+        config = ExperimentConfig(model="ba", t=0, replicates=3, seed=0)
+        write_outputs(run_monte_carlo(config, threads=1), tmp_path)
+        assert (tmp_path / "birth_time.csv").read_text() == "k,mean_birth_time,n_samples\n"
+        assert (tmp_path / "degree_distribution.csv").read_text() == "k,p\n1,1\n"
+
+    def test_seventeen_digit_floats(self, tmp_path):
+        assert rows_text("%d,%.17g\n", [1, 2, 3], [1 / 3, 0.5, 2.0]) == (
+            "1,0.33333333333333331\n2,0.5\n3,2\n")

@@ -234,11 +234,11 @@ class TestBirthTimeCurve:
         # Vertex 1 (degree 2, born at 0) is the only vertex before the horizon.
         assert curve.mean_birth_time(2) == 0.0
         assert curve.mean_birth_time(1) is None
-        assert list(curve.rows()) == [(2, 0.0, 1)]
+        assert [column.tolist() for column in curve.table()] == [[2], [0.0], [1]]
 
     def test_rows_skip_absent_degrees(self):
         result = run_monte_carlo(_polya(30, 4, 11), threads=1)
-        rows = list(result.birth_time.rows())
+        rows = list(zip(*result.birth_time.table()))
         assert rows
         for k, mean, n in rows:
             assert n > 0

@@ -19,10 +19,15 @@ from polyagraph.urn import DrawHistory
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
 
 
+def _edge_tuples(graph):
+    """The (t + 1, 2) edge array as a list of (u, v) tuples."""
+    return list(map(tuple, graph.edges.tolist()))
+
+
 def _is_tree_rooted_at_one(graph):
     """The graph minus the self-loop must be a tree spanning all vertices."""
     n = graph.num_vertices
-    attach = [edge for edge in graph.edges if edge != (1, 1)]
+    attach = [edge for edge in _edge_tuples(graph) if edge != (1, 1)]
     if len(attach) != n - 1:
         return False
     adjacency = {v: [] for v in range(1, n + 1)}
@@ -43,8 +48,8 @@ class TestReconstruct:
     def test_golden_edge_set(self):
         history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1, 2, 2]))
         graph = reconstruct_graph(history)
-        assert graph.edges == [(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)]
-        assert set(graph.edges) == {(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
+        assert _edge_tuples(graph) == [(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)]
+        assert set(_edge_tuples(graph)) == {(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
 
     def test_golden_degrees(self):
         graph = graph_from_draws(np.array([1, 1, 2, 2]))
@@ -54,7 +59,7 @@ class TestReconstruct:
     def test_empty_history(self):
         graph = graph_from_draws(np.array([], dtype=np.int64))
         assert graph.num_vertices == 1
-        assert graph.edges == [(1, 1)]
+        assert _edge_tuples(graph) == [(1, 1)]
         assert graph.degrees[1] == 1
 
     def test_edges_encode_the_draws(self):
@@ -62,39 +67,39 @@ class TestReconstruct:
         # the parent of vertex n + 1.
         draws = np.array([1, 2, 1, 3, 2])
         graph = graph_from_draws(draws)
-        recovered = [u for u, v in graph.edges[1:]]
+        recovered = [u for u, v in _edge_tuples(graph)[1:]]
         assert recovered == draws.tolist()
 
     def test_exports(self):
         graph = graph_from_draws(np.array([1, 1]))
         assert graph.edge_list_text() == "1 1\n1 2\n1 3\n"
-        assert list(graph.degree_rows()) == [(1, 3, 0), (2, 1, 1), (3, 1, 2)]
+        assert graph.degree_table_text() == "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n"
 
 
 class TestGenerate:
     def test_horizon_zero(self):
         _, graph = generate(0, Constant(1.0), seed=1)
         assert graph.num_vertices == 1
-        assert graph.edges == [(1, 1)]
+        assert _edge_tuples(graph) == [(1, 1)]
 
     def test_first_edge_is_deterministic(self):
         for seed in range(5):
             _, graph = generate(1, Constant(1.0), seed=seed)
-            assert graph.edges == [(1, 1), (1, 2)]
+            assert _edge_tuples(graph) == [(1, 1), (1, 2)]
 
     def test_same_seed_same_edges(self):
         sched = parse_schedule("paper-f")
         _, a = generate(300, sched, seed=42)
         _, b = generate(300, sched, seed=42)
-        assert a.edges == b.edges
+        assert _edge_tuples(a) == _edge_tuples(b)
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 80), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
     def test_structural_invariants(self, seed, t, sched):
         history, graph = generate(t, sched, seed=seed)
         assert graph.num_vertices == t + 1
-        assert len(graph.edges) == t + 1
-        assert graph.edges[0] == (1, 1)
+        assert graph.edges.dtype == np.int64 and graph.edges.shape == (t + 1, 2)
+        assert _edge_tuples(graph)[0] == (1, 1)
         assert int(graph.degrees[1:].sum()) == 2 * t + 1
         assert graph.degrees[t + 1] == 1
         assert _is_tree_rooted_at_one(graph)
@@ -107,7 +112,7 @@ class TestGenerate:
 class TestBaseline:
     def test_first_edge(self):
         graph = ba_generate(1, seed=3)
-        assert graph.edges == [(1, 1), (1, 2)]
+        assert _edge_tuples(graph) == [(1, 1), (1, 2)]
 
     def test_structure(self):
         graph = ba_generate(200, seed=8)
@@ -116,7 +121,7 @@ class TestBaseline:
         assert _is_tree_rooted_at_one(graph)
 
     def test_deterministic(self):
-        assert ba_generate(100, seed=5).edges == ba_generate(100, seed=5).edges
+        assert _edge_tuples(ba_generate(100, seed=5)) == _edge_tuples(ba_generate(100, seed=5))
 
     def test_path_law_matches_unit_reinforcement_urn(self):
         # Exhaustively: each draw sequence has the same probability under

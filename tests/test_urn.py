@@ -164,7 +164,33 @@ class TestMarginalDrawProb:
             marginal_draw_prob(4, 3, Constant(1.0))
 
 
+def _stepped(history, t):
+    urn = new_urn()
+    for drawn in history.draws[:t].tolist():
+        urn, _ = step(urn, history.schedule, drawn=drawn)
+    return urn
+
+
 class TestDrawHistory:
+    @pytest.mark.parametrize("spec", ["fraction", "ln", "paper-g"])
+    def test_replay_equals_forced_steps(self, spec):
+        sched = Constant(Fraction(2)) if spec == "fraction" else parse_schedule(spec)
+        history = sample_history(300, sched, as_generator(17))
+        for t in (0, 1, 150, 300):
+            replayed, stepped = history.replay(t), _stepped(history, t)
+            assert replayed == stepped  # exact for Fractions, bit for bit for floats
+            assert type(replayed.total_weight) is type(stepped.total_weight)
+
+    def test_replay_is_linear_time(self):
+        history = sample_history(10**5, parse_schedule("ln"), as_generator(3))
+        urn = history.replay()
+        assert urn.time == 10**5 and urn.num_colors == 10**5 + 1
+
+    def test_replay_beyond_the_history_rejected(self):
+        history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1]))
+        with pytest.raises(IndexError):
+            history.replay(3)
+
     def test_first_draw_must_be_color_one(self):
         with pytest.raises(InvalidColor):
             DrawHistory(schedule=Constant(1.0), draws=np.array([2]))
