@@ -67,13 +67,10 @@ class Pmf:
     def support(self) -> np.ndarray:
         return np.arange(self.horizon - self.color + 2)
 
-    def sum_deviation(self) -> float:
-        return abs(math.fsum(self.probs.tolist()) - 1.0)
-
 
 def normalization_check(pmf: Pmf) -> float:
     """Absolute deviation of the total mass from one."""
-    return pmf.sum_deviation()
+    return abs(math.fsum(pmf.probs.tolist()) - 1.0)
 
 
 def _validate_color(j: int, t: int) -> None:
@@ -162,12 +159,9 @@ def pmf_general(j: int, t: int, schedule: Schedule, *, cap: int = ENUMERATION_CA
     return Pmf(color=j, horizon=t, probs=probs)
 
 
-def pmf_constant_delta(j: int, t: int, delta: float, *, cap: int = ENUMERATION_CAP) -> Pmf:
+def pmf_constant_delta(j: int, t: int, delta: float) -> Pmf:
     """Exact draw-count distribution for a constant amount via ``pmf_general``."""
-    delta = float(delta)
-    if delta < 0:
-        raise ValueError(f"reinforcement must be >= 0, got {delta}")
-    return pmf_general(j, t, Constant(delta), cap=cap)
+    return pmf_general(j, t, Constant(float(delta)))
 
 
 def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
@@ -180,9 +174,7 @@ def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
     """
     _validate_color(j, t)
     delta = float(delta)
-    if delta < 0:
-        raise ValueError(f"reinforcement must be >= 0, got {delta}")
-    Constant(delta).cumulative(t)  # raises if the total mass overflows
+    Constant(delta).cumulative(t)  # raises if the amount is negative or the total overflows
 
     def factors(n, ks):
         q = (1.0 + ks * delta) / (n + (n - 1) * delta)
@@ -191,8 +183,7 @@ def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
     return Pmf(color=j, horizon=t, probs=_count_chain(j, t, factors))
 
 
-def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
-                  compare_simplified: bool = True) -> Pmf:
+def pmf_delta_one(j: int, t: int, *, compare_simplified: bool = True) -> Pmf:
     """Draw-count distribution at unit reinforcement.
 
     At unit reinforcement the a-th draw contributes factor a, so each
@@ -203,9 +194,9 @@ def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
     function returns the verified values and logs the size of any
     discrepancy rather than silently reconciling the two.
     """
-    result = pmf_general(j, t, Constant(1.0), cap=cap)
+    result = pmf_general(j, t, Constant(1.0))
     if compare_simplified:
-        alt = delta_one_simplified_pmf(j, t, cap=cap)
+        alt = delta_one_simplified_pmf(j, t)
         gap = float(np.max(np.abs(alt.probs - result.probs)))
         if gap > _DELTA_ONE_TOL:
             logger.warning(
@@ -216,7 +207,7 @@ def pmf_delta_one(j: int, t: int, *, cap: int = ENUMERATION_CAP,
     return result
 
 
-def delta_one_simplified_pmf(j: int, t: int, *, cap: int = ENUMERATION_CAP) -> Pmf:
+def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
     """Literal evaluation of the simplified unit-reinforcement closed form.
 
     Kept so the mismatch against the verified law stays visible: the k >= 1
@@ -225,7 +216,7 @@ def delta_one_simplified_pmf(j: int, t: int, *, cap: int = ENUMERATION_CAP) -> P
     Do not use for computation; see ``pmf_delta_one``.
     """
     _validate_color(j, t)
-    _validate_cap(j, t, cap)
+    _validate_cap(j, t, ENUMERATION_CAP)
 
     def factors(n, ks):
         f = (2.0 * (n - 1) - ks) / (2.0 * n - 1.0)
@@ -275,12 +266,12 @@ def brute_force_table(t: int, schedule: Schedule) -> np.ndarray:
     return table
 
 
-def brute_force_pmf(j: int, t: int, schedule: Schedule, *, cap: int = BRUTE_FORCE_CAP) -> Pmf:
-    """Oracle distribution for one color; requires t <= cap (path count t!)."""
+def brute_force_pmf(j: int, t: int, schedule: Schedule) -> Pmf:
+    """Oracle distribution for one color; requires t <= BRUTE_FORCE_CAP (path count t!)."""
     _validate_color(j, t)
-    if t > cap:
+    if t > BRUTE_FORCE_CAP:
         raise CapExceeded(
-            f"enumerating {t}! draw sequences exceeds the cap ({cap}!); "
+            f"enumerating {t}! draw sequences exceeds the cap ({BRUTE_FORCE_CAP}!); "
             "use pmf_general or pmf_constant_delta_dp"
         )
     table = brute_force_table(t, schedule)

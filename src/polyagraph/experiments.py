@@ -7,7 +7,10 @@ and the exact counterparts of the empirical birth-time quantities.
 
 Birth-time conventions: vertex j is born at time j - 1, and all birth-time
 statistics range over vertices j = 1..t, excluding the final vertex (which
-always has degree 1 and birth time t).
+always has degree 1 and birth time t).  Degrees come from
+``graphs.degree_rows``, which alone knows that a vertex's degree is one plus
+its color's draw count; the engine pools its degree tables, and the
+per-history statistics read a materialized graph's.
 """
 
 from __future__ import annotations
@@ -18,14 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData
-from .exact import ENUMERATION_CAP, pmf_constant_delta_dp, pmf_general
-from .graphs import EvolvingGraph, ba_block_draws, ba_draws  # noqa: F401
+from .exact import pmf_constant_delta_dp, pmf_general
+from .graphs import EvolvingGraph, ba_block_draws, degree_rows, reconstruct_graph
 from .schedules import Constant, Schedule, parse_schedule
-from .seeding import replicate_generator, replicate_stream  # noqa: F401
+from .seeding import replicate_stream
+from .urn import DrawHistory, copy_pointer_draws
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
 # ``sample_history`` in this module's namespace, and its probe calls all
 # three by these names; the engine itself calls none of them.
-from .urn import DrawHistory, copy_pointer_draws, sample_history  # noqa: F401
+from .graphs import ba_draws  # noqa: F401
+from .seeding import replicate_generator  # noqa: F401
+from .urn import sample_history  # noqa: F401
 
 MODELS = ("polya", "ba")
 OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
@@ -153,33 +159,29 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
-    """Pooled integer aggregates for replicates lo..hi-1.
+    """Pooled integer aggregates (counts, birth_sums, max_degrees) of replicates lo..hi-1.
 
-    Each block's birth-time sums pass through float64 (``bincount``
-    weights) before they become integers.  One bin of a block sums at most
-    max(t²/2, (BLOCK_ELEMENTS/2)·t) birth times, so the sums are exact while
-    that stays below 2⁵³, i.e. for t below about 1.3·10⁸.
+    ``counts[k]`` counts the vertices 1..t+1 of degree k, ``birth_sums[k]``
+    totals the birth times of the vertices 1..t of degree k, and
+    ``max_degrees`` holds each replicate's largest degree; the degrees of a
+    block come from one ``degree_rows`` call.  Each block's birth-time sums
+    pass through float64 (``bincount`` weights) before they become integers.
+    One bin of a block sums at most max(t²/2, (BLOCK_ELEMENTS/2)·t) birth
+    times, so the sums are exact while that stays below 2⁵³, i.e. for t
+    below about 1.3·10⁸.
     """
     counts = np.zeros(t + 2, dtype=np.int64)
     birth_sums = np.zeros(t + 2, dtype=np.int64)
-    n_samples = np.zeros(t + 2, dtype=np.int64)
     births = np.arange(t, dtype=np.float64)  # birth time of vertex j is j - 1
     max_degrees = []
     for draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
-        m = len(draws)
-        # Row i's colors land in bins i·(t+2) .. i·(t+2)+t+1 of one bincount.
-        offsets = (t + 2) * np.arange(m)[:, None]
-        deg = np.bincount((draws + offsets).ravel(), minlength=m * (t + 2)).reshape(m, t + 2)
-        deg += 1
-        deg[:, 0] = 0
+        deg = degree_rows(draws)
         counts += np.bincount(deg[:, 1:].ravel(), minlength=t + 2)
-        if t:
-            interior = deg[:, 1 : t + 1].ravel()  # vertices born before the horizon
-            birth_sums += np.bincount(interior, weights=np.tile(births, m),
-                                      minlength=t + 2).astype(np.int64)
-            n_samples += np.bincount(interior, minlength=t + 2)
+        interior = deg[:, 1 : t + 1].ravel()  # vertices born before the horizon
+        birth_sums += np.bincount(interior, weights=np.tile(births, len(deg)),
+                                  minlength=t + 2).astype(np.int64)
         max_degrees.append(deg.max(axis=1))
-    return counts, birth_sums, n_samples, np.concatenate(max_degrees)
+    return counts, birth_sums, np.concatenate(max_degrees)
 
 
 def _available_cores() -> int:
@@ -219,12 +221,16 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             partials = [f.result() for f in futures]
-    counts, birth_sums, n_samples, max_degrees = zip(*partials)
+    counts, birth_sums, max_degrees = zip(*partials)
+    counts = sum(counts)
+    # The birth-time statistics leave out vertex t + 1, which is never drawn
+    # by time t and so has degree 1 in every replicate.
+    n_samples = counts.copy()
+    n_samples[1] -= total
     return MonteCarloResult(
         config=config,
-        degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=sum(counts)),
-        birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums),
-                                  n_samples=sum(n_samples)),
+        degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=counts),
+        birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums), n_samples=n_samples),
         max_degrees=np.concatenate(max_degrees),
         processes=workers,
     )
@@ -253,24 +259,13 @@ def tail_slope(distribution, k_min: int, k_max: int) -> float:
     return float(np.polyfit(log_k, log_p, 1)[0])
 
 
-def _mean_birth(degrees_before_horizon: np.ndarray, k: int) -> float | None:
-    hits = np.nonzero(degrees_before_horizon == k)[0]
-    if hits.size == 0:
-        return None
-    return float(hits.mean())  # position i is vertex i+1, born at time i
-
-
 def average_birth_time(history: DrawHistory, k: int) -> float | None:
     """Mean birth time of the degree-k vertices born before the horizon.
 
     Averages j - 1 over vertices j = 1..t whose degree at the horizon is k;
     None when no such vertex exists.
     """
-    t = len(history)
-    if not 1 <= k <= t + 1:
-        raise ValueError(f"degree {k} outside 1..{t + 1}")
-    counts = history.draw_counts()
-    return _mean_birth(counts[1 : t + 1] + 1, k)
+    return average_birth_time_of_graph(reconstruct_graph(history), k)
 
 
 def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
@@ -278,10 +273,11 @@ def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
     t = graph.horizon
     if not 1 <= k <= t + 1:
         raise ValueError(f"degree {k} outside 1..{t + 1}")
-    return _mean_birth(np.asarray(graph.degrees[1 : t + 1]), k)
+    hits = np.flatnonzero(graph.degrees[1 : t + 1] == k)
+    return float(hits.mean()) if hits.size else None  # position i is vertex i+1, born at time i
 
 
-def _exact_tables(t: int, schedule: Schedule, cap: int):
+def _exact_tables(t: int, schedule: Schedule):
     """Per-degree (birth-time total, vertex count) expectations, one pass over colors."""
     births = np.zeros(t + 2)
     counts = np.zeros(t + 2)
@@ -289,14 +285,13 @@ def _exact_tables(t: int, schedule: Schedule, cap: int):
         if isinstance(schedule, Constant):
             probs = pmf_constant_delta_dp(j, t, float(schedule.delta)).probs
         else:
-            probs = pmf_general(j, t, schedule, cap=cap).probs
+            probs = pmf_general(j, t, schedule).probs
         births[1 : 1 + len(probs)] += (j - 1) * probs
         counts[1 : 1 + len(probs)] += probs
     return births, counts
 
 
-def expected_birth_time_exact(t: int, k: int, schedule: Schedule, *,
-                              cap: int = ENUMERATION_CAP) -> float:
+def expected_birth_time_exact(t: int, k: int, schedule: Schedule) -> float:
     """Exact expected birth-time total for degree k: sum of (j-1) P(degree_j = k).
 
     The sum runs over vertices j = 1..t.  This is the exact counterpart of
@@ -305,19 +300,17 @@ def expected_birth_time_exact(t: int, k: int, schedule: Schedule, *,
     """
     if not 1 <= k <= t + 1:
         raise ValueError(f"degree {k} outside 1..{t + 1}")
-    return float(expected_birth_time_table(t, schedule, cap=cap)[k])
+    return float(expected_birth_time_table(t, schedule)[k])
 
 
-def expected_birth_time_table(t: int, schedule: Schedule, *,
-                              cap: int = ENUMERATION_CAP) -> np.ndarray:
+def expected_birth_time_table(t: int, schedule: Schedule) -> np.ndarray:
     """``expected_birth_time_exact`` for every degree at once (index = degree)."""
-    return _exact_tables(t, schedule, cap)[0]
+    return _exact_tables(t, schedule)[0]
 
 
-def expected_degree_count_table(t: int, schedule: Schedule, *,
-                                cap: int = ENUMERATION_CAP) -> np.ndarray:
+def expected_degree_count_table(t: int, schedule: Schedule) -> np.ndarray:
     """Expected number of degree-k vertices among those born before the horizon."""
-    return _exact_tables(t, schedule, cap)[1]
+    return _exact_tables(t, schedule)[1]
 
 
 def draw_count_histogram(j: int, t: int, schedule: Schedule | None, replicates: int,

@@ -3,7 +3,9 @@
 Vertex j enters the graph at time j - 1 and corresponds to color j in the
 urn.  Vertex 1 starts with a self-loop that counts exactly 1 toward its
 degree, so every vertex enters with degree 1 and a vertex's degree is always
-one more than its color's draw count.
+one more than its color's draw count.  ``degree_rows`` is the one place that
+turns draws into degrees: the graph and the Monte Carlo engine
+(``experiments``) both take their degree tables from it.
 """
 
 from __future__ import annotations
@@ -34,15 +36,6 @@ class EvolvingGraph:
     def horizon(self) -> int:
         return self.num_vertices - 1
 
-    def degree_of(self, j: int) -> int:
-        if not 1 <= j <= self.num_vertices:
-            raise IndexError(f"vertex {j} outside 1..{self.num_vertices}")
-        return int(self.degrees[j])
-
-    @staticmethod
-    def birth_time(j: int) -> int:
-        return j - 1
-
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, the self-loop first."""
         from .configio import rows_text  # not at the top: configio imports graphs via experiments
@@ -56,16 +49,29 @@ class EvolvingGraph:
             "%d,%d,%d\n", vertices, self.degrees[1:], vertices - 1)
 
 
+def degree_rows(draws: np.ndarray) -> np.ndarray:
+    """Degree tables of an (m, t) block of draw rows, as an (m, t + 2) array.
+
+    Entry [i, j] is vertex j's degree after the t steps of row i: one plus
+    the number of draws of color j.  Column 0 is zero, and column t + 1 is
+    one, because color t + 1 cannot be drawn before time t + 1.
+    """
+    m, t = draws.shape
+    # Row i's colors land in bins i·(t+2) .. i·(t+2)+t+1 of one bincount.
+    offsets = (t + 2) * np.arange(m)[:, None]
+    deg = np.bincount((draws + offsets).ravel(), minlength=m * (t + 2)).reshape(m, t + 2)
+    deg += 1
+    deg[:, 0] = 0
+    return deg
+
+
 def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
     """Build the graph encoded by a sequence of drawn colors."""
     draws = np.asarray(draws, dtype=np.int64)
     t = len(draws)
     # Step n joins the color drawn then to the new vertex n + 1.
     edges = np.column_stack((np.concatenate(([1], draws)), np.arange(1, t + 2)))
-    degrees = np.bincount(draws, minlength=t + 2)
-    degrees += 1
-    degrees[0] = 0
-    return EvolvingGraph(num_vertices=t + 1, edges=edges, degrees=degrees)
+    return EvolvingGraph(num_vertices=t + 1, edges=edges, degrees=degree_rows(draws[None, :])[0])
 
 
 def reconstruct_graph(history: DrawHistory) -> EvolvingGraph:

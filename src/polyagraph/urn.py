@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidColor
-from .schedules import Schedule
+from .schedules import Constant, Schedule
 
 
 @dataclass(frozen=True)
@@ -101,38 +101,40 @@ class DrawHistory:
     def __len__(self) -> int:
         return len(self.draws)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.draws)
+    def _time(self, t: int | None) -> int:
+        """t, checked against the recorded range; None means the last recorded time."""
+        if t is None:
+            return len(self.draws)
+        if not 0 <= t <= len(self.draws):
+            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
+        return t
 
     def count_draws(self, j: int, t: int) -> int:
         """Number of times color j was drawn up to and including time t."""
-        if not 0 <= t <= len(self.draws):
-            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
+        t = self._time(t)
         if not 1 <= j <= t + 1:
             raise IndexError(f"color {j} outside 1..{t + 1}")
         return int(np.count_nonzero(self.draws[:t] == j))
 
     def draw_counts(self, t: int | None = None) -> np.ndarray:
         """Counts per color (index = color, entry 0 unused) through time t."""
-        if t is None:
-            t = len(self.draws)
-        if not 0 <= t <= len(self.draws):
-            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
+        t = self._time(t)
         return np.bincount(self.draws[:t], minlength=t + 2)
 
     def replay(self, t: int | None = None) -> UrnState:
         """The urn at time t, in one pass of ``step``'s additions in its order.
 
-        Fraction masses stay exact; float masses equal forced re-stepping bit for bit.
+        The masses come from one ``values(t)`` call, except that a
+        ``Constant`` repeats its ``value``, so Fraction masses stay exact;
+        float masses equal forced re-stepping bit for bit.
         """
-        if t is None:
-            t = len(self.draws)
-        if not 0 <= t <= len(self.draws):
-            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
+        t = self._time(t)
+        if isinstance(self.schedule, Constant):
+            deltas = [self.schedule.value(1)] * t
+        else:
+            deltas = self.schedule.values(t).tolist()
         weights, total = [1] * (t + 1), 1
-        for n, drawn in enumerate(self.draws[:t].tolist(), start=1):
-            delta = self.schedule.value(n)
+        for delta, drawn in zip(deltas, self.draws[:t].tolist()):
             weights[drawn - 1] = weights[drawn - 1] + delta
             total = total + delta + 1
         return UrnState(time=t, weights=tuple(weights), total_weight=total)

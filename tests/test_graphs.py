@@ -8,13 +8,14 @@ from polyagraph.graphs import (
     ba_block_draws,
     ba_draws,
     ba_generate,
+    degree_rows,
     generate,
     graph_from_draws,
     reconstruct_graph,
 )
 from polyagraph.schedules import Constant, parse_schedule
 from polyagraph.seeding import as_generator
-from polyagraph.urn import DrawHistory
+from polyagraph.urn import DrawHistory, copy_pointer_draws
 
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
 
@@ -74,6 +75,24 @@ class TestReconstruct:
         graph = graph_from_draws(np.array([1, 1]))
         assert graph.edge_list_text() == "1 1\n1 2\n1 3\n"
         assert graph.degree_table_text() == "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n"
+
+
+class TestDegreeRows:
+    @pytest.mark.parametrize("model", ["polya", "ba"])
+    @pytest.mark.parametrize("t", [0, 1, 12, 4097])
+    def test_rows_equal_one_graph_each(self, model, t):
+        uniforms = as_generator(t).random((5, t))
+        if model == "ba":
+            block = ba_block_draws(uniforms)
+        else:
+            block = copy_pointer_draws(uniforms, parse_schedule("paper-g").cumulative(t))
+        deg = degree_rows(block)
+        assert deg.shape == (5, t + 2)
+        for row, draws in zip(deg, block):
+            assert np.array_equal(row, graph_from_draws(draws).degrees)
+        # The engine's birth-time counts rest on this: vertex t + 1 is never
+        # drawn by time t, so it has degree 1 in every row.
+        assert (deg[:, t + 1] == 1).all()
 
 
 class TestGenerate:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
 from polyagraph.errors import InvalidColor
 from polyagraph.exact import pmf_general
-from polyagraph.schedules import Constant, NaturalLog, parse_schedule
+from polyagraph.schedules import Constant, NaturalLog, Table, parse_schedule
 from polyagraph.seeding import as_generator
 from polyagraph.urn import (
     DrawHistory,
@@ -172,9 +172,16 @@ def _stepped(history, t):
 
 
 class TestDrawHistory:
-    @pytest.mark.parametrize("spec", ["fraction", "ln", "paper-g"])
+    @pytest.mark.parametrize("spec", ["const", "fraction", "ln", "step", "paper-f", "paper-g",
+                                      "table"])
     def test_replay_equals_forced_steps(self, spec):
-        sched = Constant(Fraction(2)) if spec == "fraction" else parse_schedule(spec)
+        if spec == "fraction":
+            sched = Constant(Fraction(2))
+        elif spec == "table":
+            sched = Table(entries=tuple(as_generator(5).random(300) * 4))
+        else:
+            sched = parse_schedule({"const": "const:0.7", "step": "step:40=0.3,200=2.5,inf=0"}
+                                   .get(spec, spec))
         history = sample_history(300, sched, as_generator(17))
         for t in (0, 1, 150, 300):
             replayed, stepped = history.replay(t), _stepped(history, t)
@@ -182,9 +189,10 @@ class TestDrawHistory:
             assert type(replayed.total_weight) is type(stepped.total_weight)
 
     def test_replay_is_linear_time(self):
-        history = sample_history(10**5, parse_schedule("ln"), as_generator(3))
-        urn = history.replay()
-        assert urn.time == 10**5 and urn.num_colors == 10**5 + 1
+        for spec in ("ln", "paper-g"):
+            history = sample_history(10**5, parse_schedule(spec), as_generator(3))
+            urn = history.replay()
+            assert urn.time == 10**5 and urn.num_colors == 10**5 + 1
 
     def test_replay_beyond_the_history_rejected(self):
         history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1]))
