@@ -42,14 +42,7 @@ from .configio import (
     pmf_csv,
     write_outputs,
 )
-from .errors import (
-    CapExceeded,
-    ConfigError,
-    InvalidColor,
-    InsufficientData,
-    ScheduleParseError,
-    ScheduleRangeError,
-)
+from .errors import CapExceeded, InvalidColor
 from .exact import (
     brute_force_pmf,
     pmf_constant_delta,
@@ -62,13 +55,8 @@ from .experiments import (
     draw_count_histogram,
     run_monte_carlo,
 )
-from .graphs import generate as generate_graph
-from .graphs import reconstruct_graph
+from .graphs import generate as generate_graph, graph_from_draws
 from .schedules import Constant, parse_schedule
-from .urn import DrawHistory
-
-_USAGE_ERRORS = (ScheduleParseError, ScheduleRangeError, ConfigError, InvalidColor,
-                 InsufficientData, ValueError)
 
 
 def _handled(fn):
@@ -79,7 +67,7 @@ def _handled(fn):
         except CapExceeded as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(3) from exc
-        except _USAGE_ERRORS as exc:
+        except ValueError as exc:  # every other polyagraph error is a ValueError
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2) from exc
         except OSError as exc:
@@ -115,7 +103,7 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
             raise InvalidColor(f"{replay}: a draw exceeds int64, so it is not a color") from None
         if t is not None and t != len(draws):
             raise click.UsageError(f"--t {t} disagrees with {len(draws)} replay draws")
-        graph = reconstruct_graph(DrawHistory(schedule=schedule, draws=draws))
+        graph = graph_from_draws(draws)
     else:
         if t is None:
             raise click.UsageError("--t is required unless --replay is given")

@@ -15,7 +15,8 @@ Result files: every CSV row the CLI writes comes from whole columns through
 
     degree_distribution.csv   header ``k,p``
     birth_time.csv            header ``k,mean_birth_time,n_samples``
-    summary.json              config echo, seed contract and pooled totals
+    summary.json              config echo, seed contract and pooled totals,
+                              with max_degree read off the pooled histogram
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def summary_json(result: MonteCarloResult) -> str:
             "vertices_per_replicate": hist.horizon + 1,
             "edges_per_replicate": hist.horizon + 1,
             "total_vertices": hist.total_vertices(),
-            "max_degree": int(result.max_degrees.max()),
+            "max_degree": int(np.flatnonzero(hist.counts)[-1]),
         },
     }
     return json_text(payload)

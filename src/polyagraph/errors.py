@@ -18,13 +18,11 @@ class InsufficientData(PolyagraphError, ValueError):
 
 
 class ScheduleParseError(PolyagraphError, ValueError):
-    """A schedule string does not match the grammar."""
+    """A schedule string does not match the grammar at ``position``."""
 
-    def __init__(self, message: str, position: int | None = None):
+    def __init__(self, message: str, position: int):
         self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(f"{message} (at position {position})")
 
 
 class ScheduleRangeError(PolyagraphError, ValueError):

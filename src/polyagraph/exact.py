@@ -78,12 +78,12 @@ def _validate_color(j: int, t: int) -> None:
         raise InvalidColor(f"need 1 <= color <= horizon, got color {j} at horizon {t}")
 
 
-def _validate_cap(j: int, t: int, cap: int) -> None:
+def _validate_cap(j: int, t: int) -> None:
     window = t - j + 1
-    if window > cap:
+    if window > ENUMERATION_CAP:
         raise CapExceeded(
-            f"support window {window} exceeds the enumeration cap {cap}; use the "
-            "constant-reinforcement recurrence (pmf_constant_delta_dp) or Monte Carlo"
+            f"support window {window} exceeds the enumeration cap {ENUMERATION_CAP}; use "
+            "the constant-reinforcement recurrence (pmf_constant_delta_dp) or Monte Carlo"
         )
 
 
@@ -141,15 +141,16 @@ def _zero_draws_unit_simplified(j: int, t: int) -> float:
     return 2.0 * math.factorial(t) / (math.factorial(j - 2) * den)
 
 
-def pmf_general(j: int, t: int, schedule: Schedule, *, cap: int = ENUMERATION_CAP) -> Pmf:
+def pmf_general(j: int, t: int, schedule: Schedule) -> Pmf:
     """Exact draw-count distribution for any schedule.
 
     Sums the chain of draw and no-draw factors over every subset of the
     times j..t at which color j can be drawn, by one forward pass over
-    those subsets; there are 2**(t-j+1) of them, so the window is capped.
+    those subsets; there are 2**(t-j+1) of them, so the window is capped
+    at ``ENUMERATION_CAP``.
     """
     _validate_color(j, t)
-    _validate_cap(j, t, cap)
+    _validate_cap(j, t)
     S, deltas = schedule.cumulative(t), schedule.values(t)
     # Color 1 is the only ball at time 1, so its first draw is forced.
     n, drawn, count = (2, deltas[0], 1) if j == 1 else (j, 0.0, 0)
@@ -183,7 +184,7 @@ def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
     return Pmf(color=j, horizon=t, probs=_count_chain(j, t, factors))
 
 
-def pmf_delta_one(j: int, t: int, *, compare_simplified: bool = True) -> Pmf:
+def pmf_delta_one(j: int, t: int) -> Pmf:
     """Draw-count distribution at unit reinforcement.
 
     At unit reinforcement the a-th draw contributes factor a, so each
@@ -195,15 +196,14 @@ def pmf_delta_one(j: int, t: int, *, compare_simplified: bool = True) -> Pmf:
     discrepancy rather than silently reconciling the two.
     """
     result = pmf_general(j, t, Constant(1.0))
-    if compare_simplified:
-        alt = delta_one_simplified_pmf(j, t)
-        gap = float(np.max(np.abs(alt.probs - result.probs)))
-        if gap > _DELTA_ONE_TOL:
-            logger.warning(
-                "simplified unit-reinforcement closed form disagrees for color %d "
-                "at horizon %d (max gap %.3g); returning the verified distribution",
-                j, t, gap,
-            )
+    alt = delta_one_simplified_pmf(j, t)
+    gap = float(np.max(np.abs(alt.probs - result.probs)))
+    if gap > _DELTA_ONE_TOL:
+        logger.warning(
+            "simplified unit-reinforcement closed form disagrees for color %d "
+            "at horizon %d (max gap %.3g); returning the verified distribution",
+            j, t, gap,
+        )
     return result
 
 
@@ -216,7 +216,7 @@ def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
     Do not use for computation; see ``pmf_delta_one``.
     """
     _validate_color(j, t)
-    _validate_cap(j, t, ENUMERATION_CAP)
+    _validate_cap(j, t)
 
     def factors(n, ks):
         f = (2.0 * (n - 1) - ks) / (2.0 * n - 1.0)

@@ -126,12 +126,11 @@ class BirthTimeCurve:
 
 @dataclass
 class MonteCarloResult:
-    """Pooled statistics of a run; ``max_degrees[r]`` is replicate r's largest degree."""
+    """Pooled statistics of a run, all read off its pooled degree tables."""
 
     config: ExperimentConfig
     degree_histogram: DegreeHistogram
     birth_time: BirthTimeCurve
-    max_degrees: np.ndarray = field(repr=False)
     processes: int  # processes that sampled the replicates
 
 
@@ -159,13 +158,13 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
-    """Pooled integer aggregates (counts, birth_sums, max_degrees) of replicates lo..hi-1.
+    """Pooled integer aggregates (counts, birth_sums) of replicates lo..hi-1.
 
-    ``counts[k]`` counts the vertices 1..t+1 of degree k, ``birth_sums[k]``
-    totals the birth times of the vertices 1..t of degree k, and
-    ``max_degrees`` holds each replicate's largest degree; the degrees of a
-    block come from one ``degree_rows`` call.  Each block's birth-time sums
-    pass through float64 (``bincount`` weights) before they become integers.
+    ``counts[k]`` counts the vertices 1..t+1 of degree k, and
+    ``birth_sums[k]`` totals the birth times of the vertices 1..t of degree
+    k; every other statistic of the run is read off these two.  The degrees
+    of a block come from one ``degree_rows`` call.  Each block's birth-time
+    sums pass through float64 (``bincount`` weights) before they become integers.
     One bin of a block sums at most max(t²/2, (BLOCK_ELEMENTS/2)·t) birth
     times, so the sums are exact while that stays below 2⁵³, i.e. for t
     below about 1.3·10⁸.
@@ -173,15 +172,13 @@ def _aggregate_range(model, t, schedule, master_seed, lo, hi):
     counts = np.zeros(t + 2, dtype=np.int64)
     birth_sums = np.zeros(t + 2, dtype=np.int64)
     births = np.arange(t, dtype=np.float64)  # birth time of vertex j is j - 1
-    max_degrees = []
     for draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
         deg = degree_rows(draws)
         counts += np.bincount(deg[:, 1:].ravel(), minlength=t + 2)
         interior = deg[:, 1 : t + 1].ravel()  # vertices born before the horizon
         birth_sums += np.bincount(interior, weights=np.tile(births, len(deg)),
                                   minlength=t + 2).astype(np.int64)
-        max_degrees.append(deg.max(axis=1))
-    return counts, birth_sums, np.concatenate(max_degrees)
+    return counts, birth_sums
 
 
 def _available_cores() -> int:
@@ -221,7 +218,7 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             partials = [f.result() for f in futures]
-    counts, birth_sums, max_degrees = zip(*partials)
+    counts, birth_sums = zip(*partials)
     counts = sum(counts)
     # The birth-time statistics leave out vertex t + 1, which is never drawn
     # by time t and so has degree 1 in every replicate.
@@ -231,7 +228,6 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
         config=config,
         degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=counts),
         birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums), n_samples=n_samples),
-        max_degrees=np.concatenate(max_degrees),
         processes=workers,
     )
 
@@ -313,17 +309,17 @@ def expected_degree_count_table(t: int, schedule: Schedule) -> np.ndarray:
     return _exact_tables(t, schedule)[1]
 
 
-def draw_count_histogram(j: int, t: int, schedule: Schedule | None, replicates: int,
-                         master_seed: int, *, model: str = "polya") -> np.ndarray:
-    """Empirical histogram of color j's draw count over replicates.
+def draw_count_histogram(j: int, t: int, schedule: Schedule, replicates: int,
+                         master_seed: int) -> np.ndarray:
+    """Empirical histogram of color j's draw count over Polya urn replicates.
 
     Entry k counts the replicates in which color j was drawn exactly k times
     through the horizon; the support is 0..t-j+1.  Uses the same seeding rule
-    as ``run_monte_carlo``.
+    as a Polya ``run_monte_carlo``, so replicate r is that run's replicate r.
     """
     if not 1 <= j <= t:
         raise ValueError(f"color {j} outside 1..{t}")
     hist = np.zeros(t - j + 2, dtype=np.int64)
-    for draws in _replicate_blocks(model, t, schedule, master_seed, 0, replicates):
+    for draws in _replicate_blocks("polya", t, schedule, master_seed, 0, replicates):
         hist += np.bincount(np.count_nonzero(draws == j, axis=1), minlength=t - j + 2)
     return hist

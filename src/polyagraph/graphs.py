@@ -16,7 +16,7 @@ import numpy as np
 
 from .schedules import Schedule
 from .seeding import as_generator
-from .urn import DrawHistory, sample_history
+from .urn import DrawHistory, checked_draws, sample_history
 
 
 @dataclass
@@ -66,8 +66,11 @@ def degree_rows(draws: np.ndarray) -> np.ndarray:
 
 
 def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
-    """Build the graph encoded by a sequence of drawn colors."""
-    draws = np.asarray(draws, dtype=np.int64)
+    """Build the graph encoded by a sequence of drawn colors.
+
+    Raises ``InvalidColor`` unless the draw at each time n is a color in 1..n.
+    """
+    draws = checked_draws(draws)
     t = len(draws)
     # Step n joins the color drawn then to the new vertex n + 1.
     edges = np.column_stack((np.concatenate(([1], draws)), np.arange(1, t + 2)))

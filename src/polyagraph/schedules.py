@@ -8,9 +8,8 @@ allowed: the step then adds only the new unit-mass color.
 Each schedule class states its rule once, as a vector evaluator over an
 array of times; ``values(horizon)`` and the scalar ``value(t)`` both call
 it.  ``Constant.value`` alone returns its mass unconverted, so a Fraction
-mass replays exactly.  ``value(0)`` is defined for constant and stepped
-schedules and for the constant segments of a rational one; ``ln``, tables
-and a/t segments start at time 1, and a table ends at its last line.
+mass replays exactly.  The domain of every schedule is the draw times
+t >= 1 (the urn draws nothing at time 0), and a table ends at its last line.
 
 Schedule-string grammar (used by the CLI and config files):
 
@@ -45,20 +44,17 @@ from .errors import ScheduleParseError, ScheduleRangeError
 class Schedule:
     """Base class: a map from integer time t >= 1 to reinforcement mass.
 
-    A subclass states its rule once, in ``_at``; ``value`` also accepts time
-    0 unless the class sets ``first_time = 1``.
+    A subclass states its rule once, in ``_at``.
     """
-
-    first_time = 0
 
     def _at(self, ts: np.ndarray) -> np.ndarray:
         """Masses at the integer times ``ts`` as a float array."""
         raise NotImplementedError
 
     def value(self, t: int) -> float:
-        """Reinforcement mass at time t."""
-        if t < self.first_time:
-            raise ScheduleRangeError(f"schedule evaluated at time {t} < {self.first_time}")
+        """Reinforcement mass at the draw time t >= 1."""
+        if t < 1:
+            raise ScheduleRangeError(f"schedule evaluated at time {t} < 1")
         return float(self._at(np.array([t]))[0])
 
     def values(self, horizon: int) -> np.ndarray:
@@ -104,15 +100,13 @@ class Constant(Schedule):
 class NaturalLog(Schedule):
     """Mass ln(t) at time t; ln(1) = 0 is accepted as a valid zero step."""
 
-    first_time = 1
-
     def _at(self, ts):
         return np.log(ts.astype(float))
 
 
 @dataclass(frozen=True)
 class Stepped(Schedule):
-    """Right-open constant segments covering [0, infinity).
+    """Right-open constant segments covering the times t >= 1.
 
     Segment i holds ``levels[i]`` on [ends[i-1], ends[i]) with ends[-1]
     implicitly 0.  The final level extends to infinity whether or not the
@@ -141,7 +135,7 @@ class RationalSegments(Schedule):
 
     Segment i covers times up to and including ``ends[i]``; a time on a
     shared endpoint therefore belongs to the earlier segment.  The final
-    segment extends to infinity.  An a/t segment is defined from t = 1.
+    segment extends to infinity.
     """
 
     ends: tuple[float, ...]
@@ -160,8 +154,6 @@ class RationalSegments(Schedule):
         idx = np.minimum(np.searchsorted(self.ends, ts, side="left"), len(self.ends) - 1)
         out = np.asarray(self.params, dtype=float)[idx]
         over = np.asarray(self.kinds)[idx] == "over_t"
-        if np.any(ts[over] < 1):
-            raise ScheduleRangeError("an a/t segment is defined from time 1")
         out[over] /= ts[over]
         return out
 
@@ -174,7 +166,6 @@ class Table(Schedule):
     and config loading checks the table covers the experiment horizon.
     """
 
-    first_time = 1
     entries: tuple[float, ...]
 
     def __post_init__(self):

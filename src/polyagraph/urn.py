@@ -76,6 +76,21 @@ def step(urn: UrnState, schedule: Schedule, *, drawn: int):
     )
 
 
+def checked_draws(draws) -> np.ndarray:
+    """``draws`` as an int64 array, after checking that it is a draw history.
+
+    Raises ``InvalidColor`` unless the draw at each time n is a color in
+    1..n, so that the first draw is color 1.
+    """
+    draws = np.ascontiguousarray(draws, dtype=np.int64)
+    t = len(draws)
+    if t and draws[0] != 1:
+        raise InvalidColor("the first draw must be color 1")
+    if t and not (np.all(draws >= 1) and np.all(draws <= np.arange(1, t + 1))):
+        raise InvalidColor("draw at time n must be a color in 1..n")
+    return draws
+
+
 @dataclass
 class DrawHistory:
     """The drawn color at each time: ``draws[n-1]`` is the color drawn at time n.
@@ -88,15 +103,7 @@ class DrawHistory:
     draws: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        draws = np.ascontiguousarray(self.draws, dtype=np.int64)
-        t = len(draws)
-        if t and draws[0] != 1:
-            raise InvalidColor("the first draw must be color 1")
-        if t and not (
-            np.all(draws >= 1) and np.all(draws <= np.arange(1, t + 1))
-        ):
-            raise InvalidColor("draw at time n must be a color in 1..n")
-        self.draws = draws
+        self.draws = checked_draws(self.draws)
 
     def __len__(self) -> int:
         return len(self.draws)
@@ -184,12 +191,10 @@ def new_color_draw_prob(t: int, schedule: Schedule) -> float:
     """Probability that the newest color is drawn at time t.
 
     This equals 1 over the total mass just before the draw and does not
-    depend on the history, because the newest color always has mass 1.
+    depend on the history, because the newest color always has mass 1:
+    ``marginal_draw_prob`` of color t at time t.
     """
-    if t < 1:
-        raise ValueError(f"time must be >= 1, got {t}")
-    cum = schedule.cumulative(t - 1)
-    return 1.0 / (t + float(cum[t - 1]))
+    return marginal_draw_prob(t, t, schedule)
 
 
 def marginal_draw_prob(j: int, t: int, schedule: Schedule) -> float:

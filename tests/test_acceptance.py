@@ -130,7 +130,7 @@ def test_05_constant_amount_consistency():
                     assert float(np.max(np.abs(a.probs - b.probs))) <= 1e-10
                     assert float(np.max(np.abs(a.probs - c.probs))) <= 1e-10
 
-        verified = pmf_delta_one(2, 12, compare_simplified=False)
+        verified = pmf_delta_one(2, 12)
         simplified = delta_one_simplified_pmf(2, 12)
         gap = float(np.max(np.abs(simplified.probs - verified.probs)))
         assert gap > 1e-6, "expected the simplified closed form to disagree"

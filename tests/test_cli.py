@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polyagraph import errors
 from polyagraph.cli import main
 from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
 from polyagraph.schedules import parse_schedule
@@ -17,6 +18,15 @@ def runner_fixture():
 
 def _invoke(runner, *args):
     return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+
+
+def test_every_polyagraph_error_is_a_value_error():
+    # The CLI turns a ValueError into exit code 2, after CapExceeded into 3.
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert errors.CapExceeded in classes
+    for cls in classes:
+        assert cls is errors.PolyagraphError or issubclass(cls, ValueError), cls
 
 
 class TestGenerate:
@@ -62,10 +72,12 @@ class TestGenerate:
 
     def test_invalid_replay_draws(self, runner, tmp_path):
         replay = tmp_path / "draws.txt"
-        replay.write_text("2 1\n")
-        result = runner.invoke(main, ["generate", "--replay", str(replay),
-                                      "--out", str(tmp_path / "x")])
-        assert result.exit_code == 2
+        for text in ("2 1\n", "0 1\n"):
+            replay.write_text(text)
+            result = runner.invoke(main, ["generate", "--replay", str(replay),
+                                          "--out", str(tmp_path / "x")])
+            assert result.exit_code == 2, text
+            assert "Traceback" not in result.output
 
 
     def test_replay_draw_beyond_int64_is_usage_error(self, runner, tmp_path):

@@ -188,7 +188,7 @@ class TestWriteOutputs:
         assert summary["config"]["schedule"] == "const:1"
         assert summary["seed"] == 2
         assert summary["seed_contract"] == SEED_CONTRACT == 3
-        assert summary["totals"]["max_degree"] == result.max_degrees.max()
+        assert summary["totals"]["max_degree"] == max(int(k) for k, _ in parsed)
         assert summary["totals"]["total_vertices"] == 3 * 10
         assert summary["totals"]["vertices_per_replicate"] == 10
 

@@ -73,9 +73,7 @@ class TestPmfGeneral:
         with pytest.raises(CapExceeded) as err:
             pmf_general(1, 26, Constant(1.0))
         assert "Monte Carlo" in str(err.value)
-        pmf_general(15, 30, Constant(1.0))  # window 16 is under the default cap
-        with pytest.raises(CapExceeded):
-            pmf_general(15, 30, Constant(1.0), cap=10)
+        pmf_general(15, 30, Constant(1.0))  # window 16 is under the cap
 
 
 class TestPmfConstant:
@@ -130,7 +128,7 @@ class TestDeltaOne:
     def test_matches_recurrence(self):
         for t in range(1, 13):
             for j in range(1, t + 1):
-                a = pmf_delta_one(j, t, compare_simplified=False)
+                a = pmf_delta_one(j, t)
                 b = pmf_constant_delta_dp(j, t, 1.0)
                 assert np.max(np.abs(a.probs - b.probs)) <= 1e-10
 
@@ -145,7 +143,7 @@ class TestDeltaOne:
         # The simplified zero-draw term overstates the verified one by
         # exactly 2t / 2**(t-j+1) for colors >= 2.
         for j, t in [(2, 5), (3, 8), (5, 12)]:
-            good = pmf_delta_one(j, t, compare_simplified=False)
+            good = pmf_delta_one(j, t)
             alt = delta_one_simplified_pmf(j, t)
             assert alt.probs[0] == pytest.approx(
                 good.probs[0] * (2 * t / 2 ** (t - j + 1)), rel=1e-12
@@ -161,7 +159,7 @@ class TestDeltaOne:
         # which agrees with the verified law there.
         alt = delta_one_simplified_pmf(1, 6)
         assert alt.probs[0] == 0.0
-        assert pmf_delta_one(1, 6, compare_simplified=False).probs[0] == 0.0
+        assert pmf_delta_one(1, 6).probs[0] == 0.0
 
 
 class TestOracle:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ba_draws_loop, battery_schedules, enumerate_paths
+from polyagraph.errors import InvalidColor
 from polyagraph.graphs import (
     ba_block_draws,
     ba_draws,
@@ -70,6 +71,11 @@ class TestReconstruct:
         graph = graph_from_draws(draws)
         recovered = [u for u, v in _edge_tuples(graph)[1:]]
         assert recovered == draws.tolist()
+
+    @pytest.mark.parametrize("draws", [[0, 1], [5], [1, 3]])
+    def test_rejects_a_color_not_yet_born(self, draws):
+        with pytest.raises(InvalidColor):
+            graph_from_draws(np.array(draws))
 
     def test_exports(self):
         graph = graph_from_draws(np.array([1, 1]))

@@ -96,7 +96,7 @@ class TestParse:
 class TestPresets:
     def test_stepped_preset_golden(self):
         f = paper_f()
-        assert f.value(0) == 1
+        assert f.value(1) == 1
         assert f.value(999) == 1
         assert f.value(1000) == 10
         assert f.value(1500) == 10
@@ -147,12 +147,6 @@ class TestPresets:
             assert g.value(t) == g_ref(t)
 
 
-# The mass at time 0, or None where time 0 is outside the schedule's range.
-AT_TIME_ZERO = {"const:0.5": 0.5, "const:1": 1.0, "const:2": 2.0, "ln": None,
-                "paper-f": 1.0, "paper-g": 10.0, "step:3=0,7=1.5": 0.0, "table": None,
-                "over-t-first": None}
-
-
 class TestEvaluation:
     @pytest.mark.parametrize("spec", ["const:0.5", "const:1", "const:2", "ln",
                                       "paper-f", "paper-g", "step:3=0,7=1.5", "table",
@@ -172,13 +166,9 @@ class TestEvaluation:
         for t in (1, 2, 3, 50, 199, 200):
             assert vec[t - 1] == sched.value(t)
             assert type(sched.value(t)) is float
-        if AT_TIME_ZERO[spec] is None:
+        for t in (0, -1):  # the urn draws at times t >= 1 only
             with pytest.raises(ScheduleRangeError):
-                sched.value(0)
-        else:
-            assert sched.value(0) == AT_TIME_ZERO[spec]
-        with pytest.raises(ScheduleRangeError):
-            sched.value(-1)
+                sched.value(t)
 
     def test_cumulative_overflow_is_a_range_error(self):
         with pytest.raises(ScheduleRangeError, match="overflows"):

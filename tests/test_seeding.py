@@ -64,10 +64,9 @@ class TestReplicateGenerators:
         with pytest.raises(ValueError, match="replicate index must be >= 0, got -1"):
             replicate_stream(5, 3, -1)
 
-    @pytest.mark.parametrize("model", ["polya", "ba"])
-    def test_draw_count_histogram_negative_seed(self, model):
+    def test_draw_count_histogram_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            draw_count_histogram(1, 5, parse_schedule("const:1"), 3, -1, model=model)
+            draw_count_histogram(1, 5, parse_schedule("const:1"), 3, -1)
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -106,6 +106,15 @@ class TestNewColorDrawProb:
         for _, sched in battery_schedules():
             assert new_color_draw_prob(1, sched) == 1.0
 
+    @pytest.mark.parametrize("t", [1, 2, 50, 5000])
+    def test_is_one_over_the_total_mass(self, t):
+        for _, sched in battery_schedules():
+            assert new_color_draw_prob(t, sched) == 1.0 / (t + sched.cumulative(t)[t - 1])
+
+    def test_time_zero_is_rejected(self):
+        with pytest.raises(ValueError):
+            new_color_draw_prob(0, Constant(1.0))
+
     def test_against_composition_entry(self):
         # At time 2 the newest color's mass fraction is unambiguous.
         sched = Constant(2.0)
