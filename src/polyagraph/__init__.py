@@ -36,8 +36,7 @@ _SUBMODULE = {
                   "brute_force_table", "delta_one_simplified_pmf", "normalization_check",
                   "pmf_constant_delta", "pmf_constant_delta_dp", "pmf_delta_one",
                   "pmf_general"),
-        "experiments": ("BirthTimeCurve", "DegreeHistogram", "ExperimentConfig",
-                        "MonteCarloResult", "average_birth_time",
+        "experiments": ("ExperimentConfig", "MonteCarloResult", "average_birth_time",
                         "average_birth_time_of_graph", "degree_distribution",
                         "draw_count_histogram", "expected_birth_time_exact",
                         "expected_birth_time_table", "expected_degree_count_table",

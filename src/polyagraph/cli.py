@@ -5,8 +5,8 @@ Subcommands: ``generate`` (one graph), ``exact`` (a draw-count distribution),
 figure-reproduction experiments with frozen configurations).
 
 Progress goes to standard error; data goes to files or standard output.
-Exit codes: 0 success, 2 bad arguments or malformed inputs, 3 enumeration
-cap exceeded, 4 I/O failure.
+Exit codes: 0 success, 2 bad arguments, malformed inputs or a horizon too
+large for memory, 3 enumeration cap exceeded, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ def _handled(fn):
             raise SystemExit(3) from exc
         except ValueError as exc:  # every other polyagraph error is a ValueError
             click.echo(f"error: {exc}", err=True)
+            raise SystemExit(2) from exc
+        except MemoryError as exc:  # a horizon whose arrays do not fit in memory
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
             raise SystemExit(2) from exc
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)

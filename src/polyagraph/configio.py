@@ -16,7 +16,7 @@ Result files: every CSV row the CLI writes comes from whole columns through
     degree_distribution.csv   header ``k,p``
     birth_time.csv            header ``k,mean_birth_time,n_samples``
     summary.json              config echo, seed contract and pooled totals,
-                              with max_degree read off the pooled histogram
+                              with max_degree read off the pooled degree counts
 """
 
 from __future__ import annotations
@@ -145,26 +145,26 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def degree_distribution_csv(result: MonteCarloResult) -> str:
-    k, p = zip(*degree_distribution(result.degree_histogram))
+    k, p = zip(*degree_distribution(result))
     return "k,p\n" + rows_text("%d,%.17g\n", k, p)
 
 
 def birth_time_csv(result: MonteCarloResult) -> str:
-    return "k,mean_birth_time,n_samples\n" + rows_text("%d,%.17g,%d\n", *result.birth_time.table())
+    return "k,mean_birth_time,n_samples\n" + rows_text("%d,%.17g,%d\n", *result.birth_time_table())
 
 
 def summary_json(result: MonteCarloResult) -> str:
-    hist = result.degree_histogram
+    t = result.config.t
     payload = {
         "config": config_echo(result.config),
         "seed": result.config.seed,
         "seed_contract": SEED_CONTRACT,
         "totals": {
-            "replicates": hist.replicates,
-            "vertices_per_replicate": hist.horizon + 1,
-            "edges_per_replicate": hist.horizon + 1,
-            "total_vertices": hist.total_vertices(),
-            "max_degree": int(np.flatnonzero(hist.counts)[-1]),
+            "replicates": result.config.replicates,
+            "vertices_per_replicate": t + 1,
+            "edges_per_replicate": t + 1,
+            "total_vertices": int(result.counts.sum()),
+            "max_degree": int(np.flatnonzero(result.counts)[-1]),
         },
     }
     return json_text(payload)

@@ -3,7 +3,9 @@
 Replicated generation with a frozen seeding rule (replicate r of a
 length-t run takes draws r·t … (r+1)·t−1 of the master seed's one stream),
 pooled integer aggregation so results are independent of worker scheduling,
-and the exact counterparts of the empirical birth-time quantities.
+and the exact counterparts of the empirical birth-time quantities.  A run's
+one record, ``MonteCarloResult``, is its config plus two pooled integer
+tables per degree; every empirical statistic is derived from them.
 
 Birth-time conventions: vertex j is born at time j - 1, and all birth-time
 statistics range over vertices j = 1..t, excluding the final vertex (which
@@ -87,51 +89,32 @@ class ExperimentConfig:
 
 
 @dataclass
-class DegreeHistogram:
-    """Vertex counts per degree pooled over replicates (index = degree)."""
+class MonteCarloResult:
+    """One run: its config, its pooled degree tables, and the processes that sampled.
 
-    horizon: int
-    replicates: int
-    counts: np.ndarray = field(repr=False)
-
-    def total_vertices(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
-class BirthTimeCurve:
-    """Pooled birth-time totals per degree over (replicate, vertex) pairs.
-
-    Sums and sample counts are kept as exact integers; a degree with no
-    contributing pair is absent (mean None), not zero.
+    ``counts[k]`` counts the vertices 1..t+1 of degree k over all replicates,
+    and ``birth_sums[k]`` totals the birth times of the vertices 1..t of
+    degree k; every statistic of the run is read off these two exact integer
+    tables and the config.
     """
 
-    horizon: int
-    birth_sums: np.ndarray = field(repr=False)
-    n_samples: np.ndarray = field(repr=False)
-
-    def mean_birth_time(self, k: int) -> float | None:
-        if not 1 <= k <= self.horizon + 1:
-            raise ValueError(f"degree {k} outside 1..{self.horizon + 1}")
-        n = int(self.n_samples[k])
-        if n == 0:
-            return None
-        return int(self.birth_sums[k]) / n
-
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columns (degree, mean_birth_time, n_samples) of the degrees 1..t+1 present."""
-        k = 1 + np.flatnonzero(self.n_samples[1:])
-        return k, self.birth_sums[k] / self.n_samples[k], self.n_samples[k]
-
-
-@dataclass
-class MonteCarloResult:
-    """Pooled statistics of a run, all read off its pooled degree tables."""
-
     config: ExperimentConfig
-    degree_histogram: DegreeHistogram
-    birth_time: BirthTimeCurve
-    processes: int  # processes that sampled the replicates
+    counts: np.ndarray = field(repr=False)
+    birth_sums: np.ndarray = field(repr=False)
+    processes: int
+
+    def birth_time_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns (degree, mean_birth_time, n_samples) of the degrees 1..t+1 present.
+
+        ``n_samples`` is ``counts`` less R at degree 1: the birth-time
+        statistics leave out vertex t + 1, which is never drawn by time t and
+        so has degree 1 in every replicate.  A degree with no contributing
+        (replicate, vertex) pair is absent, not a zero row.
+        """
+        n_samples = self.counts.copy()
+        n_samples[1] -= self.config.replicates
+        k = 1 + np.flatnonzero(n_samples[1:])
+        return k, self.birth_sums[k] / n_samples[k], n_samples[k]
 
 
 def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
@@ -158,16 +141,13 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
-    """Pooled integer aggregates (counts, birth_sums) of replicates lo..hi-1.
+    """The tables ``MonteCarloResult.counts`` and ``birth_sums`` of replicates lo..hi-1.
 
-    ``counts[k]`` counts the vertices 1..t+1 of degree k, and
-    ``birth_sums[k]`` totals the birth times of the vertices 1..t of degree
-    k; every other statistic of the run is read off these two.  The degrees
-    of a block come from one ``degree_rows`` call.  Each block's birth-time
-    sums pass through float64 (``bincount`` weights) before they become integers.
-    One bin of a block sums at most max(t²/2, (BLOCK_ELEMENTS/2)·t) birth
-    times, so the sums are exact while that stays below 2⁵³, i.e. for t
-    below about 1.3·10⁸.
+    The degrees of a block come from one ``degree_rows`` call.  Each block's
+    birth-time sums pass through float64 (``bincount`` weights) before they
+    become integers.  One bin of a block sums at most
+    max(t²/2, (BLOCK_ELEMENTS/2)·t) birth times, so the sums are exact while
+    that stays below 2⁵³, i.e. for t below about 1.3·10⁸.
     """
     counts = np.zeros(t + 2, dtype=np.int64)
     birth_sums = np.zeros(t + 2, dtype=np.int64)
@@ -219,28 +199,17 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
             ]
             partials = [f.result() for f in futures]
     counts, birth_sums = zip(*partials)
-    counts = sum(counts)
-    # The birth-time statistics leave out vertex t + 1, which is never drawn
-    # by time t and so has degree 1 in every replicate.
-    n_samples = counts.copy()
-    n_samples[1] -= total
-    return MonteCarloResult(
-        config=config,
-        degree_histogram=DegreeHistogram(horizon=t, replicates=total, counts=counts),
-        birth_time=BirthTimeCurve(horizon=t, birth_sums=sum(birth_sums), n_samples=n_samples),
-        processes=workers,
-    )
+    return MonteCarloResult(config=config, counts=sum(counts), birth_sums=sum(birth_sums),
+                            processes=workers)
 
 
-def degree_distribution(histogram: DegreeHistogram) -> list[tuple[int, float]]:
+def degree_distribution(result: MonteCarloResult) -> list[tuple[int, float]]:
     """Pooled degree frequencies: counts over replicates * (t + 1) vertices.
 
     Zero-count degrees are omitted.
     """
-    total = histogram.replicates * (histogram.horizon + 1)
-    if total <= 0:
-        raise ValueError("empty histogram")
-    return [(k, int(c) / total) for k, c in enumerate(histogram.counts) if c > 0]
+    total = result.config.replicates * (result.config.t + 1)
+    return [(k, int(c) / total) for k, c in enumerate(result.counts) if c > 0]
 
 
 def tail_slope(distribution, k_min: int, k_max: int) -> float:

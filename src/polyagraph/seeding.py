@@ -57,8 +57,8 @@ def replicate_stream(master_seed: int, t: int, first: int) -> np.random.Generato
 def replicate_generator(master_seed: int, index: int) -> np.random.Generator:
     """A generator for sampling one history on its own, seeded by ``(master_seed, index)``.
 
-    Acceptance checks 08 and 09, which loop over single histories, and
-    ``perfbench``'s probe use it.  It is not the Monte Carlo engine's rule, which is
+    Acceptance check 08, which samples one history, and ``perfbench``'s
+    probe use it.  It is not the Monte Carlo engine's rule, which is
     ``replicate_stream``.
     """
     return np.random.Generator(

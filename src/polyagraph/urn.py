@@ -57,11 +57,11 @@ def conditional_draw_pmf(urn: UrnState) -> list:
     return composition(urn)
 
 
-def step(urn: UrnState, schedule: Schedule, *, drawn: int):
+def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
     """Advance the urn by one forced draw of color ``drawn``.
 
-    Returns ``(next_state, drawn)``.  Arithmetic follows the weights' type,
-    so Fraction masses replay exactly.
+    Returns the next state.  Arithmetic follows the weights' type, so
+    Fraction masses replay exactly.
     """
     if not 1 <= drawn <= urn.num_colors:
         raise InvalidColor(f"color {drawn} not in 1..{urn.num_colors} at time {urn.time}")
@@ -70,10 +70,7 @@ def step(urn: UrnState, schedule: Schedule, *, drawn: int):
     weights = list(urn.weights)
     weights[drawn - 1] = weights[drawn - 1] + delta
     weights.append(1)
-    return (
-        UrnState(time=t_next, weights=tuple(weights), total_weight=urn.total_weight + delta + 1),
-        drawn,
-    )
+    return UrnState(time=t_next, weights=tuple(weights), total_weight=urn.total_weight + delta + 1)
 
 
 def checked_draws(draws) -> np.ndarray:

@@ -65,14 +65,14 @@ def test_01_forced_path_compositions_exact():
         started = time.perf_counter()
         urn = new_urn()
         for drawn, want in zip((1, 2, 1), expected):
-            urn, _ = step(urn, sched, drawn=drawn)
+            urn = step(urn, sched, drawn=drawn)
             assert composition(urn) == want
         elapsed = time.perf_counter() - started
         assert elapsed < 1e-3, f"took {elapsed * 1e3:.3f} ms"
 
         float_urn = new_urn()
         for drawn, want in zip((1, 2, 1), expected):
-            float_urn, _ = step(float_urn, Constant(2.0), drawn=drawn)
+            float_urn = step(float_urn, Constant(2.0), drawn=drawn)
             got = composition(float_urn)
             assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 1e-12
 
@@ -175,8 +175,8 @@ def test_07_power_law_and_baseline_agreement():
             ExperimentConfig(model="ba", t=5000, replicates=250, seed=70_002),
             threads=2,
         )
-        dist_polya = degree_distribution(polya.degree_histogram)
-        dist_ba = degree_distribution(baseline.degree_histogram)
+        dist_polya = degree_distribution(polya)
+        dist_ba = degree_distribution(baseline)
         slope_polya = tail_slope(dist_polya, 3, 50)
         slope_ba = tail_slope(dist_ba, 3, 50)
         assert -3.5 <= slope_polya <= -2.5, f"slope {slope_polya:.3f}"

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyagraph import errors
+from polyagraph import cli, errors
 from polyagraph.cli import main
 from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
 from polyagraph.schedules import parse_schedule
@@ -173,6 +173,18 @@ class TestExact:
         assert "error: total reinforcement over times 1..5 overflows" in result.output
         assert "Traceback" not in result.output
         assert "nan" not in result.output
+
+    def test_out_of_memory_is_usage_error(self, runner, monkeypatch):
+        # numpy raises MemoryError (as _ArrayMemoryError) for an array too
+        # large to allocate, such as the cumulative masses of this horizon.
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "pmf_constant_delta_dp", too_large)
+        result = runner.invoke(main, ["exact", "--j", 2, "--t", 99999999999, "--method", "dp"])
+        assert result.exit_code == 2
+        assert "error: Unable to allocate 745. GiB" in result.output
+        assert "Traceback" not in result.output
 
     def test_dp_requires_constant_schedule(self, runner):
         result = runner.invoke(main, ["exact", "--j", 1, "--t", 5,

@@ -71,6 +71,16 @@ def _reference_result(config):
     return counts, birth_sums, n_samples
 
 
+def _table(birth_sums, n_samples):
+    """``birth_time_table`` of reference sums and sample counts, as lists."""
+    k = 1 + np.flatnonzero(n_samples[1:])
+    return [k.tolist(), (birth_sums[k] / n_samples[k]).tolist(), n_samples[k].tolist()]
+
+
+def _columns(result):
+    return [column.tolist() for column in result.birth_time_table()]
+
+
 class TestConfig:
     def test_polya_requires_schedule(self):
         with pytest.raises(ValueError):
@@ -112,27 +122,27 @@ class TestConfig:
 class TestRunMonteCarlo:
     def test_single_vertex(self):
         result = run_monte_carlo(_polya(0, 1, 0), threads=1)
-        counts = result.degree_histogram.counts
+        counts = result.counts
         assert counts[1] == 1
         assert counts.sum() == 1
 
     def test_two_vertices(self):
         result = run_monte_carlo(_polya(1, 1, 0), threads=1)
-        assert degree_distribution(result.degree_histogram) == [(1, 0.5), (2, 0.5)]
+        assert degree_distribution(result) == [(1, 0.5), (2, 0.5)]
 
     def test_histogram_mass(self):
         config = _polya(40, 7, 5, schedule="ln")
         result = run_monte_carlo(config, threads=1)
-        assert result.degree_histogram.counts.sum() == 7 * 41
-        assert degree_distribution(result.degree_histogram)
-        total = math.fsum(p for _, p in degree_distribution(result.degree_histogram))
+        assert result.counts.sum() == 7 * 41
+        assert degree_distribution(result)
+        total = math.fsum(p for _, p in degree_distribution(result))
         assert total == pytest.approx(1, abs=1e-12)
 
     def test_repeatable(self):
         a = run_monte_carlo(_polya(60, 10, 99), threads=1)
         b = run_monte_carlo(_polya(60, 10, 99), threads=1)
-        assert np.array_equal(a.degree_histogram.counts, b.degree_histogram.counts)
-        assert np.array_equal(a.birth_time.birth_sums, b.birth_time.birth_sums)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.birth_sums, b.birth_sums)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # pool this small run
@@ -140,10 +150,9 @@ class TestRunMonteCarlo:
         serial = run_monte_carlo(config, threads=1)
         parallel = run_monte_carlo(config, threads=2)
         assert (serial.processes, parallel.processes) == (1, 2)
-        assert np.array_equal(serial.degree_histogram.counts,
-                              parallel.degree_histogram.counts)
-        assert np.array_equal(serial.birth_time.birth_sums, parallel.birth_time.birth_sums)
-        assert np.array_equal(serial.birth_time.n_samples, parallel.birth_time.n_samples)
+        assert np.array_equal(serial.counts, parallel.counts)
+        assert np.array_equal(serial.birth_sums, parallel.birth_sums)
+        assert _columns(serial) == _columns(parallel)
 
     def test_replicate_seeding_rule_is_frozen(self):
         # Replicate r must take draws 20r .. 20r+19 of the master seed's stream.
@@ -157,7 +166,7 @@ class TestRunMonteCarlo:
             deg = np.bincount(draws, minlength=22) + 1
             deg[0] = 0
             counts += np.bincount(deg[1:], minlength=22)
-        assert np.array_equal(result.degree_histogram.counts, counts)
+        assert np.array_equal(result.counts, counts)
 
     @pytest.mark.parametrize("t, replicates, processes", [
         (1024, POOL_MIN_DRAWS // 1024 - 1, 1),   # one replicate below the threshold
@@ -201,9 +210,9 @@ class TestBlockedEngine:
             result = run_monte_carlo(config, threads=threads)
             assert result.processes == min(threads, replicates)
             counts, birth_sums, n_samples = _reference_result(config)
-            assert np.array_equal(result.degree_histogram.counts, counts), (seed, t)
-            assert np.array_equal(result.birth_time.birth_sums, birth_sums), (seed, t)
-            assert np.array_equal(result.birth_time.n_samples, n_samples), (seed, t)
+            assert np.array_equal(result.counts, counts), (seed, t)
+            assert np.array_equal(result.birth_sums, birth_sums), (seed, t)
+            assert _columns(result) == _table(birth_sums, n_samples), (seed, t)
 
     # Block boundaries at t=12 fall every 341 replicates; 2³²+3 is past the
     # point where a 32-bit replicate index or offset would wrap.
@@ -225,15 +234,13 @@ class TestBlockedEngine:
 class TestBirthTimeCurve:
     def test_two_vertex_run(self):
         result = run_monte_carlo(_polya(1, 1, 0), threads=1)
-        curve = result.birth_time
-        # Vertex 1 (degree 2, born at 0) is the only vertex before the horizon.
-        assert curve.mean_birth_time(2) == 0.0
-        assert curve.mean_birth_time(1) is None
-        assert [column.tolist() for column in curve.table()] == [[2], [0.0], [1]]
+        # Vertex 1 (degree 2, born at 0) is the only vertex before the horizon;
+        # vertex 2 (degree 1) is left out, so degree 1 has no row.
+        assert _columns(result) == [[2], [0.0], [1]]
 
     def test_rows_skip_absent_degrees(self):
         result = run_monte_carlo(_polya(30, 4, 11), threads=1)
-        rows = list(zip(*result.birth_time.table()))
+        rows = list(zip(*result.birth_time_table()))
         assert rows
         for k, mean, n in rows:
             assert n > 0

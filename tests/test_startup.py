@@ -71,6 +71,14 @@ def test_unknown_attribute_raises():
     assert out == ["AttributeError"]
 
 
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "run_monte_carlo" in code
+    _run(code)
+
+
 def test_small_run_with_two_threads_starts_no_pool(tmp_path):
     # t·R = 2.4·10⁵ draws, below POOL_MIN_DRAWS: --threads 2 is only a cap.
     args = ["experiment", "--model", "polya", "--schedule", "ln", "--t", "12",

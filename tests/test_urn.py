@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
 from polyagraph.errors import InvalidColor
 from polyagraph.exact import pmf_general
-from polyagraph.schedules import Constant, NaturalLog, Table, parse_schedule
+from polyagraph.schedules import Constant, NaturalLog, RationalSegments, Table, parse_schedule
 from polyagraph.seeding import as_generator
 from polyagraph.urn import (
     DrawHistory,
@@ -43,12 +44,11 @@ class TestForcedPathGolden:
     def test_compositions_are_exact_fractions(self):
         sched = Constant(Fraction(2))
         urn = new_urn()
-        urn, drawn = step(urn, sched, drawn=1)
-        assert drawn == 1
+        urn = step(urn, sched, drawn=1)
         assert composition(urn) == [Fraction(3, 4), Fraction(1, 4)]
-        urn, _ = step(urn, sched, drawn=2)
+        urn = step(urn, sched, drawn=2)
         assert composition(urn) == [Fraction(3, 7), Fraction(3, 7), Fraction(1, 7)]
-        urn, _ = step(urn, sched, drawn=1)
+        urn = step(urn, sched, drawn=1)
         assert composition(urn) == [
             Fraction(5, 10), Fraction(3, 10), Fraction(1, 10), Fraction(1, 10),
         ]
@@ -59,7 +59,7 @@ class TestForcedPathGolden:
         for drawn, expected in [(1, (0.75, 0.25)),
                                 (2, (3 / 7, 3 / 7, 1 / 7)),
                                 (1, (0.5, 0.3, 0.1, 0.1))]:
-            urn, _ = step(urn, sched, drawn=drawn)
+            urn = step(urn, sched, drawn=drawn)
             assert composition(urn) == pytest.approx(expected, abs=1e-12)
 
 
@@ -69,7 +69,7 @@ class TestStep:
             step(new_urn(), Constant(1.0), drawn=2)
 
     def test_zero_reinforcement_still_expands(self):
-        urn, _ = step(new_urn(), Constant(0.0), drawn=1)
+        urn = step(new_urn(), Constant(0.0), drawn=1)
         assert urn.weights == (1, 1)
         assert urn.total_weight == 2
 
@@ -78,8 +78,7 @@ class TestStep:
         urn = new_urn()
         history = sample_history(29, sched, as_generator(5))
         for t, color in enumerate(history.draws, start=1):
-            urn, drawn = step(urn, sched, drawn=int(color))
-            assert drawn == color
+            urn = step(urn, sched, drawn=int(color))
             assert urn.num_colors == t + 1
             assert urn.weights[-1] == 1
 
@@ -87,7 +86,7 @@ class TestStep:
 class TestConditionalDrawPmf:
     def test_matches_composition_values(self):
         sched = Constant(2.0)
-        urn, _ = step(new_urn(), sched, drawn=1)
+        urn = step(new_urn(), sched, drawn=1)
         assert conditional_draw_pmf(urn) == pytest.approx([0.75, 0.25], abs=1e-15)
 
     def test_first_draw_deterministic(self):
@@ -97,7 +96,7 @@ class TestConditionalDrawPmf:
         sched = NaturalLog()
         urn = new_urn()
         for color in sample_history(25, sched, as_generator(9)).draws:
-            urn, _ = step(urn, sched, drawn=int(color))
+            urn = step(urn, sched, drawn=int(color))
             assert math.fsum(conditional_draw_pmf(urn)) == pytest.approx(1, abs=1e-12)
 
 
@@ -118,7 +117,7 @@ class TestNewColorDrawProb:
     def test_against_composition_entry(self):
         # At time 2 the newest color's mass fraction is unambiguous.
         sched = Constant(2.0)
-        urn, _ = step(new_urn(), sched, drawn=1)
+        urn = step(new_urn(), sched, drawn=1)
         assert new_color_draw_prob(2, sched) == pytest.approx(0.25, abs=1e-15)
 
     def test_against_path_enumeration(self):
@@ -135,8 +134,8 @@ class TestNewColorDrawProb:
         for first in (1,):
             for second in (1, 2):
                 urn = new_urn()
-                urn, _ = step(urn, sched, drawn=first)
-                urn, _ = step(urn, sched, drawn=second)
+                urn = step(urn, sched, drawn=first)
+                urn = step(urn, sched, drawn=second)
                 masses.add(conditional_draw_pmf(urn)[-1])
         assert masses == {1 / 7}
         assert new_color_draw_prob(3, sched) == pytest.approx(1 / 7, abs=1e-15)
@@ -146,19 +145,19 @@ class TestMarginalDrawProb:
     def test_first_draw(self):
         assert marginal_draw_prob(1, 1, Constant(1.0)) == 1.0
 
-    @pytest.mark.parametrize("t", [1, 2, 5, 9])
-    def test_newest_color_case(self, t):
-        for _, sched in battery_schedules():
-            assert marginal_draw_prob(t, t, sched) == pytest.approx(
-                new_color_draw_prob(t, sched), abs=1e-15
-            )
-
     def test_against_path_enumeration(self):
-        sched = Constant(1.0)
-        assert marginal_draw_prob(1, 3, sched) == pytest.approx(8 / 15, abs=1e-15)
-        for j in (1, 2, 3, 4, 5):
-            total = sum(prob for path, prob in enumerate_paths(5, sched) if path[4] == j)
-            assert marginal_draw_prob(j, 5, sched) == pytest.approx(total, abs=1e-12)
+        assert marginal_draw_prob(1, 3, Constant(1.0)) == pytest.approx(8 / 15, abs=1e-15)
+        # The battery, plus two schedules whose amount changes within t <= 6.
+        schedules = [sched for _, sched in battery_schedules()] + [
+            parse_schedule("step:2=3,4=0,inf=1.5"),
+            RationalSegments(ends=(2, 4, math.inf), kinds=("const", "over_t", "const"),
+                             params=(2, 6, 0.5)),
+        ]
+        for sched, t in itertools.product(schedules, range(1, 7)):
+            paths = enumerate_paths(t, sched)
+            for j in range(1, t + 1):
+                total = math.fsum(prob for path, prob in paths if path[t - 1] == j)
+                assert abs(marginal_draw_prob(j, t, sched) - total) <= 1e-12, (sched, j, t)
 
     @pytest.mark.parametrize("t", [1, 2, 5, 9, 17])
     def test_sums_to_one(self, t):
@@ -176,7 +175,7 @@ class TestMarginalDrawProb:
 def _stepped(history, t):
     urn = new_urn()
     for drawn in history.draws[:t].tolist():
-        urn, _ = step(urn, history.schedule, drawn=drawn)
+        urn = step(urn, history.schedule, drawn=drawn)
     return urn
 
 
