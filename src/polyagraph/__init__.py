@@ -27,16 +27,16 @@ _SUBMODULE = {
         "schedules": ("Constant", "NaturalLog", "RationalSegments", "Schedule", "Stepped",
                       "Table", "paper_f", "paper_g", "parse_schedule"),
         "seeding": ("as_generator", "replicate_generator"),
-        "urn": ("DrawHistory", "UrnState", "composition", "conditional_draw_pmf",
-                "copy_pointer_draws", "marginal_draw_prob", "new_color_draw_prob",
-                "new_urn", "sample_history", "step"),
+        "urn": ("UrnState", "composition", "conditional_draw_pmf", "copy_pointer_draws",
+                "marginal_draw_prob", "new_color_draw_prob", "new_urn", "replay",
+                "sample_history", "step"),
         "graphs": ("EvolvingGraph", "ba_draws", "ba_generate", "generate",
-                   "graph_from_draws", "reconstruct_graph"),
+                   "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",
                   "brute_force_table", "delta_one_simplified_pmf", "normalization_check",
                   "pmf_constant_delta", "pmf_constant_delta_dp", "pmf_delta_one",
                   "pmf_general"),
-        "experiments": ("ExperimentConfig", "MonteCarloResult", "average_birth_time",
+        "experiments": ("ExperimentConfig", "MonteCarloResult",
                         "average_birth_time_of_graph", "degree_distribution",
                         "draw_count_histogram", "expected_birth_time_exact",
                         "expected_birth_time_table", "expected_degree_count_table",

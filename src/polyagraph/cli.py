@@ -112,7 +112,7 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
             raise click.UsageError("--t is required unless --replay is given")
         if t < 0:
             raise click.UsageError(f"--t must be >= 0, got {t}")
-        _, graph = generate_graph(t, schedule, seed)
+        graph = generate_graph(t, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.txt").write_text(graph.edge_list_text())
     (out / "degrees.csv").write_text(graph.degree_table_text())

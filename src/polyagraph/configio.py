@@ -5,10 +5,10 @@ line or after whitespace starts a comment; elsewhere, as in a ``table:``
 path, it is part of the value.  The keys are the fields of
 ``ExperimentConfig``, in its order, with ``schedule`` for ``schedule_spec``:
 a field without a default is required, an ``int`` field must be an integer,
-and ``outputs`` is a comma-separated list that may not be empty.  Unknown or
-duplicate keys are rejected, and the schedule must cover the horizon with a
-finite total mass.  A relative ``table:`` path in a config file is resolved
-against the file's directory.
+and ``outputs`` is a comma-separated list that may neither be empty nor
+name a kind twice.  Unknown or duplicate keys are rejected, and the
+schedule must cover the horizon with a finite total mass.  A relative
+``table:`` path in a config file is resolved against the file's directory.
 
 Result files: every CSV row the CLI writes comes from whole columns through
 ``rows_text`` (floats with 17 significant digits), every JSON file from ``json_text``.

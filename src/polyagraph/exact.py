@@ -41,12 +41,13 @@ _SPLIT = 2 ** 18  # the forward pass halves any larger set of subset states
 _DELTA_ONE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Distribution of a color's draw count: probs[k] = P(count = k).
 
     The support is 0..horizon-color+1; shifting the index by one gives the
-    law of the corresponding vertex's degree.
+    law of the corresponding vertex's degree.  Compared and hashed by
+    identity, since an array field has no single truth value.
     """
 
     color: int

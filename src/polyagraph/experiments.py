@@ -11,8 +11,8 @@ Birth-time conventions: vertex j is born at time j - 1, and all birth-time
 statistics range over vertices j = 1..t, excluding the final vertex (which
 always has degree 1 and birth time t).  Degrees come from
 ``graphs.degree_rows``, which alone knows that a vertex's degree is one plus
-its color's draw count; the engine pools its degree tables, and the
-per-history statistics read a materialized graph's.
+its color's draw count; the engine pools its degree tables, and
+``average_birth_time_of_graph`` reads a materialized graph's.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import InsufficientData
 from .exact import pmf_constant_delta_dp, pmf_general
-from .graphs import EvolvingGraph, ba_block_draws, degree_rows, reconstruct_graph
+from .graphs import EvolvingGraph, ba_block_draws, degree_rows
 from .schedules import Constant, Schedule, parse_schedule
 from .seeding import replicate_stream
-from .urn import DrawHistory, copy_pointer_draws
+from .urn import copy_pointer_draws
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
 # ``sample_history`` in this module's namespace, and its probe calls all
 # three by these names; the engine itself calls none of them.
@@ -83,19 +83,22 @@ class ExperimentConfig:
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ValueError(f"unknown outputs {sorted(unknown)}; known: {OUTPUT_KINDS}")
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ValueError(f"outputs name a kind more than once: {','.join(self.outputs)}")
 
     def schedule(self) -> Schedule | None:
         return parse_schedule(self.schedule_spec) if self.schedule_spec else None
 
 
-@dataclass
+@dataclass(eq=False)
 class MonteCarloResult:
     """One run: its config, its pooled degree tables, and the processes that sampled.
 
     ``counts[k]`` counts the vertices 1..t+1 of degree k over all replicates,
     and ``birth_sums[k]`` totals the birth times of the vertices 1..t of
     degree k; every statistic of the run is read off these two exact integer
-    tables and the config.
+    tables and the config.  Compared and hashed by identity, since an array
+    field has no single truth value.
     """
 
     config: ExperimentConfig
@@ -224,17 +227,12 @@ def tail_slope(distribution, k_min: int, k_max: int) -> float:
     return float(np.polyfit(log_k, log_p, 1)[0])
 
 
-def average_birth_time(history: DrawHistory, k: int) -> float | None:
-    """Mean birth time of the degree-k vertices born before the horizon.
+def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
+    """Mean birth time of the graph's degree-k vertices born before the horizon.
 
     Averages j - 1 over vertices j = 1..t whose degree at the horizon is k;
     None when no such vertex exists.
     """
-    return average_birth_time_of_graph(reconstruct_graph(history), k)
-
-
-def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
-    """Same statistic computed from a materialized graph's degree array."""
     t = graph.horizon
     if not 1 <= k <= t + 1:
         raise ValueError(f"degree {k} outside 1..{t + 1}")

@@ -3,9 +3,11 @@
 Vertex j enters the graph at time j - 1 and corresponds to color j in the
 urn.  Vertex 1 starts with a self-loop that counts exactly 1 toward its
 degree, so every vertex enters with degree 1 and a vertex's degree is always
-one more than its color's draw count.  ``degree_rows`` is the one place that
-turns draws into degrees: the graph and the Monte Carlo engine
-(``experiments``) both take their degree tables from it.
+one more than its color's draw count.  A draw history is the int64 array of
+drawn colors (see ``urn``); a graph holds its own as ``edges[1:, 0]``.
+``degree_rows`` is the one place that turns draws into degrees: the graph
+and the Monte Carlo engine (``experiments``) both take their degree tables
+from it.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ import numpy as np
 
 from .schedules import Schedule
 from .seeding import as_generator
-from .urn import DrawHistory, checked_draws, sample_history
+from .urn import checked_draws, sample_history
 
 
-@dataclass
+@dataclass(eq=False)
 class EvolvingGraph:
     """Undirected attachment graph after t steps: t + 1 vertices, t + 1 edges.
 
     ``edges`` is an int64 array of shape (t + 1, 2): the initial self-loop
     (1, 1) first, then one attachment edge per step in birth order.
     ``degrees`` is 1-indexed (entry 0 unused); the degree total is 2t + 1.
+    Compared and hashed by identity, since an array field has no single
+    truth value.
     """
 
     num_vertices: int
@@ -66,7 +70,7 @@ def degree_rows(draws: np.ndarray) -> np.ndarray:
 
 
 def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
-    """Build the graph encoded by a sequence of drawn colors.
+    """Build the graph encoded by a draw history (``draws[n-1]`` is drawn at time n).
 
     Raises ``InvalidColor`` unless the draw at each time n is a color in 1..n.
     """
@@ -77,16 +81,13 @@ def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
     return EvolvingGraph(num_vertices=t + 1, edges=edges, degrees=degree_rows(draws[None, :])[0])
 
 
-def reconstruct_graph(history: DrawHistory) -> EvolvingGraph:
-    """Materialize the graph encoded by a draw history."""
-    return graph_from_draws(history.draws)
+def generate(t: int, schedule: Schedule, seed) -> EvolvingGraph:
+    """Sample a draw history of length t and build the graph it encodes.
 
-
-def generate(t: int, schedule: Schedule, seed) -> tuple[DrawHistory, EvolvingGraph]:
-    """Sample a history of length t and the graph it encodes."""
+    The draws are ``graph.edges[1:, 0]``.
+    """
     rng = as_generator(seed)
-    history = sample_history(t, schedule, rng)
-    return history, reconstruct_graph(history)
+    return graph_from_draws(sample_history(t, schedule, rng))
 
 
 def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,15 +6,18 @@ mass for time t, and a brand-new color enters with mass exactly 1.  The
 sequence of drawn colors is a sufficient statistic: the urn trajectory, the
 attachment graph, and every per-color count are deterministic functions of it.
 
-``copy_pointer_draws`` is the one random sampler: it maps uniforms to whole
-histories, many at once, in O(t log t) numpy work per history by copying
-colors from earlier draws (see its docstring); ``sample_history`` applies it
-to one generator.  ``step`` only applies forced draws, for exact replays.
+A draw history is a plain int64 array whose entry n-1 is the color drawn at
+time n; ``checked_draws`` validates one and ``replay`` rebuilds the urn from
+it.  ``copy_pointer_draws`` is the one random sampler: it maps uniforms to
+whole histories, many at once, in O(t log t) numpy work per history by
+copying colors from earlier draws (see its docstring); ``sample_history``
+applies it to one generator.  ``step`` only applies forced draws, for exact
+replays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -29,8 +32,8 @@ class UrnState:
 
     ``weights[i]`` is the mass of color i+1; there are ``time + 1`` colors and
     the newest always has mass exactly 1.  Weights may be any numeric type
-    (fractions keep forced replays exact); ``sample_history`` never builds
-    an ``UrnState`` and works in floats.
+    (fractions keep forced replays exact); the sampler never builds an
+    ``UrnState`` and works in floats.
     """
 
     time: int
@@ -88,60 +91,30 @@ def checked_draws(draws) -> np.ndarray:
     return draws
 
 
-@dataclass
-class DrawHistory:
-    """The drawn color at each time: ``draws[n-1]`` is the color drawn at time n.
+def replay(draws, schedule: Schedule, t: int | None = None) -> UrnState:
+    """The urn at time t of draw history ``draws``, in one pass of ``step``'s additions.
 
-    The first draw is always color 1 (only one color exists then), and the
-    draw at time n lies in 1..n.
+    ``draws[n-1]`` is the color drawn at time n; t defaults to its length.
+    Raises ``InvalidColor`` unless ``draws`` is a draw history
+    (``checked_draws``) and ``IndexError`` unless t is in 0..len(draws).  The
+    masses come from one ``values(t)`` call, except that a ``Constant``
+    repeats its ``value``, so Fraction masses stay exact; float masses equal
+    forced re-stepping bit for bit.
     """
-
-    schedule: Schedule
-    draws: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.draws = checked_draws(self.draws)
-
-    def __len__(self) -> int:
-        return len(self.draws)
-
-    def _time(self, t: int | None) -> int:
-        """t, checked against the recorded range; None means the last recorded time."""
-        if t is None:
-            return len(self.draws)
-        if not 0 <= t <= len(self.draws):
-            raise IndexError(f"time {t} outside recorded range 0..{len(self.draws)}")
-        return t
-
-    def count_draws(self, j: int, t: int) -> int:
-        """Number of times color j was drawn up to and including time t."""
-        t = self._time(t)
-        if not 1 <= j <= t + 1:
-            raise IndexError(f"color {j} outside 1..{t + 1}")
-        return int(np.count_nonzero(self.draws[:t] == j))
-
-    def draw_counts(self, t: int | None = None) -> np.ndarray:
-        """Counts per color (index = color, entry 0 unused) through time t."""
-        t = self._time(t)
-        return np.bincount(self.draws[:t], minlength=t + 2)
-
-    def replay(self, t: int | None = None) -> UrnState:
-        """The urn at time t, in one pass of ``step``'s additions in its order.
-
-        The masses come from one ``values(t)`` call, except that a
-        ``Constant`` repeats its ``value``, so Fraction masses stay exact;
-        float masses equal forced re-stepping bit for bit.
-        """
-        t = self._time(t)
-        if isinstance(self.schedule, Constant):
-            deltas = [self.schedule.value(1)] * t
-        else:
-            deltas = self.schedule.values(t).tolist()
-        weights, total = [1] * (t + 1), 1
-        for delta, drawn in zip(deltas, self.draws[:t].tolist()):
-            weights[drawn - 1] = weights[drawn - 1] + delta
-            total = total + delta + 1
-        return UrnState(time=t, weights=tuple(weights), total_weight=total)
+    draws = checked_draws(draws)
+    if t is None:
+        t = len(draws)
+    elif not 0 <= t <= len(draws):
+        raise IndexError(f"time {t} outside recorded range 0..{len(draws)}")
+    if isinstance(schedule, Constant):
+        deltas = [schedule.value(1)] * t
+    else:
+        deltas = schedule.values(t).tolist()
+    weights, total = [1] * (t + 1), 1
+    for delta, drawn in zip(deltas, draws[:t].tolist()):
+        weights[drawn - 1] = weights[drawn - 1] + delta
+        total = total + delta + 1
+    return UrnState(time=t, weights=tuple(weights), total_weight=total)
 
 
 def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -175,13 +148,12 @@ def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:
     return x.ravel()[src].astype(np.int64).reshape(m, t) + 1
 
 
-def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> DrawHistory:
-    """Sample a length-t draw history from one ``rng.random(t)`` call.
+def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
+    """Sample a length-t draw history, a (t,) int64 array, from one ``rng.random(t)`` call.
 
     The uniforms map to colors by ``copy_pointer_draws``, as one row.
     """
-    draws = copy_pointer_draws(rng.random(t)[None, :], schedule.cumulative(t))
-    return DrawHistory(schedule=schedule, draws=draws[0])
+    return copy_pointer_draws(rng.random(t)[None, :], schedule.cumulative(t))[0]
 
 
 def new_color_draw_prob(t: int, schedule: Schedule) -> float:

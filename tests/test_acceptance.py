@@ -198,14 +198,14 @@ def test_08_composition_equals_degree_share():
     with criterion(8, "at unit reinforcement the urn composition equals the "
                       "degree shares entrywise to 1e-12 at every step to t = 5000"):
         t = 5000
-        history = sample_history(t, Constant(1.0), replicate_generator(80_001, 0))
+        draws = sample_history(t, Constant(1.0), replicate_generator(80_001, 0))
         weights = np.zeros(t + 2)
         degrees = np.zeros(t + 2, dtype=np.int64)
         weights[1] = 1.0
         degrees[1] = 1
         worst = 0.0
         for n in range(1, t + 1):
-            drawn = int(history.draws[n - 1])
+            drawn = int(draws[n - 1])
             weights[drawn] += 1.0
             weights[n + 1] = 1.0
             degrees[drawn] += 1

@@ -289,6 +289,15 @@ class TestExperiment:
         assert "outputs must name at least one" in result.output
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_outputs_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\noutputs = summary,summary\n")
+        result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+        assert result.exit_code == 2
+        assert "more than once" in result.output
+        assert not (tmp_path / "x").exists()
+
     def test_empty_table_path_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["experiment", "--model", "polya", "--schedule", "table:",
                                       "--t", "5", "--replicates", "2", "--seed", "1",

@@ -91,6 +91,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="outputs must name at least one"):
             parse_config_text(MINIMAL + "outputs = ,\n")
 
+    def test_repeated_outputs_rejected(self):
+        with pytest.raises(ConfigError, match="more than once: summary,summary"):
+            parse_config_text(MINIMAL + "outputs = summary,summary\n")
+
     def test_schedule_total_must_be_finite(self):
         text = MINIMAL.replace("schedule = const:1", "schedule = const:1e308")
         with pytest.raises(ScheduleRangeError, match="overflows"):

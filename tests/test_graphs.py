@@ -12,11 +12,10 @@ from polyagraph.graphs import (
     degree_rows,
     generate,
     graph_from_draws,
-    reconstruct_graph,
 )
 from polyagraph.schedules import Constant, parse_schedule
 from polyagraph.seeding import as_generator
-from polyagraph.urn import DrawHistory, copy_pointer_draws
+from polyagraph.urn import copy_pointer_draws, sample_history
 
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
 
@@ -48,8 +47,7 @@ def _is_tree_rooted_at_one(graph):
 
 class TestReconstruct:
     def test_golden_edge_set(self):
-        history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1, 2, 2]))
-        graph = reconstruct_graph(history)
+        graph = graph_from_draws(np.array([1, 1, 2, 2]))
         assert _edge_tuples(graph) == [(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)]
         assert set(_edge_tuples(graph)) == {(1, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
 
@@ -103,32 +101,34 @@ class TestDegreeRows:
 
 class TestGenerate:
     def test_horizon_zero(self):
-        _, graph = generate(0, Constant(1.0), seed=1)
+        graph = generate(0, Constant(1.0), seed=1)
         assert graph.num_vertices == 1
         assert _edge_tuples(graph) == [(1, 1)]
 
     def test_first_edge_is_deterministic(self):
         for seed in range(5):
-            _, graph = generate(1, Constant(1.0), seed=seed)
+            graph = generate(1, Constant(1.0), seed=seed)
             assert _edge_tuples(graph) == [(1, 1), (1, 2)]
 
     def test_same_seed_same_edges(self):
         sched = parse_schedule("paper-f")
-        _, a = generate(300, sched, seed=42)
-        _, b = generate(300, sched, seed=42)
+        a = generate(300, sched, seed=42)
+        b = generate(300, sched, seed=42)
         assert _edge_tuples(a) == _edge_tuples(b)
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 80), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
     def test_structural_invariants(self, seed, t, sched):
-        history, graph = generate(t, sched, seed=seed)
+        graph = generate(t, sched, seed=seed)
+        draws = sample_history(t, sched, as_generator(seed))
+        assert np.array_equal(graph.edges[1:, 0], draws)
         assert graph.num_vertices == t + 1
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (t + 1, 2)
         assert _edge_tuples(graph)[0] == (1, 1)
         assert int(graph.degrees[1:].sum()) == 2 * t + 1
         assert graph.degrees[t + 1] == 1
         assert _is_tree_rooted_at_one(graph)
-        counts = history.draw_counts()
+        counts = np.bincount(draws, minlength=t + 2)
         for j in range(1, t + 2):
             assert graph.degrees[j] == 1 + counts[j]
             assert graph.degrees[j] <= t - j + 2  # color j is drawable only from time j
@@ -189,14 +189,14 @@ class TestCoupling:
         # At unit reinforcement the urn mass of every color equals the degree
         # of its vertex, so the composition is the degree-proportional law.
         t = 400
-        history, graph = generate(t, Constant(1.0), seed=21)
+        graph = generate(t, Constant(1.0), seed=21)
         weights = np.zeros(t + 2)
         degrees = np.zeros(t + 2)
         weights[1] = 1.0
         degrees[1] = 1.0
         worst = 0.0
         for n in range(1, t + 1):
-            drawn = history.draws[n - 1]
+            drawn = graph.edges[n, 0]  # the color drawn at time n
             weights[drawn] += 1.0
             weights[n + 1] = 1.0
             degrees[drawn] += 1.0

@@ -19,7 +19,6 @@ ALLOWED = {
     ("configio", "parse_config_text", "source"): "cli repro (names the bundled config)",
     ("configio", "parse_config_text", "base_dir"): "configio.load_config (the file's directory)",
     ("experiments", "run_monte_carlo", "threads"): "cli experiment and repro (--threads)",
-    ("urn", "draw_counts", "t"): "library callers: the time to read the history at",
     ("urn", "replay", "t"): "library callers: the time to replay the urn to",
 }
 

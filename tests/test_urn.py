@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
 from polyagraph.errors import InvalidColor
 from polyagraph.exact import pmf_general
+from polyagraph.graphs import ba_draws
 from polyagraph.schedules import Constant, NaturalLog, RationalSegments, Table, parse_schedule
 from polyagraph.seeding import as_generator
 from polyagraph.urn import (
-    DrawHistory,
+    checked_draws,
     composition,
     conditional_draw_pmf,
     copy_pointer_draws,
     marginal_draw_prob,
     new_color_draw_prob,
     new_urn,
+    replay,
     sample_history,
     step,
 )
@@ -76,8 +78,7 @@ class TestStep:
     def test_one_new_color_per_step(self):
         sched = NaturalLog()
         urn = new_urn()
-        history = sample_history(29, sched, as_generator(5))
-        for t, color in enumerate(history.draws, start=1):
+        for t, color in enumerate(sample_history(29, sched, as_generator(5)), start=1):
             urn = step(urn, sched, drawn=int(color))
             assert urn.num_colors == t + 1
             assert urn.weights[-1] == 1
@@ -95,7 +96,7 @@ class TestConditionalDrawPmf:
     def test_sums_to_one(self):
         sched = NaturalLog()
         urn = new_urn()
-        for color in sample_history(25, sched, as_generator(9)).draws:
+        for color in sample_history(25, sched, as_generator(9)):
             urn = step(urn, sched, drawn=int(color))
             assert math.fsum(conditional_draw_pmf(urn)) == pytest.approx(1, abs=1e-12)
 
@@ -118,7 +119,7 @@ class TestNewColorDrawProb:
         # At time 2 the newest color's mass fraction is unambiguous.
         sched = Constant(2.0)
         urn = step(new_urn(), sched, drawn=1)
-        assert new_color_draw_prob(2, sched) == pytest.approx(0.25, abs=1e-15)
+        assert new_color_draw_prob(2, sched) == composition(urn)[-1] == 0.25
 
     def test_against_path_enumeration(self):
         sched = Constant(1.0)
@@ -172,10 +173,10 @@ class TestMarginalDrawProb:
             marginal_draw_prob(4, 3, Constant(1.0))
 
 
-def _stepped(history, t):
+def _stepped(draws, schedule, t):
     urn = new_urn()
-    for drawn in history.draws[:t].tolist():
-        urn = step(urn, history.schedule, drawn=drawn)
+    for drawn in draws[:t].tolist():
+        urn = step(urn, schedule, drawn=drawn)
     return urn
 
 
@@ -190,57 +191,40 @@ class TestDrawHistory:
         else:
             sched = parse_schedule({"const": "const:0.7", "step": "step:40=0.3,200=2.5,inf=0"}
                                    .get(spec, spec))
-        history = sample_history(300, sched, as_generator(17))
+        draws = sample_history(300, sched, as_generator(17))
         for t in (0, 1, 150, 300):
-            replayed, stepped = history.replay(t), _stepped(history, t)
+            replayed, stepped = replay(draws, sched, t), _stepped(draws, sched, t)
             assert replayed == stepped  # exact for Fractions, bit for bit for floats
             assert type(replayed.total_weight) is type(stepped.total_weight)
 
     def test_replay_is_linear_time(self):
         for spec in ("ln", "paper-g"):
-            history = sample_history(10**5, parse_schedule(spec), as_generator(3))
-            urn = history.replay()
+            sched = parse_schedule(spec)
+            urn = replay(sample_history(10**5, sched, as_generator(3)), sched)
             assert urn.time == 10**5 and urn.num_colors == 10**5 + 1
 
     def test_replay_beyond_the_history_rejected(self):
-        history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1]))
         with pytest.raises(IndexError):
-            history.replay(3)
+            replay(np.array([1, 1]), Constant(1.0), 3)
 
     def test_first_draw_must_be_color_one(self):
         with pytest.raises(InvalidColor):
-            DrawHistory(schedule=Constant(1.0), draws=np.array([2]))
+            replay(np.array([2]), Constant(1.0))
 
     def test_draws_must_fit_their_time(self):
         with pytest.raises(InvalidColor):
-            DrawHistory(schedule=Constant(1.0), draws=np.array([1, 3]))
-
-    def test_count_draws_golden(self):
-        history = DrawHistory(schedule=Constant(2.0), draws=np.array([1, 2, 1]))
-        assert history.count_draws(2, 3) == 1
-        assert history.count_draws(1, 3) == 2
-        assert history.count_draws(4, 3) == 0  # the newest color is never drawn
-        assert sum(history.count_draws(j, 3) for j in range(1, 5)) == 3
-
-    def test_count_draws_range_errors(self):
-        history = DrawHistory(schedule=Constant(1.0), draws=np.array([1, 1]))
-        with pytest.raises(IndexError):
-            history.count_draws(1, 3)
-        with pytest.raises(IndexError):
-            history.count_draws(4, 2)
-        with pytest.raises(IndexError):
-            history.count_draws(0, 2)
+            replay(np.array([1, 3]), Constant(1.0))
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 40), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
     def test_replayed_weights_match_reinforcement_totals(self, seed, t, sched):
-        history = sample_history(t, sched, as_generator(seed))
-        urn = history.replay()
+        draws = sample_history(t, sched, as_generator(seed))
+        urn = replay(draws, sched)
         deltas = sched.values(t)
         for j in range(1, t + 2):
             expected = 1.0
             for n in range(j, t + 1):  # running sum in time order, like the replay
-                if history.draws[n - 1] == j:
+                if draws[n - 1] == j:
                     expected += deltas[n - 1]
             assert urn.weights[j - 1] == expected
         assert urn.total_weight == pytest.approx(1 + t + float(np.sum(deltas)),
@@ -254,11 +238,10 @@ class TestSampleHistory:
         sched = parse_schedule("paper-g")
         a = sample_history(500, sched, as_generator(11))
         b = sample_history(500, sched, as_generator(11))
-        assert np.array_equal(a.draws, b.draws)
+        assert np.array_equal(a, b)
 
     def test_empty_horizon(self):
-        history = sample_history(0, Constant(1.0), as_generator(0))
-        assert len(history) == 0
+        assert len(sample_history(0, Constant(1.0), as_generator(0))) == 0
 
     @pytest.mark.parametrize("delta, expected", [(1.0, 2 / 3), (2.0, 3 / 4)],
                              ids=["const1", "const2"])
@@ -268,21 +251,31 @@ class TestSampleHistory:
         hits = 0
         n = 3000
         for seed in range(n):
-            hits += sample_history(2, sched, as_generator(seed)).draws[1] == 1
+            hits += sample_history(2, sched, as_generator(seed))[1] == 1
         assert hits / n == pytest.approx(expected, abs=0.03)
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(0, 60), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
     def test_draws_always_valid(self, seed, t, sched):
-        history = sample_history(t, sched, as_generator(seed))
-        assert len(history) == t  # DrawHistory construction already validates ranges
+        assert len(checked_draws(sample_history(t, sched, as_generator(seed)))) == t
+
+    @pytest.mark.parametrize("t", [0, 1, 12, 500])
+    def test_samplers_return_draw_history_arrays(self, t):
+        # The one draw-history type: a (t,) int64 array that checked_draws accepts.
+        rows = [sample_history(t, sched, as_generator(seed))
+                for seed, (_, sched) in enumerate(battery_schedules())]
+        rows.append(ba_draws(t, as_generator(t)))
+        for draws in rows:
+            assert isinstance(draws, np.ndarray)
+            assert draws.dtype == np.int64 and draws.shape == (t,)
+            checked_draws(draws)
 
     @pytest.mark.parametrize("t", [0, 1, 2, 50, 500])
     def test_matches_scalar_reference(self, t):
         for seed, (name, sched) in enumerate(battery_schedules()):
-            history = sample_history(t, sched, as_generator(seed))
+            draws = sample_history(t, sched, as_generator(seed))
             expected = _reference_draws(as_generator(seed).random(t), sched)
-            assert history.draws.tolist() == expected, name
+            assert draws.tolist() == expected, name
 
     @pytest.mark.parametrize("t", [0, 1, 50])
     def test_block_rows_match_sample_history(self, t):
@@ -292,7 +285,7 @@ class TestSampleHistory:
             block = copy_pointer_draws(uniforms, sched.cumulative(t))
             assert block.shape == (7, t) and block.dtype == np.int64
             for seed, row in enumerate(block):
-                assert np.array_equal(row, sample_history(t, sched, as_generator(seed)).draws), name
+                assert np.array_equal(row, sample_history(t, sched, as_generator(seed))), name
 
     @pytest.mark.parametrize("spec, j, t, seed", [
         ("ln", 3, 10, 31),
@@ -304,7 +297,7 @@ class TestSampleHistory:
         sched = parse_schedule(spec)
         replicates = 5000
         rng = as_generator(seed)
-        counts = [sample_history(t, sched, rng).count_draws(j, t) for _ in range(replicates)]
+        counts = [np.count_nonzero(sample_history(t, sched, rng) == j) for _ in range(replicates)]
         observed = np.bincount(counts, minlength=t - j + 2)
         expected = pmf_general(j, t, sched).probs * replicates
         assert pooled_chi_square_p(expected, observed) >= 0.001
@@ -321,8 +314,7 @@ class TestSampleHistory:
             def random(self, size):
                 return np.full(size, np.nextafter(1.0, 0.0))
 
-        history = sample_history(500, sched, TopGenerator())
-        assert len(history) == 500  # DrawHistory construction validates ranges
+        assert len(checked_draws(sample_history(500, sched, TopGenerator()))) == 500
 
 
 def _reference_draws(uniforms, schedule):
