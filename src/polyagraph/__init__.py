@@ -27,9 +27,9 @@ _SUBMODULE = {
         "schedules": ("Constant", "NaturalLog", "RationalSegments", "Schedule", "Stepped",
                       "Table", "paper_f", "paper_g", "parse_schedule"),
         "seeding": ("as_generator", "replicate_generator"),
-        "urn": ("UrnState", "composition", "conditional_draw_pmf", "copy_pointer_draws",
-                "marginal_draw_prob", "new_color_draw_prob", "new_urn", "replay",
-                "sample_history", "step"),
+        "urn": ("GuideTable", "UrnState", "composition", "conditional_draw_pmf",
+                "copy_pointer_draws", "marginal_draw_prob", "new_color_draw_prob", "new_urn",
+                "replay", "sample_history", "step"),
         "graphs": ("EvolvingGraph", "ba_draws", "ba_generate", "generate",
                    "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import os
 import sys
 import time
@@ -28,35 +29,48 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # _hashlib, hmac and hashlib use their built-in implementations.  A process
 # that already imported _hashlib keeps it.
 sys.modules.setdefault("_hashlib", None)
+# The imports below build a large heap of long-lived objects (numpy, click and
+# the package).  Cyclic collections during them only walk that heap, so the
+# collector is off while they run.  After them, gc.freeze() moves the heap to
+# a generation no collection visits: not later ones, not the last one at
+# interpreter exit, and not those in forked pool workers.  The caller's
+# enabled or disabled state is restored, also if an import fails.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
 
-import click
-import numpy as np
+try:
+    import click
+    import numpy as np
 
-from .configio import (
-    birth_time_csv,
-    config_echo,
-    degree_distribution_csv,
-    json_text,
-    load_config,
-    parse_config_text,
-    pmf_csv,
-    write_outputs,
-)
-from .errors import CapExceeded, InvalidColor
-from .exact import (
-    brute_force_pmf,
-    pmf_constant_delta,
-    pmf_constant_delta_dp,
-    pmf_general,
-)
-from .experiments import (
-    POOL_MIN_DRAWS,
-    ExperimentConfig,
-    draw_count_histogram,
-    run_monte_carlo,
-)
-from .graphs import generate as generate_graph, graph_from_draws
-from .schedules import Constant, parse_schedule
+    from .configio import (
+        birth_time_csv,
+        config_echo,
+        degree_distribution_csv,
+        json_text,
+        load_config,
+        parse_config_text,
+        pmf_csv,
+        write_outputs,
+    )
+    from .errors import CapExceeded, InvalidColor
+    from .exact import (
+        brute_force_pmf,
+        pmf_constant_delta,
+        pmf_constant_delta_dp,
+        pmf_general,
+    )
+    from .experiments import (
+        POOL_MIN_DRAWS,
+        ExperimentConfig,
+        draw_count_histogram,
+        run_monte_carlo,
+    )
+    from .graphs import generate as generate_graph, graph_from_draws
+    from .schedules import Constant, parse_schedule
+finally:
+    if _gc_was_enabled:
+        gc.enable()
+gc.freeze()
 
 
 def _handled(fn):

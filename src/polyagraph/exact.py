@@ -23,7 +23,6 @@ product lies in [0, 1] and cannot overflow.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +30,6 @@ import numpy as np
 
 from .errors import CapExceeded, InvalidColor
 from .schedules import Constant, Schedule
-
-logger = logging.getLogger(__name__)
 
 ENUMERATION_CAP = 25
 BRUTE_FORCE_CAP = 9
@@ -200,7 +197,9 @@ def pmf_delta_one(j: int, t: int) -> Pmf:
     alt = delta_one_simplified_pmf(j, t)
     gap = float(np.max(np.abs(alt.probs - result.probs)))
     if gap > _DELTA_ONE_TOL:
-        logger.warning(
+        import logging  # here, so that loading this module, as every CLI launch does, skips it
+
+        logging.getLogger(__name__).warning(
             "simplified unit-reinforcement closed form disagrees for color %d "
             "at horizon %d (max gap %.3g); returning the verified distribution",
             j, t, gap,

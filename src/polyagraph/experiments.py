@@ -27,7 +27,7 @@ from .exact import pmf_constant_delta_dp, pmf_general
 from .graphs import EvolvingGraph, ba_block_draws, degree_rows
 from .schedules import Constant, Schedule, parse_schedule
 from .seeding import replicate_stream
-from .urn import copy_pointer_draws
+from .urn import GuideTable, copy_pointer_draws
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
 # ``sample_history`` in this module's namespace, and its probe calls all
 # three by these names; the engine itself calls none of them.
@@ -45,8 +45,8 @@ BLOCK_ELEMENTS = 4096
 
 # Runs of fewer draws (t·R) than this go in one process whatever the thread
 # cap: below it, starting and feeding a process pool costs more than splitting
-# the replicates saves (the break-even, measured on 2 cores, is in ROADMAP
-# item 4).
+# the replicates saves (the break-even, measured on 2 cores, is the table in
+# ROADMAP.md at commit e063225).
 POOL_MIN_DRAWS = 1 << 20
 
 
@@ -129,18 +129,18 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
     draws r·t … (r+1)·t−1 of the stream.  A block holds at most
     ``BLOCK_ELEMENTS`` draws (always at least one row), which bounds its
     memory, and is mapped to colors by one ``copy_pointer_draws`` call
-    (Polya, sharing one ``schedule.cumulative(t)``) or one
+    (Polya, sharing one ``GuideTable`` of ``schedule.cumulative(t)``) or one
     ``ba_block_draws`` call (BA).
     """
     rows = max(1, BLOCK_ELEMENTS // max(t, 1))
-    S = schedule.cumulative(t) if model == "polya" else None
+    table = GuideTable(schedule.cumulative(t)) if model == "polya" else None
     rng = replicate_stream(master_seed, t, lo)
     for first in range(lo, hi, rows):
         uniforms = rng.random((min(rows, hi - first), t))
         if model == "ba":
             yield ba_block_draws(uniforms)
         else:
-            yield copy_pointer_draws(uniforms, S)
+            yield copy_pointer_draws(uniforms, table)
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):

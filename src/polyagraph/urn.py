@@ -9,14 +9,17 @@ attachment graph, and every per-color count are deterministic functions of it.
 A draw history is a plain int64 array whose entry n-1 is the color drawn at
 time n; ``checked_draws`` validates one and ``replay`` rebuilds the urn from
 it.  ``copy_pointer_draws`` is the one random sampler: it maps uniforms to
-whole histories, many at once, in O(t log t) numpy work per history by
-copying colors from earlier draws (see its docstring); ``sample_history``
+whole histories, many at once, by copying colors from earlier draws (see its
+docstring).  It finds the time each draw copies from in a ``GuideTable``
+built once from the schedule's cumulative masses, a table lookup and a step
+or two per draw rather than an O(log t) binary search; ``sample_history``
 applies it to one generator.  ``step`` only applies forced draws, for exact
 replays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -117,23 +120,74 @@ def replay(draws, schedule: Schedule, t: int | None = None) -> UrnState:
     return UrnState(time=t, weights=tuple(weights), total_weight=total)
 
 
-def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:
+class GuideTable:
+    """``np.searchsorted(S, v, side="right")``, the first i with S[i] > v, by table lookup.
+
+    ``S`` is nonnegative and nondecreasing, such as ``schedule.cumulative(t)``.
+    A guide table (Chen and Asau, AIIE Trans. 6, 1974; Devroye,
+    *Non-Uniform Random Variate Generation*, 1986) splits [0, S[-1]] into
+    len(S) equal buckets and stores, for bucket b, how many entries of S lie
+    in buckets below b.  Every such entry is below any v in bucket b, because
+    both sides go through the same monotone float map to a bucket, so the
+    stored count never passes the answer.  ``search`` starts each v there and
+    steps forward at most twice, checked against S; the few v still short of
+    the answer go to ``searchsorted``.  The result is exact for every finite
+    v, whatever rounding the map does, and for a subnormal len(S)/S[-1] too.
+    Where that scale is infinite (S[-1] is 0, or so small that len(S)/S[-1]
+    overflows) there is no table and every v goes to ``searchsorted``.
+    Built once per S, in O(len(S)), and shared by every call.
+    """
+
+    def __init__(self, S: np.ndarray):
+        self._padded = np.concatenate((S, [np.inf]))  # the entry past the end stops every step
+        self.S = self._padded[:-1]
+        self._total = float(S[-1]) if len(S) else 0.0
+        self._scale = len(S) / self._total if self._total > 0 else math.inf
+        self._guide = None
+        if self._scale < math.inf:
+            in_bucket = np.bincount(self._bucket(self.S), minlength=len(S) + 1)
+            self._guide = in_bucket.cumsum() - in_bucket
+
+    def _bucket(self, v: np.ndarray) -> np.ndarray:
+        """Each v's bucket in 0..len(S): floor(len(S)·v/S[-1]), v clipped to [0, S[-1]]."""
+        b = np.maximum(v, 0.0)
+        np.minimum(b, self._total, out=b)
+        b *= self._scale
+        return b.astype(np.intp)
+
+    def search(self, v: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self.S, v, side="right")`` for an array v of any shape."""
+        if self._guide is None:
+            return np.searchsorted(self.S, v, side="right")
+        at = self._guide[self._bucket(v)]
+        for _ in range(2):
+            at += self._padded[at] <= v
+        short = self._padded[at] <= v
+        if short.any():
+            at[short] = np.searchsorted(self.S, v[short], side="right")
+        return at
+
+
+def copy_pointer_draws(uniforms: np.ndarray, table: GuideTable) -> np.ndarray:
     """Map an (m, t) matrix of uniforms to m independent length-t draw rows.
 
-    ``S`` is ``schedule.cumulative(t)``.  Just before the draw at time n the
-    urn's mass splits into n unit balls, one per color, and the
-    reinforcement mass S[n-1] laid down by the draws at times 1..n-1.  A
-    point x = u·(n + S[n-1]) below n draws color floor(x) + 1; otherwise it
-    falls in the mass laid down at some time s < n, found by one
-    ``searchsorted``, and the draw at n copies the color drawn at s.  The
-    copy pointers of all rows are resolved together by pointer jumping on
-    the flattened block: O(m·t·log t) numpy work in all.  Each row's draws
-    depend only on that row's uniforms.
+    ``table`` is ``GuideTable(S)`` with S = ``schedule.cumulative(t)``, built
+    once and shared by every call for that schedule and horizon.  Just
+    before the draw at time n the urn's mass splits into n unit balls, one
+    per color, and the reinforcement mass S[n-1] laid down by the draws at
+    times 1..n-1.  A point x = u·(n + S[n-1]) below n draws color
+    floor(x) + 1; otherwise it falls in the mass laid down at some time
+    s < n, found by ``table.search`` (a table lookup, not a binary search),
+    and the draw at n copies the color drawn at s.  The copy pointers of all
+    rows are resolved together by pointer jumping on the flattened block:
+    O(m·t·log t) numpy work in all.  Each row's draws depend only on that
+    row's uniforms.
     """
+    S = table.S
     m, t = uniforms.shape
     n = np.arange(1, t + 1)
     x = uniforms * (n + S[:-1])
-    copied_from = np.searchsorted(S, x - n, side="right")
+    copied_from = table.search(x - n)
     # src[:, n-1] is the 0-based time whose color the draw at n takes; a draw
     # from the unit balls points to itself.  Rounding can put x - n at or
     # past S[n-1], where any earlier time is a valid source.  Row offsets
@@ -151,9 +205,11 @@ def copy_pointer_draws(uniforms: np.ndarray, S: np.ndarray) -> np.ndarray:
 def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
     """Sample a length-t draw history, a (t,) int64 array, from one ``rng.random(t)`` call.
 
-    The uniforms map to colors by ``copy_pointer_draws``, as one row.
+    The uniforms map to colors by ``copy_pointer_draws``, as one row, with a
+    table built for this call.
     """
-    return copy_pointer_draws(rng.random(t)[None, :], schedule.cumulative(t))[0]
+    uniforms = rng.random(t)[None, :]
+    return copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t)))[0]
 
 
 def new_color_draw_prob(t: int, schedule: Schedule) -> float:

@@ -27,7 +27,7 @@ from polyagraph.experiments import (
 from polyagraph.graphs import ba_block_draws, graph_from_draws
 from polyagraph.schedules import Constant, NaturalLog
 from polyagraph.seeding import as_generator
-from polyagraph.urn import copy_pointer_draws, sample_history
+from polyagraph.urn import GuideTable, copy_pointer_draws, sample_history
 
 
 def _polya(t, replicates, seed, schedule="const:1"):
@@ -171,9 +171,10 @@ class TestRunMonteCarlo:
         result = run_monte_carlo(config, threads=1)
         uniforms = as_generator(1234).random((3, 20))
 
+        table = GuideTable(Constant(1.0).cumulative(20))
         counts = np.zeros(22, dtype=np.int64)
         for r in range(3):
-            draws = copy_pointer_draws(uniforms[r : r + 1], Constant(1.0).cumulative(20))[0]
+            draws = copy_pointer_draws(uniforms[r : r + 1], table)[0]
             deg = np.bincount(draws, minlength=22) + 1
             deg[0] = 0
             counts += np.bincount(deg[1:], minlength=22)
@@ -238,7 +239,7 @@ class TestBlockedEngine:
         assert [len(block) for block in blocks] == [rows, rows, 1]
         uniforms = stream_at(606, lo * t).random((hi - lo, t))
         expected = (ba_block_draws(uniforms) if model == "ba"
-                    else copy_pointer_draws(uniforms, schedule.cumulative(t)))
+                    else copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t))))
         assert np.array_equal(np.concatenate(blocks), expected)
 
 

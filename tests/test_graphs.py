@@ -15,7 +15,7 @@ from polyagraph.graphs import (
 )
 from polyagraph.schedules import Constant, parse_schedule
 from polyagraph.seeding import as_generator
-from polyagraph.urn import copy_pointer_draws, sample_history
+from polyagraph.urn import GuideTable, copy_pointer_draws, sample_history
 
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
 
@@ -89,7 +89,8 @@ class TestDegreeRows:
         if model == "ba":
             block = ba_block_draws(uniforms)
         else:
-            block = copy_pointer_draws(uniforms, parse_schedule("paper-g").cumulative(t))
+            table = GuideTable(parse_schedule("paper-g").cumulative(t))
+            block = copy_pointer_draws(uniforms, table)
         deg = degree_rows(block)
         assert deg.shape == (5, t + 2)
         for row, draws in zip(deg, block):

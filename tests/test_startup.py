@@ -35,6 +35,17 @@ def test_package_import_is_lazy():
     assert out == ["[]"]
 
 
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_cli_import_freezes_its_heap_and_keeps_the_gc_state(enabled):
+    out = _run("import gc, sys\n"
+               f"gc.enable() if {enabled} else gc.disable()\n"
+               "import polyagraph\n"
+               "print(gc.get_freeze_count(), 'numpy' in sys.modules, 'click' in sys.modules)\n"
+               "import polyagraph.cli\n"
+               "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert out == ["0", "False", "False", str(enabled), "True"]
+
 def test_cli_caps_openblas_at_one_thread():
     out = _run("import os, polyagraph.cli\n"
                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))\n"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
-from polyagraph.errors import InvalidColor
+from polyagraph.errors import InvalidColor, ScheduleRangeError
 from polyagraph.exact import pmf_general
 from polyagraph.graphs import ba_draws
 from polyagraph.schedules import Constant, NaturalLog, RationalSegments, Table, parse_schedule
@@ -18,6 +18,7 @@ from polyagraph.urn import (
     checked_draws,
     composition,
     conditional_draw_pmf,
+    GuideTable,
     copy_pointer_draws,
     marginal_draw_prob,
     new_color_draw_prob,
@@ -282,7 +283,7 @@ class TestSampleHistory:
         # Each row of a block maps like a one-row call on that row's uniforms.
         for name, sched in battery_schedules():
             uniforms = np.stack([as_generator(seed).random(t) for seed in range(7)])
-            block = copy_pointer_draws(uniforms, sched.cumulative(t))
+            block = copy_pointer_draws(uniforms, GuideTable(sched.cumulative(t)))
             assert block.shape == (7, t) and block.dtype == np.int64
             for seed, row in enumerate(block):
                 assert np.array_equal(row, sample_history(t, sched, as_generator(seed))), name
@@ -315,6 +316,80 @@ class TestSampleHistory:
                 return np.full(size, np.nextafter(1.0, 0.0))
 
         assert len(checked_draws(sample_history(500, sched, TopGenerator()))) == 500
+
+
+
+# Schedules whose cumulative masses stress the guide table: the battery, a
+# zero total (const:0), a zero first mass (ln), zero segments, a bucket scale
+# near 1e118, and totals near the float limit (overflowing at large t).
+_TABLE_SPECS = [name for name, _ in battery_schedules()] + [
+    "const:0", "step:3=0,8=2,20=0,inf=5", "step:2=1,6=0,inf=0.5", "paper-g",
+    "const:3e-119", "const:1e307",
+]
+_EDGE_UNIFORMS = (0.0, 1.0 - 2.0**-53)
+
+
+def _searchsorted_copy_pointer_draws(uniforms, S):
+    """The block sampler as it was before the guide table: one binary search per draw."""
+    m, t = uniforms.shape
+    n = np.arange(1, t + 1)
+    x = uniforms * (n + S[:-1])
+    copied_from = np.searchsorted(S, x - n, side="right")
+    src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - 1
+    src = (src + t * np.arange(m)[:, None]).ravel()
+    while True:
+        nxt = src[src]
+        if (nxt == src).all():
+            break
+        src = nxt
+    return x.ravel()[src].astype(np.int64).reshape(m, t) + 1
+
+
+class TestGuideTable:
+    @given(spec=st.sampled_from(_TABLE_SPECS), t=st.sampled_from([0, 1, 2, 12, 5000]),
+           seed=st.integers(0, 2**32 - 1),
+           edges=st.lists(st.tuples(st.integers(0, 3 * 5000), st.sampled_from(_EDGE_UNIFORMS)),
+                          max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_same_copy_sources_and_draws_as_searchsorted(self, spec, t, seed, edges):
+        try:
+            S = parse_schedule(spec).cumulative(t)
+        except ScheduleRangeError:  # const:1e307 overflows past t = 17
+            return
+        uniforms = as_generator(seed).random((3, t))
+        for position, u in edges:
+            if t:
+                uniforms.flat[position % uniforms.size] = u
+        table = GuideTable(S)
+        n = np.arange(1, t + 1)
+        x = uniforms * (n + S[:-1])
+        copies = x >= n
+        found = table.search(x - n)
+        assert np.array_equal(found[copies],
+                              np.searchsorted(S, (x - n)[copies], side="right"))
+        assert np.array_equal(copy_pointer_draws(uniforms, table),
+                              _searchsorted_copy_pointer_draws(uniforms, S))
+
+    @given(spec=st.sampled_from(_TABLE_SPECS), t=st.integers(0, 300),
+           v=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_search_is_searchsorted_for_any_finite_value(self, spec, t, v):
+        try:
+            S = parse_schedule(spec).cumulative(t)
+        except ScheduleRangeError:
+            return
+        # The entries of S and their float neighbours are where an off-by-one would show.
+        v = np.concatenate([v, S, np.nextafter(S, -np.inf), np.nextafter(S, np.inf)])
+        v = v[np.isfinite(v)]
+        assert np.array_equal(GuideTable(S).search(v), np.searchsorted(S, v, side="right"))
+
+    @pytest.mark.parametrize("S", [[0.0], [0.0, 0.0, 0.0], [0.0, 1e308], [0.0, 1e-320]],
+                             ids=["t0", "zero-total", "subnormal-scale", "overflowing-scale"])
+    def test_exact_at_extreme_scales(self, S):
+        # len(S)/S[-1]: none (t=0 and a zero total), subnormal, and overflowing.
+        S = np.array(S)
+        v = np.array([-1.0, 0.0, S[-1], np.nextafter(S[-1], np.inf), 1e300])
+        assert np.array_equal(GuideTable(S).search(v), np.searchsorted(S, v, side="right"))
 
 
 def _reference_draws(uniforms, schedule):
