@@ -27,9 +27,8 @@ _SUBMODULE = {
         "schedules": ("Constant", "NaturalLog", "RationalSegments", "Schedule", "Stepped",
                       "Table", "paper_f", "paper_g", "parse_schedule"),
         "seeding": ("as_generator", "replicate_generator"),
-        "urn": ("GuideTable", "UrnState", "composition", "conditional_draw_pmf",
-                "copy_pointer_draws", "marginal_draw_prob", "new_color_draw_prob", "new_urn",
-                "replay", "sample_history", "step"),
+        "urn": ("GuideTable", "UrnState", "composition", "copy_pointer_draws",
+                "marginal_draw_prob", "new_urn", "replay", "sample_history", "step"),
         "graphs": ("EvolvingGraph", "ba_draws", "ba_generate", "generate",
                    "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",
@@ -38,9 +37,8 @@ _SUBMODULE = {
                   "pmf_general"),
         "experiments": ("ExperimentConfig", "MonteCarloResult",
                         "average_birth_time_of_graph", "degree_distribution",
-                        "draw_count_histogram", "expected_birth_time_exact",
-                        "expected_birth_time_table", "expected_degree_count_table",
-                        "run_monte_carlo", "tail_slope"),
+                        "draw_count_histogram", "expected_birth_time_table",
+                        "expected_degree_count_table", "run_monte_carlo", "tail_slope"),
         "configio": ("load_config", "parse_config_text", "save_config", "write_outputs"),
     }.items()
     for name in names

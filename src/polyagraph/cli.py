@@ -53,12 +53,7 @@ try:
         write_outputs,
     )
     from .errors import CapExceeded, InvalidColor
-    from .exact import (
-        brute_force_pmf,
-        pmf_constant_delta,
-        pmf_constant_delta_dp,
-        pmf_general,
-    )
+    from .exact import brute_force_pmf, pmf_constant_delta_dp, pmf_general
     from .experiments import (
         POOL_MIN_DRAWS,
         ExperimentConfig,
@@ -99,6 +94,20 @@ def main():
     """Grow preferential-attachment graphs from an expanding-color urn."""
 
 
+def _replay_draws(path: Path) -> np.ndarray:
+    """The whitespace-separated draw colors in ``path``, as an int64 array."""
+    draws = []
+    for tok in path.read_text().split():
+        try:
+            draws.append(int(tok))
+        except ValueError:
+            raise InvalidColor(f"{path}: draw {tok!r} is not an integer, so not a color") from None
+    try:
+        return np.array(draws, dtype=np.int64)
+    except OverflowError:
+        raise InvalidColor(f"{path}: a draw exceeds int64, so it is not a color") from None
+
+
 @main.command("generate")
 @click.option("--t", type=int, default=None, help="Number of growth steps.")
 @click.option("--schedule", "schedule_spec", default="const:1", show_default=True,
@@ -114,10 +123,7 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
     schedule = parse_schedule(schedule_spec)
     started = time.perf_counter()
     if replay is not None:
-        try:
-            draws = np.array([int(tok) for tok in replay.read_text().split()], dtype=np.int64)
-        except OverflowError:
-            raise InvalidColor(f"{replay}: a draw exceeds int64, so it is not a color") from None
+        draws = _replay_draws(replay)
         if t is not None and t != len(draws):
             raise click.UsageError(f"--t {t} disagrees with {len(draws)} replay draws")
         graph = graph_from_draws(draws)
@@ -154,15 +160,13 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
     if not 1 <= j <= t:
         raise click.UsageError(f"need 1 <= j <= t, got j={j}, t={t}")
     schedule = parse_schedule(schedule_spec)
-    if method in ("constant", "dp"):
-        if not isinstance(schedule, Constant):
-            raise click.UsageError(f"--method {method} requires a const: schedule")
-        delta = float(schedule.delta)
-        pmf = (pmf_constant_delta_dp(j, t, delta) if method == "dp"
-               else pmf_constant_delta(j, t, delta))
+    if method in ("constant", "dp") and not isinstance(schedule, Constant):
+        raise click.UsageError(f"--method {method} requires a const: schedule")
+    if method == "dp":
+        pmf = pmf_constant_delta_dp(j, t, float(schedule.delta))
     elif method == "oracle":
         pmf = brute_force_pmf(j, t, schedule)
-    else:
+    else:  # "constant" is the general pass at a constant amount
         pmf = pmf_general(j, t, schedule)
     ks = pmf.support
     if k is not None:

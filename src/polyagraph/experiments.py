@@ -254,20 +254,13 @@ def _exact_tables(t: int, schedule: Schedule):
     return births, counts
 
 
-def expected_birth_time_exact(t: int, k: int, schedule: Schedule) -> float:
-    """Exact expected birth-time total for degree k: sum of (j-1) P(degree_j = k).
-
-    The sum runs over vertices j = 1..t.  This is the exact counterpart of
-    the per-replicate birth-time total (not of the within-replicate mean,
-    whose denominator is itself random).
-    """
-    if not 1 <= k <= t + 1:
-        raise ValueError(f"degree {k} outside 1..{t + 1}")
-    return float(expected_birth_time_table(t, schedule)[k])
-
-
 def expected_birth_time_table(t: int, schedule: Schedule) -> np.ndarray:
-    """``expected_birth_time_exact`` for every degree at once (index = degree)."""
+    """Exact expected birth-time total per degree k: sum of (j-1) P(degree_j = k).
+
+    Entry k is the degree-k total; the sum runs over vertices j = 1..t.  This
+    is the exact counterpart of the per-replicate birth-time total (not of
+    the within-replicate mean, whose denominator is itself random).
+    """
     return _exact_tables(t, schedule)[0]
 
 

@@ -12,7 +12,8 @@ from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,19 +27,26 @@ class EvolvingGraph:
     """Undirected attachment graph after t steps: t + 1 vertices, t + 1 edges.
 
     ``edges`` is an int64 array of shape (t + 1, 2): the initial self-loop
-    (1, 1) first, then one attachment edge per step in birth order.
-    ``degrees`` is 1-indexed (entry 0 unused); the degree total is 2t + 1.
-    Compared and hashed by identity, since an array field has no single
+    (1, 1) first, then one attachment edge per step in birth order, so
+    ``edges[1:, 0]`` is the draw history.  Everything else is derived from
+    it.  Compared and hashed by identity, since an array field has no single
     truth value.
     """
 
-    num_vertices: int
-    edges: np.ndarray = field(repr=False)
-    degrees: np.ndarray = field(repr=False)
+    edges: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.edges)
 
     @property
     def horizon(self) -> int:
         return self.num_vertices - 1
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Degree per vertex, 1-indexed (entry 0 unused), from ``degree_rows``; totals 2t + 1."""
+        return degree_rows(self.edges[1:, 0][None, :])[0]
 
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, the self-loop first."""
@@ -78,7 +86,7 @@ def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
     t = len(draws)
     # Step n joins the color drawn then to the new vertex n + 1.
     edges = np.column_stack((np.concatenate(([1], draws)), np.arange(1, t + 2)))
-    return EvolvingGraph(num_vertices=t + 1, edges=edges, degrees=degree_rows(draws[None, :])[0])
+    return EvolvingGraph(edges=edges)
 
 
 def generate(t: int, schedule: Schedule, seed) -> EvolvingGraph:

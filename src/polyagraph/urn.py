@@ -33,13 +33,12 @@ from .schedules import Constant, Schedule
 class UrnState:
     """Ball masses per color after `time` draws.
 
-    ``weights[i]`` is the mass of color i+1; there are ``time + 1`` colors and
-    the newest always has mass exactly 1.  Weights may be any numeric type
-    (fractions keep forced replays exact); the sampler never builds an
-    ``UrnState`` and works in floats.
+    ``weights[i]`` is the mass of color i+1; each draw adds one color, so
+    there are ``time + 1`` of them, and the newest always has mass exactly 1.
+    Weights may be any numeric type (fractions keep forced replays exact);
+    the sampler never builds an ``UrnState`` and works in floats.
     """
 
-    time: int
     weights: tuple
     total_weight: Any
 
@@ -47,20 +46,19 @@ class UrnState:
     def num_colors(self) -> int:
         return len(self.weights)
 
+    @property
+    def time(self) -> int:
+        return len(self.weights) - 1
+
 
 def new_urn() -> UrnState:
     """The time-0 urn: one ball of color 1."""
-    return UrnState(time=0, weights=(1,), total_weight=1)
+    return UrnState(weights=(1,), total_weight=1)
 
 
 def composition(urn: UrnState) -> list:
-    """Mass fractions per color; sums to one."""
+    """Mass fractions per color, summing to one: the law of the next draw given the whole past."""
     return [w / urn.total_weight for w in urn.weights]
-
-
-def conditional_draw_pmf(urn: UrnState) -> list:
-    """Law of the next draw given the whole past: the current composition."""
-    return composition(urn)
 
 
 def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
@@ -71,12 +69,11 @@ def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
     """
     if not 1 <= drawn <= urn.num_colors:
         raise InvalidColor(f"color {drawn} not in 1..{urn.num_colors} at time {urn.time}")
-    t_next = urn.time + 1
-    delta = schedule.value(t_next)
+    delta = schedule.value(urn.time + 1)
     weights = list(urn.weights)
     weights[drawn - 1] = weights[drawn - 1] + delta
     weights.append(1)
-    return UrnState(time=t_next, weights=tuple(weights), total_weight=urn.total_weight + delta + 1)
+    return UrnState(weights=tuple(weights), total_weight=urn.total_weight + delta + 1)
 
 
 def checked_draws(draws) -> np.ndarray:
@@ -117,7 +114,7 @@ def replay(draws, schedule: Schedule, t: int | None = None) -> UrnState:
     for delta, drawn in zip(deltas, draws[:t].tolist()):
         weights[drawn - 1] = weights[drawn - 1] + delta
         total = total + delta + 1
-    return UrnState(time=t, weights=tuple(weights), total_weight=total)
+    return UrnState(weights=tuple(weights), total_weight=total)
 
 
 class GuideTable:
@@ -212,22 +209,14 @@ def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.n
     return copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t)))[0]
 
 
-def new_color_draw_prob(t: int, schedule: Schedule) -> float:
-    """Probability that the newest color is drawn at time t.
-
-    This equals 1 over the total mass just before the draw and does not
-    depend on the history, because the newest color always has mass 1:
-    ``marginal_draw_prob`` of color t at time t.
-    """
-    return marginal_draw_prob(t, t, schedule)
-
-
 def marginal_draw_prob(j: int, t: int, schedule: Schedule) -> float:
     """Unconditional probability that color j is drawn at time t.
 
     With D_n = n + S[n-1] the total mass before the draw at time n, the
     expected mass of color j grows by the factor 1 + delta_n / D_n at each
     time n = j..t-1, so the probability is prod(1 + delta_n / D_n) / D_t.
+    For the newest color, j = t, that is 1 / D_t whatever the history,
+    because the newest color always has mass 1.
     """
     if not 1 <= j <= t:
         raise InvalidColor(f"color {j} cannot be drawn at time {t}")

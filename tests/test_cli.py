@@ -72,11 +72,15 @@ class TestGenerate:
 
     def test_invalid_replay_draws(self, runner, tmp_path):
         replay = tmp_path / "draws.txt"
-        for text in ("2 1\n", "0 1\n"):
+        for text, message in [("2 1\n", "the first draw must be color 1"),
+                              ("0 1\n", "the first draw must be color 1"),
+                              ("1 x\n", f"{replay}: draw 'x' is not an integer"),
+                              ("1 1.5\n", f"{replay}: draw '1.5' is not an integer")]:
             replay.write_text(text)
             result = runner.invoke(main, ["generate", "--replay", str(replay),
                                           "--out", str(tmp_path / "x")])
             assert result.exit_code == 2, text
+            assert message in result.output, text
             assert "Traceback" not in result.output
 
 

@@ -18,7 +18,6 @@ from polyagraph.experiments import (
     average_birth_time_of_graph,
     degree_distribution,
     draw_count_histogram,
-    expected_birth_time_exact,
     expected_birth_time_table,
     expected_degree_count_table,
     run_monte_carlo,
@@ -279,8 +278,7 @@ class TestAverageBirthTime:
 
 class TestExpectedBirthTime:
     def test_horizon_one(self):
-        assert expected_birth_time_exact(1, 2, Constant(1.0)) == 0.0
-        assert expected_birth_time_exact(1, 1, Constant(1.0)) == 0.0
+        assert expected_birth_time_table(1, Constant(1.0))[1:].tolist() == [0.0, 0.0]
 
     def test_against_path_enumeration(self):
         # The exact value is the path-probability-weighted total of birth
@@ -288,32 +286,24 @@ class TestExpectedBirthTime:
         t = 4
         for sched in (Constant(1.0), Constant(2.0), NaturalLog()):
             paths = enumerate_paths(t, sched)
+            table = expected_birth_time_table(t, sched)
             for k in range(1, t + 2):
                 oracle = 0.0
                 for path, prob in paths:
                     degrees = path_degrees(path)
                     oracle += prob * sum(j - 1 for j in range(1, t + 1)
                                          if degrees[j] == k)
-                got = expected_birth_time_exact(t, k, sched)
-                assert got == pytest.approx(oracle, abs=1e-12)
+                assert table[k] == pytest.approx(oracle, abs=1e-12)
 
     def test_frozen_small_case(self):
         # t=3, unit reinforcement, degree 1: hand-derived expected total 32/15.
-        assert expected_birth_time_exact(3, 1, Constant(1.0)) == pytest.approx(
+        assert expected_birth_time_table(3, Constant(1.0))[1] == pytest.approx(
             32 / 15, abs=1e-12
         )
 
-    def test_table_matches_scalar(self):
-        sched = Constant(1.0)
-        table = expected_birth_time_table(12, sched)
-        for k in range(1, 14):
-            assert table[k] == pytest.approx(
-                expected_birth_time_exact(12, k, sched), abs=1e-12
-            )
-
     def test_cap_propagates(self):
         with pytest.raises(CapExceeded):
-            expected_birth_time_exact(40, 2, NaturalLog())
+            expected_birth_time_table(40, NaturalLog())
 
     def test_expected_counts_sum_to_interior_vertices(self):
         # Every vertex before the horizon has exactly one degree.

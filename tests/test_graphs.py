@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import ba_draws_loop, battery_schedules, enumerate_paths
 from polyagraph.errors import InvalidColor
 from polyagraph.graphs import (
+    EvolvingGraph,
     ba_block_draws,
     ba_draws,
     ba_generate,
@@ -79,6 +82,20 @@ class TestReconstruct:
         graph = graph_from_draws(np.array([1, 1]))
         assert graph.edge_list_text() == "1 1\n1 2\n1 3\n"
         assert graph.degree_table_text() == "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n"
+
+
+class TestDerivedFields:
+    def test_edges_are_the_one_field(self):
+        assert [f.name for f in dataclasses.fields(EvolvingGraph)] == ["edges"]
+
+    @pytest.mark.parametrize("t", [0, 1, 12, 500])
+    def test_degrees_and_vertex_count_come_from_the_edges(self, t):
+        graphs = [generate(t, sched, seed=t) for _, sched in battery_schedules()]
+        graphs.append(ba_generate(t, seed=t))
+        for graph in graphs:
+            assert graph.num_vertices == len(graph.edges) == t + 1
+            assert np.array_equal(graph.degrees, degree_rows(graph.edges[1:, 0][None, :])[0])
+            assert graph.degrees is graph.degrees  # computed once, then kept
 
 
 class TestDegreeRows:

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -17,11 +18,10 @@ from polyagraph.seeding import as_generator
 from polyagraph.urn import (
     checked_draws,
     composition,
-    conditional_draw_pmf,
     GuideTable,
+    UrnState,
     copy_pointer_draws,
     marginal_draw_prob,
-    new_color_draw_prob,
     new_urn,
     replay,
     sample_history,
@@ -84,49 +84,64 @@ class TestStep:
             assert urn.num_colors == t + 1
             assert urn.weights[-1] == 1
 
+    def test_time_is_read_off_the_weights(self):
+        assert [f.name for f in dataclasses.fields(UrnState)] == ["weights", "total_weight"]
+        sched = parse_schedule("paper-g")
+        draws = sample_history(40, sched, as_generator(4))
+        urn = new_urn()
+        for t, color in enumerate(draws.tolist(), start=1):
+            urn = step(urn, sched, drawn=color)
+            replayed = replay(draws, sched, t)
+            assert urn.time == urn.num_colors - 1 == t
+            assert replayed.time == replayed.num_colors - 1 == t
+
 
 class TestConditionalDrawPmf:
+    """The law of the next draw given the whole past is ``composition``."""
+
     def test_matches_composition_values(self):
         sched = Constant(2.0)
         urn = step(new_urn(), sched, drawn=1)
-        assert conditional_draw_pmf(urn) == pytest.approx([0.75, 0.25], abs=1e-15)
+        assert composition(urn) == pytest.approx([0.75, 0.25], abs=1e-15)
 
     def test_first_draw_deterministic(self):
-        assert conditional_draw_pmf(new_urn()) == [1]
+        assert composition(new_urn()) == [1]
 
     def test_sums_to_one(self):
         sched = NaturalLog()
         urn = new_urn()
         for color in sample_history(25, sched, as_generator(9)):
             urn = step(urn, sched, drawn=int(color))
-            assert math.fsum(conditional_draw_pmf(urn)) == pytest.approx(1, abs=1e-12)
+            assert math.fsum(composition(urn)) == pytest.approx(1, abs=1e-12)
 
 
 class TestNewColorDrawProb:
+    """The newest color's draw law: ``marginal_draw_prob(t, t, schedule)``."""
+
     def test_first_step_is_certain(self):
         for _, sched in battery_schedules():
-            assert new_color_draw_prob(1, sched) == 1.0
+            assert marginal_draw_prob(1, 1, sched) == 1.0
 
     @pytest.mark.parametrize("t", [1, 2, 50, 5000])
     def test_is_one_over_the_total_mass(self, t):
         for _, sched in battery_schedules():
-            assert new_color_draw_prob(t, sched) == 1.0 / (t + sched.cumulative(t)[t - 1])
+            assert marginal_draw_prob(t, t, sched) == 1.0 / (t + sched.cumulative(t)[t - 1])
 
     def test_time_zero_is_rejected(self):
         with pytest.raises(ValueError):
-            new_color_draw_prob(0, Constant(1.0))
+            marginal_draw_prob(0, 0, Constant(1.0))
 
     def test_against_composition_entry(self):
         # At time 2 the newest color's mass fraction is unambiguous.
         sched = Constant(2.0)
         urn = step(new_urn(), sched, drawn=1)
-        assert new_color_draw_prob(2, sched) == composition(urn)[-1] == 0.25
+        assert marginal_draw_prob(2, 2, sched) == composition(urn)[-1] == 0.25
 
     def test_against_path_enumeration(self):
         sched = Constant(1.0)
-        assert new_color_draw_prob(3, sched) == pytest.approx(0.2, abs=1e-15)
+        assert marginal_draw_prob(3, 3, sched) == pytest.approx(0.2, abs=1e-15)
         total = sum(prob for path, prob in enumerate_paths(3, sched) if path[2] == 3)
-        assert new_color_draw_prob(3, sched) == pytest.approx(total, abs=1e-12)
+        assert marginal_draw_prob(3, 3, sched) == pytest.approx(total, abs=1e-12)
 
     def test_history_independence(self):
         # Every length-2 prefix leads to the same mass on the newest color,
@@ -138,9 +153,9 @@ class TestNewColorDrawProb:
                 urn = new_urn()
                 urn = step(urn, sched, drawn=first)
                 urn = step(urn, sched, drawn=second)
-                masses.add(conditional_draw_pmf(urn)[-1])
+                masses.add(composition(urn)[-1])
         assert masses == {1 / 7}
-        assert new_color_draw_prob(3, sched) == pytest.approx(1 / 7, abs=1e-15)
+        assert marginal_draw_prob(3, 3, sched) == pytest.approx(1 / 7, abs=1e-15)
 
 
 class TestMarginalDrawProb:
