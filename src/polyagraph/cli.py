@@ -1,8 +1,11 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's ``argparse``.
 
 Subcommands: ``generate`` (one graph), ``exact`` (a draw-count distribution),
 ``experiment`` (a replicated Monte Carlo run), and ``repro`` (bundled
-figure-reproduction experiments with frozen configurations).
+figure-reproduction experiments with frozen configurations).  Each is a
+``cmd_*`` function whose keyword arguments are its subparser's options;
+``main`` parses a command line, runs the command and maps its errors to exit
+codes.
 
 Progress goes to standard error; data goes to files or standard output.
 Exit codes: 0 success, 2 bad arguments, malformed inputs or a horizon too
@@ -11,8 +14,8 @@ large for memory, 3 enumeration cap exceeded, 4 I/O failure.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
-import functools
 import gc
 import os
 import sys
@@ -29,8 +32,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # _hashlib, hmac and hashlib use their built-in implementations.  A process
 # that already imported _hashlib keeps it.
 sys.modules.setdefault("_hashlib", None)
-# The imports below build a large heap of long-lived objects (numpy, click and
-# the package).  Cyclic collections during them only walk that heap, so the
+# The imports below build a large heap of long-lived objects (numpy and the
+# package).  Cyclic collections during them only walk that heap, so the
 # collector is off while they run.  After them, gc.freeze() moves the heap to
 # a generation no collection visits: not later ones, not the last one at
 # interpreter exit, and not those in forked pool workers.  The caller's
@@ -39,7 +42,6 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 
 try:
-    import click
     import numpy as np
 
     from .configio import (
@@ -68,30 +70,49 @@ finally:
 gc.freeze()
 
 
-def _handled(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except CapExceeded as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(3) from exc
-        except ValueError as exc:  # every other polyagraph error is a ValueError
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(2) from exc
-        except MemoryError as exc:  # a horizon whose arrays do not fit in memory
-            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
-            raise SystemExit(2) from exc
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(4) from exc
+class UsageError(argparse.ArgumentTypeError):
+    """Arguments that do not fit together or name the wrong kind of path: exit 2.
 
-    return wrapper
+    Raised while parsing, argparse reports it against the option; raised by
+    a command, ``main`` prints it after ``Error: ``.
+    """
 
 
-@click.group()
-def main():
-    """Grow preferential-attachment graphs from an expanding-color urn."""
+def _threads(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise UsageError(f"must be at least 1, got {value}")
+    return value
+
+
+def _existing_file(text: str) -> Path:
+    """A path that names an existing file, not a directory (``--config``, ``--replay``)."""
+    path = Path(text)
+    if not path.exists():
+        raise UsageError(f"file {text!r} does not exist")
+    if path.is_dir():
+        raise UsageError(f"file {text!r} is a directory")
+    return path
+
+
+def _file_path(text: str) -> Path:
+    """An output file path, which may not name a directory (``exact --out``)."""
+    path = Path(text)
+    if path.is_dir():
+        raise UsageError(f"file {text!r} is a directory")
+    return path
+
+
+def _directory(text: str) -> Path:
+    """An output directory, which need not exist yet but may not name a file."""
+    path = Path(text)
+    if path.exists() and not path.is_dir():
+        raise UsageError(f"output directory {text!r} is a file")
+    return path
 
 
 def _replay_draws(path: Path) -> np.ndarray:
@@ -108,16 +129,6 @@ def _replay_draws(path: Path) -> np.ndarray:
         raise InvalidColor(f"{path}: a draw exceeds int64, so it is not a color") from None
 
 
-@main.command("generate")
-@click.option("--t", type=int, default=None, help="Number of growth steps.")
-@click.option("--schedule", "schedule_spec", default="const:1", show_default=True,
-              help="Reinforcement schedule string.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-@click.option("--replay", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              default=None, help="File of forced draw colors (one per step) to "
-                                 "rebuild a specific graph instead of sampling.")
-@_handled
 def cmd_generate(t, schedule_spec, seed, out, replay):
     """Write one graph as an edge list plus a vertex/degree/birth-time table."""
     schedule = parse_schedule(schedule_spec)
@@ -125,43 +136,29 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
     if replay is not None:
         draws = _replay_draws(replay)
         if t is not None and t != len(draws):
-            raise click.UsageError(f"--t {t} disagrees with {len(draws)} replay draws")
+            raise UsageError(f"--t {t} disagrees with {len(draws)} replay draws")
         graph = graph_from_draws(draws)
     else:
         if t is None:
-            raise click.UsageError("--t is required unless --replay is given")
+            raise UsageError("--t is required unless --replay is given")
         if t < 0:
-            raise click.UsageError(f"--t must be >= 0, got {t}")
+            raise UsageError(f"--t must be >= 0, got {t}")
         graph = generate_graph(t, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.txt").write_text(graph.edge_list_text())
     (out / "degrees.csv").write_text(graph.degree_table_text())
     elapsed = time.perf_counter() - started
-    click.echo(
-        f"wrote {graph.num_vertices} vertices, {len(graph.edges)} edges to {out} "
-        f"({elapsed:.3f}s)",
-        err=True,
-    )
+    print(f"wrote {graph.num_vertices} vertices, {len(graph.edges)} edges to {out} "
+          f"({elapsed:.3f}s)", file=sys.stderr)
 
 
-@main.command("exact")
-@click.option("--j", type=int, required=True, help="Color / vertex index.")
-@click.option("--t", type=int, required=True, help="Horizon.")
-@click.option("--schedule", "schedule_spec", default="const:1", show_default=True)
-@click.option("--method", type=click.Choice(["general", "constant", "dp", "oracle"]),
-              default="general", show_default=True)
-@click.option("--k", type=int, default=None,
-              help="Emit only the row for this draw count.")
-@click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
-              help="Output CSV path (default: standard output).")
-@_handled
 def cmd_exact(j, t, schedule_spec, method, k, out):
     """Write the exact draw-count distribution of color j as k,prob CSV."""
     if not 1 <= j <= t:
-        raise click.UsageError(f"need 1 <= j <= t, got j={j}, t={t}")
+        raise UsageError(f"need 1 <= j <= t, got j={j}, t={t}")
     schedule = parse_schedule(schedule_spec)
     if method in ("constant", "dp") and not isinstance(schedule, Constant):
-        raise click.UsageError(f"--method {method} requires a const: schedule")
+        raise UsageError(f"--method {method} requires a const: schedule")
     if method == "dp":
         pmf = pmf_constant_delta_dp(j, t, float(schedule.delta))
     elif method == "oracle":
@@ -171,19 +168,19 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
     ks = pmf.support
     if k is not None:
         if not 0 <= k < len(ks):
-            raise click.UsageError(f"k={k} outside the support 0..{t - j + 1}")
+            raise UsageError(f"k={k} outside the support 0..{t - j + 1}")
         ks = ks[k:k + 1]
     text = pmf_csv(ks, pmf.probs[ks])
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
-        click.echo(f"wrote {out}", err=True)
+        print(f"wrote {out}", file=sys.stderr)
 
 
 def _given(flags: dict) -> dict:
-    """The config overrides among ``flags``; click passes an omitted option as None."""
+    """The config overrides among ``flags``; an omitted option parses as None."""
     return {name: value for name, value in flags.items() if value is not None}
 
 
@@ -193,7 +190,7 @@ def _merged_config(config_path, flags) -> ExperimentConfig:
         missing = [field.name for field in dataclasses.fields(ExperimentConfig)
                    if field.default is dataclasses.MISSING and field.name not in overrides]
         if missing:
-            raise click.UsageError(
+            raise UsageError(
                 f"without --config, {', '.join('--' + m for m in missing)} are required"
             )
         return ExperimentConfig(**overrides)
@@ -211,31 +208,19 @@ def _processes(result) -> str:
     return f"{result.processes} process" + ("es" if result.processes > 1 else "")
 
 
-@main.command("experiment")
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None)
-@click.option("--model", type=click.Choice(["polya", "ba"]), default=None)
-@click.option("--schedule", "schedule_spec", default=None)
-@click.option("--t", type=int, default=None)
-@click.option("--replicates", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(file_okay=False), default=None)
-@click.option("--threads", type=click.IntRange(min=1), default=None, help=_THREADS_HELP)
-@_handled
 def cmd_experiment(config_path, threads, **flags):
     """Run a replicated experiment from a config file and/or inline flags."""
     config = _merged_config(config_path, flags)
     if config.out is None:
-        raise click.UsageError("an output directory is required (--out or out= in the config)")
+        raise UsageError("an output directory is required (--out or out= in the config)")
+    _directory(config.out)  # from --out or the config, checked before the run
     started = time.perf_counter()
     result = run_monte_carlo(config, threads=threads)
     written = write_outputs(result, config.out)
     elapsed = time.perf_counter() - started
-    click.echo(
-        f"{config.model} t={config.t} R={config.replicates}: wrote "
-        f"{', '.join(str(p) for p in written)} ({elapsed:.2f}s, {_processes(result)})",
-        err=True,
-    )
+    print(f"{config.model} t={config.t} R={config.replicates}: wrote "
+          f"{', '.join(str(p) for p in written)} ({elapsed:.2f}s, {_processes(result)})",
+          file=sys.stderr)
 
 
 # figure -> (file prefix, writer, runs); run (label, frozen config) writes <prefix>_<label>.csv
@@ -256,15 +241,6 @@ def _repro_config(name: str, flags) -> ExperimentConfig:
     return dataclasses.replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
 
 
-@main.command("repro")
-@click.argument("figure", type=click.Choice(("fig3", *_REPRO_RUNS)))
-@click.option("--out", required=True, type=click.Path(file_okay=False, path_type=Path))
-@click.option("--threads", type=click.IntRange(min=1), default=None, help=_THREADS_HELP)
-@click.option("--t", type=int, default=None,
-              help="Override the frozen horizon (for smoke runs).")
-@click.option("--replicates", type=int, default=None,
-              help="Override the frozen replicate count (for smoke runs).")
-@_handled
 def cmd_repro(figure, out, threads, **flags):
     """Run a bundled figure-reproduction experiment and emit plot-ready CSVs."""
     out.mkdir(parents=True, exist_ok=True)
@@ -288,10 +264,95 @@ def cmd_repro(figure, out, threads, **flags):
             result = run_monte_carlo(config, threads=threads)
             (out / f"{prefix}_{label}.csv").write_text(writer(result))
             payload[label] = config_echo(config)
-            click.echo(f"repro {figure}: finished {label} ({_processes(result)})", err=True)
+            print(f"repro {figure}: finished {label} ({_processes(result)})", file=sys.stderr)
     (out / "summary.json").write_text(json_text(payload))
     elapsed = time.perf_counter() - started
-    click.echo(f"repro {figure}: outputs in {out} ({elapsed:.2f}s)", err=True)
+    print(f"repro {figure}: outputs in {out} ({elapsed:.2f}s)", file=sys.stderr)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """One parser with a subparser per command; no option may be abbreviated."""
+    parser = argparse.ArgumentParser(
+        prog="polyagraph", allow_abbrev=False,
+        description="Grow preferential-attachment graphs from an expanding-color urn.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = command("generate", cmd_generate)
+    option("--t", type=int, help="Number of growth steps.")
+    option("--schedule", dest="schedule_spec", metavar="SPEC", default="const:1",
+           help="Reinforcement schedule string (default: %(default)s).")
+    option("--seed", type=int, default=0, help="Master seed (default: %(default)s).")
+    option("--out", required=True, type=_directory)
+    option("--replay", type=_existing_file,
+           help="File of forced draw colors (one per step) to rebuild a specific graph "
+                "instead of sampling.")
+
+    option = command("exact", cmd_exact)
+    option("--j", type=int, required=True, help="Color / vertex index.")
+    option("--t", type=int, required=True, help="Horizon.")
+    option("--schedule", dest="schedule_spec", metavar="SPEC", default="const:1",
+           help="Reinforcement schedule string (default: %(default)s).")
+    option("--method", choices=["general", "constant", "dp", "oracle"], default="general",
+           help="Exact route (default: %(default)s).")
+    option("--k", type=int, help="Emit only the row for this draw count.")
+    option("--out", type=_file_path, help="Output CSV path (default: standard output).")
+
+    option = command("experiment", cmd_experiment)
+    option("--config", dest="config_path", metavar="PATH", type=_existing_file)
+    option("--model", choices=["polya", "ba"])
+    option("--schedule", dest="schedule_spec", metavar="SPEC")
+    option("--t", type=int)
+    option("--replicates", type=int)
+    option("--seed", type=int)
+    option("--out")
+    option("--threads", type=_threads, help=_THREADS_HELP)
+
+    option = command("repro", cmd_repro)
+    option("figure", choices=("fig3", *_REPRO_RUNS))
+    option("--out", required=True, type=_directory)
+    option("--threads", type=_threads, help=_THREADS_HELP)
+    option("--t", type=int, help="Override the frozen horizon (for smoke runs).")
+    option("--replicates", type=int, help="Override the frozen replicate count (for smoke runs).")
+    return parser
+
+
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
+
+
+def main(argv=None, standalone_mode=True):
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``).
+
+    Exits with the command's exit code, or with ``standalone_mode=False``
+    returns it.  A bad command line is reported by argparse (exit 2, or 0
+    for ``--help``); an error from the command is reported on one line.
+    """
+    try:
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+        code = 0
+    except SystemExit as exc:  # raised by argparse for --help and bad command lines
+        code = exc.code
+    except UsageError as exc:
+        code = _fail(2, f"Error: {exc}")
+    except CapExceeded as exc:
+        code = _fail(3, f"error: {exc}")
+    except ValueError as exc:  # every other polyagraph error is a ValueError
+        code = _fail(2, f"error: {exc}")
+    except MemoryError as exc:  # a horizon whose arrays do not fit in memory
+        code = _fail(2, f"error: {str(exc) or 'out of memory'}")
+    except OSError as exc:
+        code = _fail(4, f"error: {exc}")
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Shared fixtures and a test-local oracle.
+"""Shared fixtures, a test-local oracle and an in-process CLI runner.
 
 ``enumerate_paths`` replays the urn along every possible draw sequence with
 plain scalar arithmetic, independently of the library's enumeration and
@@ -6,13 +6,32 @@ recurrence code paths, so tests can cross-check any distributional claim at
 small horizons.
 """
 
+import collections
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from polyagraph.cli import main as cli_main
 from polyagraph.schedules import Constant, NaturalLog, paper_f
+
+
+CliResult = collections.namedtuple("CliResult", "exit_code stdout stderr")
+
+
+def run_cli(*args) -> CliResult:
+    """Run the ``polyagraph`` command line ``args`` in this process.
+
+    Each argument is passed as ``str(arg)``.  Returns the exit code and the
+    text written to standard output and to standard error.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main([str(arg) for arg in args], standalone_mode=False)
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())
 
 
 def battery_schedules():

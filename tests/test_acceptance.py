@@ -13,11 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from conftest import battery_schedules, pooled_chi_square_p
+from conftest import battery_schedules, pooled_chi_square_p, run_cli
 from polyagraph import experiments
-from polyagraph.cli import main as cli_main
 from polyagraph.exact import (
     brute_force_table,
     delta_one_simplified_pmf,
@@ -271,7 +269,6 @@ def test_10_byte_identical_reruns(tmp_path, monkeypatch):
         # This run is far below the pool's threshold; lower it so that
         # --threads 2 really runs two processes.
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)
-        runner = CliRunner()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "model = polya\nschedule = paper-f\nt = 300\nreplicates = 20\nseed = 100001\n"
@@ -279,12 +276,7 @@ def test_10_byte_identical_reruns(tmp_path, monkeypatch):
         outputs = []
         for label, threads in (("a", 1), ("b", 2), ("c", 1)):
             out = tmp_path / label
-            result = runner.invoke(
-                cli_main,
-                ["experiment", "--config", str(cfg), "--out", str(out),
-                 "--threads", str(threads)],
-                catch_exceptions=False,
-            )
+            result = run_cli("experiment", "--config", cfg, "--out", out, "--threads", threads)
             assert result.exit_code == 0
             assert f" {threads} process" in result.stderr
             outputs.append(out)

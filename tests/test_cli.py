@@ -1,23 +1,13 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from polyagraph import cli, errors
-from polyagraph.cli import main
 from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
 from polyagraph.schedules import parse_schedule
-
-
-@pytest.fixture(name="runner")
-def runner_fixture():
-    return CliRunner()
-
-
-def _invoke(runner, *args):
-    return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
 
 
 def test_every_polyagraph_error_is_a_value_error():
@@ -29,10 +19,54 @@ def test_every_polyagraph_error_is_a_value_error():
         assert cls is errors.PolyagraphError or issubclass(cls, ValueError), cls
 
 
+# Command lines the parser rejects, each with a word its message must name;
+# ``{tmp}`` is the test's directory, which holds a valid ``run.cfg``.
+_BAD_COMMAND_LINES = {
+    "no-command": ([], "COMMAND"),
+    "unknown-command": (["frob"], "frob"),
+    "non-integer": (["generate", "--t", "x", "--out", "{tmp}/o"], "--t"),
+    "unknown-option": (["generate", "--t", "3", "--bogus", "--out", "{tmp}/o"], "--bogus"),
+    "abbreviated-option": (["experiment", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o",
+                            "--th", "1"], "--th"),
+    "missing-config": (["experiment", "--config", "{tmp}/none.cfg", "--out", "{tmp}/o"],
+                       "--config"),
+    "config-is-a-directory": (["experiment", "--config", "{tmp}", "--out", "{tmp}/o"],
+                              "--config"),
+    "missing-replay": (["generate", "--replay", "{tmp}/none.txt", "--out", "{tmp}/o"],
+                       "--replay"),
+    "generate-out-is-a-file": (["generate", "--t", "3", "--out", "{tmp}/run.cfg"], "--out"),
+    "repro-out-is-a-file": (["repro", "fig3", "--out", "{tmp}/run.cfg"], "--out"),
+    "exact-out-is-a-directory": (["exact", "--j", "1", "--t", "3", "--out", "{tmp}"], "--out"),
+    "unknown-method": (["exact", "--j", "1", "--t", "3", "--method", "fast"], "--method"),
+    "missing-required-option": (["exact", "--t", "3"], "--j"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COMMAND_LINES))
+def test_bad_command_line_is_usage_error(tmp_path, case):
+    args, named = _BAD_COMMAND_LINES[case]
+    (tmp_path / "run.cfg").write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\n")
+    result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args))
+    assert result.exit_code == 2
+    assert "error" in result.stderr and named in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "o").exists()
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args, usage", [(["--help"], "usage: polyagraph [-h] COMMAND"),
+                                         (["experiment", "--help"],
+                                          "usage: polyagraph experiment [-h]")])
+def test_help_exits_0(args, usage):
+    result = run_cli(*args)
+    assert result.exit_code == 0
+    assert result.stdout.startswith(usage)
+
+
 class TestGenerate:
-    def test_edge_count(self, runner, tmp_path):
+    def test_edge_count(self, tmp_path):
         out = tmp_path / "g"
-        result = _invoke(runner, "generate", "--t", 4, "--schedule", "const:1",
+        result = run_cli("generate", "--t", 4, "--schedule", "const:1",
                          "--seed", 7, "--out", out)
         assert result.exit_code == 0
         edges = (out / "edges.txt").read_text().splitlines()
@@ -42,85 +76,85 @@ class TestGenerate:
         assert degrees[0] == "vertex,degree,birth_time"
         assert len(degrees) == 6
 
-    def test_horizon_zero(self, runner, tmp_path):
+    def test_horizon_zero(self, tmp_path):
         out = tmp_path / "g0"
-        result = _invoke(runner, "generate", "--t", 0, "--out", out)
+        result = run_cli("generate", "--t", 0, "--out", out)
         assert result.exit_code == 0
         assert (out / "edges.txt").read_text() == "1 1\n"
 
-    def test_same_seed_same_files(self, runner, tmp_path):
+    def test_same_seed_same_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            _invoke(runner, "generate", "--t", 50, "--schedule", "ln",
+            run_cli("generate", "--t", 50, "--schedule", "ln",
                     "--seed", 5, "--out", out)
         assert (a / "edges.txt").read_bytes() == (b / "edges.txt").read_bytes()
 
-    def test_replay_golden_graph(self, runner, tmp_path):
+    def test_replay_golden_graph(self, tmp_path):
         replay = tmp_path / "draws.txt"
         replay.write_text("1\n1\n2\n2\n")
         out = tmp_path / "replayed"
-        result = _invoke(runner, "generate", "--replay", replay, "--out", out)
+        result = run_cli("generate", "--replay", replay, "--out", out)
         assert result.exit_code == 0
         assert (out / "edges.txt").read_text() == "1 1\n1 2\n1 3\n2 4\n2 5\n"
 
-    def test_replay_disagreeing_t(self, runner, tmp_path):
+    def test_replay_disagreeing_t(self, tmp_path):
         replay = tmp_path / "draws.txt"
         replay.write_text("1 1\n")
-        result = runner.invoke(main, ["generate", "--replay", str(replay),
-                                      "--t", "5", "--out", str(tmp_path / "x")])
+        result = run_cli("generate", "--replay", replay,
+                         "--t", "5", "--out", tmp_path / "x")
         assert result.exit_code == 2
 
-    def test_invalid_replay_draws(self, runner, tmp_path):
+    def test_invalid_replay_draws(self, tmp_path):
         replay = tmp_path / "draws.txt"
         for text, message in [("2 1\n", "the first draw must be color 1"),
                               ("0 1\n", "the first draw must be color 1"),
                               ("1 x\n", f"{replay}: draw 'x' is not an integer"),
                               ("1 1.5\n", f"{replay}: draw '1.5' is not an integer")]:
             replay.write_text(text)
-            result = runner.invoke(main, ["generate", "--replay", str(replay),
-                                          "--out", str(tmp_path / "x")])
+            result = run_cli("generate", "--replay", replay,
+                             "--out", tmp_path / "x")
             assert result.exit_code == 2, text
-            assert message in result.output, text
-            assert "Traceback" not in result.output
+            assert message in result.stderr, text
+            assert "Traceback" not in result.stderr
 
 
-    def test_replay_draw_beyond_int64_is_usage_error(self, runner, tmp_path):
+    def test_replay_draw_beyond_int64_is_usage_error(self, tmp_path):
         replay = tmp_path / "draws.txt"
         replay.write_text("1 99999999999999999999999\n")
-        result = runner.invoke(main, ["generate", "--replay", str(replay),
-                                      "--out", str(tmp_path / "x")])
+        result = run_cli("generate", "--replay", replay,
+                         "--out", tmp_path / "x")
         assert result.exit_code == 2
-        assert "exceeds int64" in result.output
-        assert "Traceback" not in result.output
+        assert "exceeds int64" in result.stderr
+        assert "Traceback" not in result.stderr
 
-    def test_negative_seed_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["generate", "--t", "5", "--seed", "-1",
-                                      "--out", str(tmp_path / "x")])
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        result = run_cli("generate", "--t", "5", "--seed", "-1",
+                         "--out", tmp_path / "x")
         assert result.exit_code == 2
-        assert "seed must be >= 0, got -1" in result.output
+        assert "seed must be >= 0, got -1" in result.stderr
 
-    def test_empty_table_path_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["generate", "--t", "5", "--schedule", "table:",
-                                      "--out", str(tmp_path / "x")])
+    def test_empty_table_path_is_usage_error(self, tmp_path):
+        result = run_cli("generate", "--t", "5", "--schedule", "table:",
+                         "--out", tmp_path / "x")
         assert result.exit_code == 2
-        assert "empty table path" in result.output
+        assert "empty table path" in result.stderr
 
-    def test_overflowing_schedule_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["generate", "--t", "5", "--schedule", "const:1e308",
-                                      "--out", str(tmp_path / "x")])
+    def test_overflowing_schedule_is_usage_error(self, tmp_path):
+        result = run_cli("generate", "--t", "5", "--schedule", "const:1e308",
+                         "--out", tmp_path / "x")
         assert result.exit_code == 2
-        assert "overflows" in result.output
+        assert "overflows" in result.stderr
 
-    def test_history_is_replicate_zero_of_experiment(self, runner, tmp_path):
+    def test_history_is_replicate_zero_of_experiment(self, tmp_path):
         # Both read the master seed's one stream from its first draw.
-        _invoke(runner, "generate", "--t", 40, "--schedule", "paper-g", "--seed", 17,
+        run_cli("generate", "--t", 40, "--schedule", "paper-g", "--seed", 17,
                 "--out", tmp_path / "g")
         edges = (tmp_path / "g" / "edges.txt").read_text().splitlines()[1:]
         draws = [int(edge.split()[0]) for edge in edges]
         block = next(_replicate_blocks("polya", 40, parse_schedule("paper-g"), 17, 0, 3))
         assert draws == block[0].tolist()
 
-        _invoke(runner, "experiment", "--model", "polya", "--schedule", "paper-g",
+        run_cli("experiment", "--model", "polya", "--schedule", "paper-g",
                 "--t", 40, "--replicates", 1, "--seed", 17, "--out", tmp_path / "e")
         degrees = [int(row.split(",")[1]) for row in
                    (tmp_path / "g" / "degrees.csv").read_text().splitlines()[1:]]
@@ -130,21 +164,21 @@ class TestGenerate:
 
 
 class TestExact:
-    def test_stdout_csv(self, runner):
-        result = _invoke(runner, "exact", "--j", 2, "--t", 12,
+    def test_stdout_csv(self):
+        result = run_cli("exact", "--j", 2, "--t", 12,
                          "--schedule", "const:1", "--method", "dp")
         assert result.exit_code == 0
-        lines = result.output.splitlines()
+        lines = result.stdout.splitlines()
         assert lines[0] == "k,prob"
         assert len(lines) == 13  # support 0..11
         total = sum(float(line.split(",")[1]) for line in lines[1:])
         assert total == pytest.approx(1, abs=1e-9)
 
-    def test_methods_agree(self, runner, tmp_path):
+    def test_methods_agree(self, tmp_path):
         values = {}
         for method in ("general", "constant", "dp", "oracle"):
             out = tmp_path / f"{method}.csv"
-            result = _invoke(runner, "exact", "--j", 2, "--t", 8,
+            result = run_cli("exact", "--j", 2, "--t", 8,
                              "--schedule", "const:1", "--method", method, "--out", out)
             assert result.exit_code == 0
             rows = out.read_text().splitlines()[1:]
@@ -152,123 +186,123 @@ class TestExact:
         for method in ("constant", "dp", "oracle"):
             assert values[method] == pytest.approx(values["general"], abs=1e-10)
 
-    def test_k_filter(self, runner):
-        result = _invoke(runner, "exact", "--j", 3, "--t", 6, "--k", 0,
+    def test_k_filter(self):
+        result = run_cli("exact", "--j", 3, "--t", 6, "--k", 0,
                          "--schedule", "const:2", "--method", "general")
-        lines = result.output.splitlines()
+        lines = result.stdout.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0,")
 
-    def test_color_after_horizon_is_usage_error(self, runner):
-        result = runner.invoke(main, ["exact", "--j", 5, "--t", 3])
+    def test_color_after_horizon_is_usage_error(self):
+        result = run_cli("exact", "--j", 5, "--t", 3)
         assert result.exit_code == 2
 
-    def test_cap_exceeded_exit_code(self, runner):
-        result = runner.invoke(main, ["exact", "--j", 1, "--t", 30,
-                                      "--schedule", "ln", "--method", "general"])
+    def test_cap_exceeded_exit_code(self):
+        result = run_cli("exact", "--j", 1, "--t", 30,
+                         "--schedule", "ln", "--method", "general")
         assert result.exit_code == 3
-        assert "cap" in result.output
+        assert "cap" in result.stderr
 
     @pytest.mark.parametrize("method", ["general", "constant", "dp", "oracle"])
-    def test_overflowing_schedule_is_usage_error(self, runner, method):
-        result = runner.invoke(main, ["exact", "--j", 1, "--t", 5,
-                                      "--schedule", "const:1e308", "--method", method])
+    def test_overflowing_schedule_is_usage_error(self, method):
+        result = run_cli("exact", "--j", 1, "--t", 5,
+                         "--schedule", "const:1e308", "--method", method)
         assert result.exit_code == 2
-        assert "error: total reinforcement over times 1..5 overflows" in result.output
-        assert "Traceback" not in result.output
-        assert "nan" not in result.output
+        assert "error: total reinforcement over times 1..5 overflows" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "nan" not in result.stderr
 
-    def test_out_of_memory_is_usage_error(self, runner, monkeypatch):
+    def test_out_of_memory_is_usage_error(self, monkeypatch):
         # numpy raises MemoryError (as _ArrayMemoryError) for an array too
         # large to allocate, such as the cumulative masses of this horizon.
         def too_large(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
         monkeypatch.setattr(cli, "pmf_constant_delta_dp", too_large)
-        result = runner.invoke(main, ["exact", "--j", 2, "--t", 99999999999, "--method", "dp"])
+        result = run_cli("exact", "--j", 2, "--t", 99999999999, "--method", "dp")
         assert result.exit_code == 2
-        assert "error: Unable to allocate 745. GiB" in result.output
-        assert "Traceback" not in result.output
+        assert "error: Unable to allocate 745. GiB" in result.stderr
+        assert "Traceback" not in result.stderr
 
-    def test_dp_requires_constant_schedule(self, runner):
-        result = runner.invoke(main, ["exact", "--j", 1, "--t", 5,
-                                      "--schedule", "ln", "--method", "dp"])
+    def test_dp_requires_constant_schedule(self):
+        result = run_cli("exact", "--j", 1, "--t", 5,
+                         "--schedule", "ln", "--method", "dp")
         assert result.exit_code == 2
 
 
 class TestExperiment:
-    def test_from_config_file(self, runner, tmp_path):
+    def test_from_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "model = polya\nschedule = const:1\nt = 60\nreplicates = 5\nseed = 12\n"
         )
         out = tmp_path / "results"
-        result = _invoke(runner, "experiment", "--config", cfg, "--out", out,
+        result = run_cli("experiment", "--config", cfg, "--out", out,
                          "--threads", 1)
         assert result.exit_code == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "birth_time.csv", "degree_distribution.csv", "summary.json",
         ]
 
-    def test_inline_flags_only(self, runner, tmp_path):
+    def test_inline_flags_only(self, tmp_path):
         out = tmp_path / "inline"
-        result = _invoke(runner, "experiment", "--model", "ba", "--t", 40,
+        result = run_cli("experiment", "--model", "ba", "--t", 40,
                          "--replicates", 3, "--seed", 9, "--out", out, "--threads", 1)
         assert result.exit_code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["model"] == "ba"
 
-    def test_missing_required_inline(self, runner, tmp_path):
-        result = runner.invoke(main, ["experiment", "--model", "ba",
-                                      "--out", str(tmp_path / "x")])
+    def test_missing_required_inline(self, tmp_path):
+        result = run_cli("experiment", "--model", "ba",
+                         "--out", tmp_path / "x")
         assert result.exit_code == 2
 
-    def test_override_to_baseline_drops_schedule(self, runner, tmp_path):
+    def test_override_to_baseline_drops_schedule(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "model = polya\nschedule = ln\nt = 30\nreplicates = 2\nseed = 1\n"
         )
         out = tmp_path / "ba-out"
-        result = _invoke(runner, "experiment", "--config", cfg, "--model", "ba",
+        result = run_cli("experiment", "--config", cfg, "--model", "ba",
                          "--out", out, "--threads", 1)
         assert result.exit_code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["schedule"] is None
 
-    def test_rerun_is_byte_identical(self, runner, tmp_path):
+    def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "model = polya\nschedule = paper-g\nt = 80\nreplicates = 6\nseed = 77\n"
         )
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:
-            _invoke(runner, "experiment", "--config", cfg, "--out", out, "--threads", 1)
+            run_cli("experiment", "--config", cfg, "--out", out, "--threads", 1)
         for name in ("degree_distribution.csv", "birth_time.csv", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_negative_inline_seed(self, runner, tmp_path, threads):
-        result = _invoke(runner, "experiment", "--model", "ba", "--t", 5,
+    def test_negative_inline_seed(self, tmp_path, threads):
+        result = run_cli("experiment", "--model", "ba", "--t", 5,
                          "--replicates", 3, "--seed", -1, "--out", tmp_path / "neg",
                          "--threads", threads)
         assert result.exit_code == 2
-        assert "seed must be >= 0, got -1" in result.output
+        assert "seed must be >= 0, got -1" in result.stderr
         assert not (tmp_path / "neg").exists()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_negative_config_seed(self, runner, tmp_path, threads):
+    def test_negative_config_seed(self, tmp_path, threads):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = polya\nschedule = const:1\nt = 5\nreplicates = 3\nseed = -5\n")
-        result = _invoke(runner, "experiment", "--config", cfg, "--out", tmp_path / "neg",
+        result = run_cli("experiment", "--config", cfg, "--out", tmp_path / "neg",
                          "--threads", threads)
         assert result.exit_code == 2
-        assert "seed must be >= 0, got -5" in result.output
+        assert "seed must be >= 0, got -5" in result.stderr
         assert not (tmp_path / "neg").exists()
 
-    def test_progress_names_the_processes_that_ran(self, runner, tmp_path):
+    def test_progress_names_the_processes_that_ran(self, tmp_path):
         # 40·3 draws are below POOL_MIN_DRAWS, so --threads 2 runs in-process;
         # acceptance 10 checks the pooled line.
-        result = _invoke(runner, "experiment", "--model", "ba", "--t", 40,
+        result = run_cli("experiment", "--model", "ba", "--t", 40,
                          "--replicates", 3, "--seed", 9, "--out", tmp_path / "o",
                          "--threads", 2)
         assert result.exit_code == 0
@@ -276,40 +310,54 @@ class TestExperiment:
         assert result.stderr.endswith("s, 1 process)\n")
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_is_usage_error(self, runner, tmp_path, threads):
-        result = runner.invoke(main, ["experiment", "--model", "ba", "--t", "5",
-                                      "--replicates", "2", "--seed", "1",
-                                      "--out", str(tmp_path / "x"), "--threads", str(threads)])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        result = run_cli("experiment", "--model", "ba", "--t", "5",
+                         "--replicates", "2", "--seed", "1",
+                         "--out", tmp_path / "x", "--threads", threads)
         assert result.exit_code == 2
-        assert "--threads" in result.output
+        assert "--threads" in result.stderr
         assert not (tmp_path / "x").exists()
 
-    def test_empty_outputs_is_usage_error(self, runner, tmp_path):
+    def test_empty_outputs_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\noutputs = ,\n")
-        result = runner.invoke(main, ["experiment", "--config", str(cfg),
-                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+        result = run_cli("experiment", "--config", cfg,
+                         "--out", tmp_path / "x", "--threads", "1")
         assert result.exit_code == 2
-        assert "outputs must name at least one" in result.output
+        assert "outputs must name at least one" in result.stderr
         assert not (tmp_path / "x").exists()
 
-    def test_repeated_outputs_is_usage_error(self, runner, tmp_path):
+    def test_repeated_outputs_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\noutputs = summary,summary\n")
-        result = runner.invoke(main, ["experiment", "--config", str(cfg),
-                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+        result = run_cli("experiment", "--config", cfg,
+                         "--out", tmp_path / "x", "--threads", "1")
         assert result.exit_code == 2
-        assert "more than once" in result.output
+        assert "more than once" in result.stderr
         assert not (tmp_path / "x").exists()
 
-    def test_empty_table_path_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["experiment", "--model", "polya", "--schedule", "table:",
-                                      "--t", "5", "--replicates", "2", "--seed", "1",
-                                      "--out", str(tmp_path / "x"), "--threads", "1"])
+    def test_empty_table_path_is_usage_error(self, tmp_path):
+        result = run_cli("experiment", "--model", "polya", "--schedule", "table:",
+                         "--t", "5", "--replicates", "2", "--seed", "1",
+                         "--out", tmp_path / "x", "--threads", "1")
         assert result.exit_code == 2
-        assert "empty table path" in result.output
+        assert "empty table path" in result.stderr
 
-    def test_table_path_is_relative_to_the_config_file(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("route", ["--out", "config"])
+    def test_output_directory_that_is_a_file_is_usage_error(self, tmp_path, monkeypatch, route):
+        # Both routes reach one check of the merged config, before the run.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = ba\nt = 5\nreplicates = 2\nseed = 1\n"
+                       + ("out = afile\n" if route == "config" else ""))
+        args = ["--out", "afile"] if route == "--out" else []
+        result = run_cli("experiment", "--config", cfg, "--threads", 1, *args)
+        assert result.exit_code == 2
+        assert result.stderr == "Error: output directory 'afile' is a file\n"
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_table_path_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
         (tmp_path / "cfg").mkdir()
         (tmp_path / "cfg" / "tab.txt").write_text("1\n" * 30)
         cfg = tmp_path / "cfg" / "run.cfg"
@@ -317,21 +365,21 @@ class TestExperiment:
                        "seed = 1\nout = results\n")
         (tmp_path / "elsewhere").mkdir()
         monkeypatch.chdir(tmp_path / "elsewhere")
-        result = _invoke(runner, "experiment", "--config", cfg, "--threads", 1)
+        result = run_cli("experiment", "--config", cfg, "--threads", 1)
         assert result.exit_code == 0
         summary = json.loads((tmp_path / "elsewhere" / "results" / "summary.json").read_text())
         assert summary["config"]["schedule"] == f"table:{tmp_path / 'cfg' / 'tab.txt'}"
         # An inline --schedule keeps resolving against the working directory.
-        result = runner.invoke(main, ["experiment", "--config", str(cfg),
-                                      "--schedule", "table:tab.txt", "--threads", "1"])
+        result = run_cli("experiment", "--config", cfg,
+                         "--schedule", "table:tab.txt", "--threads", "1")
         assert result.exit_code == 4
-        assert "No such file" in result.output
+        assert "No such file" in result.stderr
 
 
 class TestRepro:
-    def test_fig3(self, runner, tmp_path):
+    def test_fig3(self, tmp_path):
         out = tmp_path / "fig3"
-        result = _invoke(runner, "repro", "fig3", "--out", out)
+        result = run_cli("repro", "fig3", "--out", out)
         assert result.exit_code == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["empirical_pmf.csv", "exact_pmf.csv", "summary.json"]
@@ -343,9 +391,9 @@ class TestRepro:
         tv = 0.5 * sum(abs(a - b) for a, b in zip(exact, empirical))
         assert tv < 0.05  # frozen seed, R = 1000
 
-    def test_degree_figure_smoke(self, runner, tmp_path):
+    def test_degree_figure_smoke(self, tmp_path):
         out = tmp_path / "deg"
-        result = _invoke(runner, "repro", "degree-ln", "--out", out,
+        result = run_cli("repro", "degree-ln", "--out", out,
                          "--t", 200, "--replicates", 4, "--threads", 1)
         assert result.exit_code == 0
         assert result.stderr.splitlines()[:2] == ["repro degree-ln: finished polya (1 process)",
@@ -355,9 +403,9 @@ class TestRepro:
             "degree_distribution_ba.csv", "degree_distribution_polya.csv", "summary.json",
         ]
 
-    def test_birthtime_smoke(self, runner, tmp_path):
+    def test_birthtime_smoke(self, tmp_path):
         out = tmp_path / "bt"
-        result = _invoke(runner, "repro", "birthtime-all", "--out", out,
+        result = run_cli("repro", "birthtime-all", "--out", out,
                          "--t", 60, "--replicates", 2, "--threads", 1)
         assert result.exit_code == 0
         names = sorted(p.name for p in out.iterdir())
@@ -366,16 +414,16 @@ class TestRepro:
             "birth_time_g.csv", "birth_time_ln.csv", "summary.json",
         ]
 
-    def test_unknown_figure(self, runner, tmp_path):
-        result = runner.invoke(main, ["repro", "fig9", "--out", str(tmp_path / "x")])
+    def test_unknown_figure(self, tmp_path):
+        result = run_cli("repro", "fig9", "--out", tmp_path / "x")
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_is_usage_error(self, runner, tmp_path, threads):
-        result = runner.invoke(main, ["repro", "fig3", "--out", str(tmp_path / "x"),
-                                      "--threads", str(threads)])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        result = run_cli("repro", "fig3", "--out", tmp_path / "x",
+                         "--threads", threads)
         assert result.exit_code == 2
-        assert "--threads" in result.output
+        assert "--threads" in result.stderr
 
 
 # Schedule strings near the grammar: keywords, numbers after ``const:``,
@@ -434,24 +482,23 @@ class TestGrammarFuzz:
 
     @staticmethod
     def _check(result):
-        assert result.exit_code in (0, 2), result.output
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code in (0, 2), result.stderr
         if result.exit_code == 2:
-            assert "Traceback" not in result.output
-            assert "error" in result.output.lower()
+            assert "Traceback" not in result.stderr
+            assert "error" in result.stderr.lower()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=_SCHEDULE_TEXT)
-    def test_schedule_grammar(self, runner, tmp_path, spec):
-        self._check(runner.invoke(main, ["generate", "--t", "6", "--schedule", spec,
-                                         "--seed", "3", "--out", str(tmp_path / "g")]))
+    def test_schedule_grammar(self, tmp_path, spec):
+        self._check(run_cli("generate", "--t", "6", "--schedule", spec,
+                            "--seed", "3", "--out", tmp_path / "g"))
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_config_text())
-    def test_config_grammar(self, runner, tmp_path, text):
+    def test_config_grammar(self, tmp_path, text):
         cfg = tmp_path / "fuzz.cfg"
         cfg.write_text(text)
-        self._check(runner.invoke(main, ["experiment", "--config", str(cfg),
-                                         "--out", str(tmp_path / "out"), "--threads", "1"]))
+        self._check(run_cli("experiment", "--config", cfg,
+                            "--out", tmp_path / "out", "--threads", "1"))

@@ -14,9 +14,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from polyagraph.cli import main
+from conftest import run_cli
 
 REPLAY_DRAWS = "1 1 2 2 3 1 5 8\n"
 
@@ -334,8 +333,8 @@ def _run(case: str, workdir: Path) -> dict[str, str]:
     args = [arg.replace("{replay}", str(replay)) for arg in CASES[case]]
     if args[0] != "exact":
         args += ["--out", str(out)]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
+    result = run_cli(*args)
+    assert result.exit_code == 0, result.stderr
     files = {"stdout": result.stdout.encode()} if args[0] == "exact" else {
         str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
     }

@@ -15,6 +15,8 @@ PACKAGE = Path(polyagraph.__file__).resolve().parent
 
 # (module, function, parameter) -> the caller outside the tests that sets it.
 ALLOWED = {
+    ("cli", "main", "argv"): "perfbench/tracing.py (None, from the console script: sys.argv[1:])",
+    ("cli", "main", "standalone_mode"): "perfbench/tracing.py (False: return the exit code)",
     ("configio", "pmf_csv", "column"): "cli repro fig3 (the empirical 'frequency' file)",
     ("configio", "parse_config_text", "source"): "cli repro (names the bundled config)",
     ("configio", "parse_config_text", "base_dir"): "configio.load_config (the file's directory)",

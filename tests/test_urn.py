@@ -104,9 +104,6 @@ class TestConditionalDrawPmf:
         urn = step(new_urn(), sched, drawn=1)
         assert composition(urn) == pytest.approx([0.75, 0.25], abs=1e-15)
 
-    def test_first_draw_deterministic(self):
-        assert composition(new_urn()) == [1]
-
     def test_sums_to_one(self):
         sched = NaturalLog()
         urn = new_urn()
