@@ -15,7 +15,6 @@ large for memory, 3 enumeration cap exceeded, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -63,6 +62,7 @@ try:
         run_monte_carlo,
     )
     from .graphs import generate as generate_graph, graph_from_draws
+    from .records import replace
     from .schedules import Constant, parse_schedule
 finally:
     if _gc_was_enabled:
@@ -187,8 +187,8 @@ def _given(flags: dict) -> dict:
 def _merged_config(config_path, flags) -> ExperimentConfig:
     overrides = _given(flags)
     if config_path is None:
-        missing = [field.name for field in dataclasses.fields(ExperimentConfig)
-                   if field.default is dataclasses.MISSING and field.name not in overrides]
+        missing = [name for name in ExperimentConfig._fields
+                   if name not in ExperimentConfig._field_defaults and name not in overrides]
         if missing:
             raise UsageError(
                 f"without --config, {', '.join('--' + m for m in missing)} are required"
@@ -196,7 +196,7 @@ def _merged_config(config_path, flags) -> ExperimentConfig:
         return ExperimentConfig(**overrides)
     if overrides.get("model") == "ba":
         overrides.setdefault("schedule_spec", None)  # a configured schedule does not carry over
-    return dataclasses.replace(load_config(config_path), **overrides)
+    return replace(load_config(config_path), **overrides)
 
 
 _THREADS_HELP = ("Cap on worker processes for replicates (default: available cores). "
@@ -238,7 +238,7 @@ def _repro_config(name: str, flags) -> ExperimentConfig:
     import importlib.resources
 
     text = (importlib.resources.files("polyagraph") / "repro" / name).read_text()
-    return dataclasses.replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
+    return replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
 
 
 def cmd_repro(figure, out, threads, **flags):

@@ -21,10 +21,8 @@ Result files: every CSV row the CLI writes comes from whole columns through
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
-import typing
 from itertools import chain
 from pathlib import Path
 
@@ -37,8 +35,7 @@ from .seeding import SEED_CONTRACT
 
 # Config keys are ExperimentConfig's field names, but for this one rename.
 _KEY_OF_FIELD = {"schedule_spec": "schedule"}
-_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)}
-_TYPES = typing.get_type_hints(ExperimentConfig)
+_FIELD_OF_KEY = {_KEY_OF_FIELD.get(name, name): name for name in ExperimentConfig._fields}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -74,7 +71,7 @@ def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> 
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _FIELD_OF_KEY:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -82,11 +79,11 @@ def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> 
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         raw[key] = value
 
-    missing = [key for key, field in _FIELDS.items()
-               if field.default is dataclasses.MISSING and key not in raw]
+    missing = [key for key, name in _FIELD_OF_KEY.items()
+               if name not in ExperimentConfig._field_defaults and key not in raw]
     if missing:
         raise ConfigError(f"{source}: missing required key {missing[0]!r}")
-    values = {_FIELDS[key].name: _field_value(key, text, source) for key, text in raw.items()}
+    values = {_FIELD_OF_KEY[key]: _field_value(key, text, source) for key, text in raw.items()}
     spec = values.get("schedule_spec", "")
     if base_dir is not None and spec.startswith("table:") and spec != "table:":
         values["schedule_spec"] = f"table:{Path(base_dir) / spec[len('table:'):]}"
@@ -101,13 +98,13 @@ def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> 
 
 
 def _field_value(key: str, text: str, source: str):
-    kind = _TYPES[_FIELDS[key].name]
-    if kind is int:
+    kind = ExperimentConfig._fields[_FIELD_OF_KEY[key]]
+    if kind == "int":
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"{source}: key {key!r} must be an integer, got {text!r}") from None
-    if typing.get_origin(kind) is tuple:
+    if kind.startswith("tuple["):
         return tuple(part.strip() for part in text.split(",") if part.strip())
     return text
 
@@ -120,8 +117,8 @@ def load_config(path) -> ExperimentConfig:
 
 def config_text(config: ExperimentConfig) -> str:
     lines = []
-    for key, field in _FIELDS.items():
-        value = getattr(config, field.name)
+    for key, name in _FIELD_OF_KEY.items():
+        value = getattr(config, name)
         if isinstance(value, tuple):
             value = ",".join(value)
         if value is not None:
@@ -141,7 +138,7 @@ def save_config(config: ExperimentConfig, path) -> Path:
 
 def config_echo(config: ExperimentConfig) -> dict:
     """Every config key but ``out``, for the JSON summaries."""
-    return {key: getattr(config, field.name) for key, field in _FIELDS.items() if key != "out"}
+    return {key: getattr(config, name) for key, name in _FIELD_OF_KEY.items() if key != "out"}
 
 
 def degree_distribution_csv(result: MonteCarloResult) -> str:

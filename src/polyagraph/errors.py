@@ -18,11 +18,15 @@ class InsufficientData(PolyagraphError, ValueError):
 
 
 class ScheduleParseError(PolyagraphError, ValueError):
-    """A schedule string does not match the grammar at ``position``."""
+    """A schedule string does not match the grammar at ``position``.
 
-    def __init__(self, message: str, position: int):
+    ``position`` is None for a fault in a table file, whose message names
+    the file and the line instead.
+    """
+
+    def __init__(self, message: str, position: int | None):
         self.position = position
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message if position is None else f"{message} (at position {position})")
 
 
 class ScheduleRangeError(PolyagraphError, ValueError):

@@ -24,11 +24,11 @@ product lies in [0, 1] and cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidColor
+from .records import Record
 from .schedules import Constant, Schedule
 
 ENUMERATION_CAP = 25
@@ -38,8 +38,7 @@ _SPLIT = 2 ** 18  # the forward pass halves any larger set of subset states
 _DELTA_ONE_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class Pmf:
+class Pmf(Record):
     """Distribution of a color's draw count: probs[k] = P(count = k).
 
     The support is 0..horizon-color+1; shifting the index by one gives the
@@ -49,7 +48,7 @@ class Pmf:
 
     color: int
     horizon: int
-    probs: np.ndarray = field(repr=False)
+    probs: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)

@@ -18,13 +18,13 @@ its color's draw count; the engine pools its degree tables, and
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientData
 from .exact import pmf_constant_delta_dp, pmf_general
 from .graphs import EvolvingGraph, ba_block_draws, degree_rows
+from .records import Record
 from .schedules import Constant, Schedule, parse_schedule
 from .seeding import replicate_stream
 from .urn import GuideTable, copy_pointer_draws
@@ -50,12 +50,13 @@ BLOCK_ELEMENTS = 4096
 POOL_MIN_DRAWS = 1 << 20
 
 
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One experiment: a model, a horizon, a replicate count, and a master seed.
 
     These fields, in this order, are the keys of a config document (``configio``).
     """
+
+    _keyword_only = True
 
     model: str
     schedule_spec: str | None = None
@@ -90,8 +91,7 @@ class ExperimentConfig:
         return parse_schedule(self.schedule_spec) if self.schedule_spec else None
 
 
-@dataclass(eq=False)
-class MonteCarloResult:
+class MonteCarloResult(Record):
     """One run: its config, its pooled degree tables, and the processes that sampled.
 
     ``counts[k]`` counts the vertices 1..t+1 of degree k over all replicates,
@@ -101,9 +101,11 @@ class MonteCarloResult:
     field has no single truth value.
     """
 
+    _frozen = False
+
     config: ExperimentConfig
-    counts: np.ndarray = field(repr=False)
-    birth_sums: np.ndarray = field(repr=False)
+    counts: np.ndarray
+    birth_sums: np.ndarray
     processes: int
 
     def birth_time_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

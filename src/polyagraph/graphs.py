@@ -12,18 +12,17 @@ from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .records import Record
 from .schedules import Schedule
 from .seeding import as_generator
 from .urn import checked_draws, sample_history
 
 
-@dataclass(eq=False)
-class EvolvingGraph:
+class EvolvingGraph(Record):
     """Undirected attachment graph after t steps: t + 1 vertices, t + 1 edges.
 
     ``edges`` is an int64 array of shape (t + 1, 2): the initial self-loop
@@ -32,6 +31,8 @@ class EvolvingGraph:
     it.  Compared and hashed by identity, since an array field has no single
     truth value.
     """
+
+    _frozen = False
 
     edges: np.ndarray
 

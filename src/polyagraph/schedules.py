@@ -19,8 +19,10 @@ Schedule-string grammar (used by the CLI and config files):
                            [t_{i-1}, t_i) with t_0 = 0; the final breakpoint
                            may be "inf", and the final value always extends
                            to infinity
-    table:<path>           explicit per-time values, one float per line
-                           (line n holds the amount for time n); a relative
+    table:<path>           explicit per-time values, one float per line;
+                           blank lines are skipped, so the n-th non-blank
+                           line holds the amount for time n, and an error
+                           names the file and its line number; a relative
                            path in a config file is resolved against the
                            file's directory, anywhere else against the
                            working directory
@@ -33,18 +35,19 @@ Schedule-string grammar (used by the CLI and config files):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScheduleParseError, ScheduleRangeError
+from .records import Record
 
 
-class Schedule:
+class Schedule(Record):
     """Base class: a map from integer time t >= 1 to reinforcement mass.
 
-    A subclass states its rule once, in ``_at``.
+    A subclass is a record (``records``) of its parameters and states its
+    rule once, in ``_at``.
     """
 
     def _at(self, ts: np.ndarray) -> np.ndarray:
@@ -74,7 +77,6 @@ class Schedule:
         return out
 
 
-@dataclass(frozen=True)
 class Constant(Schedule):
     """The same mass at every time.
 
@@ -96,7 +98,6 @@ class Constant(Schedule):
         return np.full(len(ts), float(self.delta))
 
 
-@dataclass(frozen=True)
 class NaturalLog(Schedule):
     """Mass ln(t) at time t; ln(1) = 0 is accepted as a valid zero step."""
 
@@ -104,7 +105,6 @@ class NaturalLog(Schedule):
         return np.log(ts.astype(float))
 
 
-@dataclass(frozen=True)
 class Stepped(Schedule):
     """Right-open constant segments covering the times t >= 1.
 
@@ -129,7 +129,6 @@ class Stepped(Schedule):
         return np.asarray(self.levels, dtype=float)[idx]
 
 
-@dataclass(frozen=True)
 class RationalSegments(Schedule):
     """Segments that are either constant or of the form a/t.
 
@@ -158,7 +157,6 @@ class RationalSegments(Schedule):
         return out
 
 
-@dataclass(frozen=True)
 class Table(Schedule):
     """Explicit per-time masses; entry n-1 is the mass at time n.
 
@@ -192,7 +190,7 @@ def paper_g() -> RationalSegments:
     )
 
 
-def _parse_float(text: str, position: int) -> float:
+def _parse_float(text: str, position: int | None) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -255,10 +253,15 @@ def parse_schedule(spec: str) -> Schedule:
             raise ScheduleParseError("empty table path", len("table:"))
         path = Path(spec[len("table:"):])
         entries = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if line:
-                entries.append(_parse_float(line, 0))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                entries.append(_parse_float(line.strip(), None))
+            except ScheduleParseError as exc:
+                raise ScheduleParseError(f"{path}:{lineno}: {exc}", None) from None
+            except ScheduleRangeError as exc:
+                raise ScheduleRangeError(f"{path}:{lineno}: {exc}") from None
         if not entries:
             raise ScheduleParseError(f"empty table file {path}", len("table:"))
         return Table(entries=tuple(entries))

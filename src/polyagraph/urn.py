@@ -20,17 +20,16 @@ replays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .errors import InvalidColor
+from .records import Record
 from .schedules import Constant, Schedule
 
 
-@dataclass(frozen=True)
-class UrnState:
+class UrnState(Record):
     """Ball masses per color after `time` draws.
 
     ``weights[i]`` is the mass of color i+1; each draw adds one color, so

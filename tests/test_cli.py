@@ -376,6 +376,26 @@ class TestExperiment:
         assert "No such file" in result.stderr
 
 
+    @pytest.mark.parametrize("route", ["--schedule", "config"])
+    @pytest.mark.parametrize("line, message", [
+        ("x", "expected a number, got 'x'"), ("-1", "negative reinforcement -1.0"),
+    ], ids=["not-a-number", "negative"])
+    def test_table_file_error_names_the_file_and_its_line(self, tmp_path, monkeypatch,
+                                                         route, line, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tab.txt").write_text(f"1\n\n{line}\n")
+        (tmp_path / "run.cfg").write_text("model = polya\nschedule = table:tab.txt\nt = 3\n"
+                                          "replicates = 2\nseed = 1\n")
+        args = (["--config", "run.cfg"] if route == "config" else
+                ["--model", "polya", "--schedule", "table:tab.txt", "--t", 3,
+                 "--replicates", 2, "--seed", 1])
+        result = run_cli("experiment", *args, "--out", "x", "--threads", 1)
+        assert result.exit_code == 2
+        # The config's directory is the working one, so both routes name tab.txt.
+        assert result.stderr == f"error: tab.txt:3: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestRepro:
     def test_fig3(self, tmp_path):
         out = tmp_path / "fig3"

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -115,6 +116,22 @@ class TestConfig:
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
             ExperimentConfig("ba", None, 5, 1, 0)
+
+    def test_signature_lists_the_fields(self):
+        # tests/test_benchmark_hooks.py binds perfbench's calls against it.
+        sig = inspect.signature(ExperimentConfig)
+        assert list(sig.parameters) == ["model", "schedule_spec", "t", "replicates", "seed",
+                                        "outputs", "out"]
+        assert {p.kind for p in sig.parameters.values()} == {inspect.Parameter.KEYWORD_ONLY}
+        assert sig.parameters["out"].default is None
+        assert sig.parameters["t"].default is inspect.Parameter.empty
+        sig.bind(model="ba", t=5, replicates=1, seed=0)
+        with pytest.raises(TypeError):
+            sig.bind(model="ba", t=5, replicates=1, seed=0, colour="red")
+        with pytest.raises(TypeError):
+            sig.bind("ba", t=5, replicates=1, seed=0)
+        assert str(inspect.signature(Constant)).startswith("(delta: 'float')")
+        assert str(inspect.signature(NaturalLog)).startswith("()")
 
 
 @pytest.mark.parametrize("make", [

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,7 +84,7 @@ class TestReconstruct:
 
 class TestDerivedFields:
     def test_edges_are_the_one_field(self):
-        assert [f.name for f in dataclasses.fields(EvolvingGraph)] == ["edges"]
+        assert list(EvolvingGraph._fields) == ["edges"]
 
     @pytest.mark.parametrize("t", [0, 1, 12, 500])
     def test_degrees_and_vertex_count_come_from_the_edges(self, t):

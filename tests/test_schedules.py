@@ -84,6 +84,19 @@ class TestParse:
             parse_schedule("table:")
         assert err.value.position == len("table:")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("1\n\nx\n", ScheduleParseError, "expected a number, got 'x'"),
+        ("1\n  \n2\n-1\n", ScheduleRangeError, "negative reinforcement -1.0"),
+        ("\n\nnan\n", ScheduleParseError, "non-finite value 'nan'"),
+    ], ids=["not-a-number", "negative", "non-finite"])
+    def test_table_error_names_the_file_and_its_line(self, tmp_path, text, error, message):
+        path = tmp_path / "deltas.txt"
+        path.write_text(text)
+        lineno = len(text.splitlines())  # the fault is on the last line, after blank ones
+        with pytest.raises(error) as err:
+            parse_schedule(f"table:{path}")
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
     def test_table_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_schedule(f"table:{tmp_path / 'nope.txt'}")

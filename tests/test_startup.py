@@ -57,6 +57,14 @@ def test_cli_import_loads_only_the_standard_library_and_numpy():
     assert out == ["[]"]
 
 
+def test_cli_import_generates_no_code():
+    # The records are built by records.Record, not by dataclasses, which
+    # compiles several methods per class on every launch.
+    out = _run("import sys, polyagraph.cli\n"
+               "print('dataclasses' in sys.modules)")
+    assert out == ["False"]
+
+
 def test_cli_caps_openblas_at_one_thread():
     out = _run("import os, polyagraph.cli\n"
                "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))\n"

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -85,7 +84,7 @@ class TestStep:
             assert urn.weights[-1] == 1
 
     def test_time_is_read_off_the_weights(self):
-        assert [f.name for f in dataclasses.fields(UrnState)] == ["weights", "total_weight"]
+        assert list(UrnState._fields) == ["weights", "total_weight"]
         sched = parse_schedule("paper-g")
         draws = sample_history(40, sched, as_generator(4))
         urn = new_urn()
