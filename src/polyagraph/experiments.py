@@ -101,8 +101,6 @@ class MonteCarloResult(Record):
     field has no single truth value.
     """
 
-    _frozen = False
-
     config: ExperimentConfig
     counts: np.ndarray
     birth_sums: np.ndarray

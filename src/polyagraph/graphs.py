@@ -32,8 +32,6 @@ class EvolvingGraph(Record):
     truth value.
     """
 
-    _frozen = False
-
     edges: np.ndarray
 
     @property

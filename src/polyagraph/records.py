@@ -14,10 +14,7 @@ def _refuse(record, name, *value):
 
 
 class _Signature:
-    """The fields as call parameters, for ``inspect.signature`` and ``help``.
-
-    Built only when asked for, so no launch pays for it.
-    """
+    """The fields as call parameters, for ``inspect.signature``; built only when asked for."""
 
     def __get__(self, record, cls):
         from inspect import Parameter, Signature
@@ -31,23 +28,18 @@ class _Signature:
 class Record:
     """Base of the package's records.
 
-    ``_fields`` maps each field to its annotation, as text (every record
-    module uses ``from __future__ import annotations``), and
-    ``_field_defaults`` the defaulted ones to their defaults; both are
-    underscored, as in ``namedtuple``.  Fields are given positionally or by
-    name (by name only where ``_keyword_only`` is set), then
-    ``__post_init__`` validates them.  A record is frozen (assignment
-    raises ``AttributeError``) unless ``_frozen`` is false.  A record with
-    an ``np.ndarray`` field is compared and hashed by identity, since an
-    array has no single truth value, and its repr leaves the array out; any
-    other is compared and hashed by its fields.
+    ``_fields`` maps each field to its annotation text and
+    ``_field_defaults`` the defaulted ones to their defaults.  Every record
+    is frozen; ``__post_init__`` validates a new one.  A record with an
+    ``np.ndarray`` field compares and hashes by identity, since an array has
+    no single truth value, and its repr leaves the array out.
     """
 
     _fields = {}  # not annotated: the base declares no fields
     _field_defaults = {}
     _keyword_only = False
-    _frozen = True
     __signature__ = _Signature()
+    __setattr__ = __delattr__ = _refuse
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -57,8 +49,6 @@ class Record:
                                **{name: vars(cls)[name] for name in own if name in vars(cls)}}
         if "np.ndarray" in cls._fields.values():
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        if cls._frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -67,13 +57,13 @@ class Record:
         if (len(args) > (0 if self._keyword_only else len(fields))
                 or len(values) < len(args) + len(kwargs)  # a field given twice
                 or not required <= values.keys() <= fields.keys()):
-            raise TypeError(f"{type(self).__name__}{self.__signature__} got {len(args)} "
-                            f"positional arguments and the keywords {sorted(kwargs)}")
+            raise TypeError(f"{type(self).__name__}: bad arguments, {len(args)} positional "
+                            f"and {sorted(kwargs)}")
         vars(self).update(self._field_defaults, **values)
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the fields; a record with invariants overrides this."""
+        pass
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
