@@ -148,7 +148,7 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
     (out / "edges.txt").write_text(graph.edge_list_text())
     (out / "degrees.csv").write_text(graph.degree_table_text())
     elapsed = time.perf_counter() - started
-    print(f"wrote {graph.num_vertices} vertices, {len(graph.edges)} edges to {out} "
+    print(f"wrote {graph.num_vertices} vertices, {graph.num_vertices} edges to {out} "
           f"({elapsed:.3f}s)", file=sys.stderr)
 
 
@@ -157,13 +157,13 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
     if not 1 <= j <= t:
         raise UsageError(f"need 1 <= j <= t, got j={j}, t={t}")
     schedule = parse_schedule(schedule_spec)
-    if method in ("constant", "dp") and not isinstance(schedule, Constant):
-        raise UsageError(f"--method {method} requires a const: schedule")
     if method == "dp":
+        if not isinstance(schedule, Constant):
+            raise UsageError("--method dp requires a const: schedule")
         pmf = pmf_constant_delta_dp(j, t, float(schedule.delta))
     elif method == "oracle":
         pmf = brute_force_pmf(j, t, schedule)
-    else:  # "constant" is the general pass at a constant amount
+    else:
         pmf = pmf_general(j, t, schedule)
     ks = pmf.support
     if k is not None:
@@ -298,7 +298,7 @@ def _parser() -> argparse.ArgumentParser:
     option("--t", type=int, required=True, help="Horizon.")
     option("--schedule", dest="schedule_spec", metavar="SPEC", default="const:1",
            help="Reinforcement schedule string (default: %(default)s).")
-    option("--method", choices=["general", "constant", "dp", "oracle"], default="general",
+    option("--method", choices=["general", "dp", "oracle"], default="general",
            help="Exact route (default: %(default)s).")
     option("--k", type=int, help="Emit only the row for this draw count.")
     option("--out", type=_file_path, help="Output CSV path (default: standard output).")

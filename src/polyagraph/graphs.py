@@ -4,7 +4,7 @@ Vertex j enters the graph at time j - 1 and corresponds to color j in the
 urn.  Vertex 1 starts with a self-loop that counts exactly 1 toward its
 degree, so every vertex enters with degree 1 and a vertex's degree is always
 one more than its color's draw count.  A draw history is the int64 array of
-drawn colors (see ``urn``); a graph holds its own as ``edges[1:, 0]``.
+drawn colors (see ``urn``), and it is all a graph stores.
 ``degree_rows`` is the one place that turns draws into degrees: the graph
 and the Monte Carlo engine (``experiments``) both take their degree tables
 from it.
@@ -25,32 +25,48 @@ from .urn import checked_draws, sample_history
 class EvolvingGraph(Record):
     """Undirected attachment graph after t steps: t + 1 vertices, t + 1 edges.
 
-    ``edges`` is an int64 array of shape (t + 1, 2): the initial self-loop
-    (1, 1) first, then one attachment edge per step in birth order, so
-    ``edges[1:, 0]`` is the draw history.  Everything else is derived from
-    it.  Compared and hashed by identity, since an array field has no single
-    truth value.
+    ``draws`` is the draw history, the one field: a read-only (t,) int64
+    array whose entry n - 1 is the color drawn at time n, checked by
+    ``checked_draws`` and copied when the graph is built.  Everything else
+    is derived from it.  Compared and hashed by identity, since an array
+    field has no single truth value.
     """
 
-    edges: np.ndarray
+    draws: np.ndarray
+
+    def __post_init__(self):
+        draws = checked_draws(self.draws).copy()
+        draws.flags.writeable = False
+        object.__setattr__(self, "draws", draws)
+
+    def __reduce__(self):
+        """Unpickle through the constructor, so the copy is checked and read-only too."""
+        return type(self), (self.draws,)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.edges)
+        return len(self.draws) + 1
 
     @property
     def horizon(self) -> int:
-        return self.num_vertices - 1
+        return len(self.draws)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (t + 1, 2) int64 edge array: the self-loop (1, 1), then (draw, n + 1) for step n."""
+        return np.column_stack((np.concatenate(([1], self.draws)),
+                                np.arange(1, self.num_vertices + 1)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Degree per vertex, 1-indexed (entry 0 unused), from ``degree_rows``; totals 2t + 1."""
-        return degree_rows(self.edges[1:, 0][None, :])[0]
+        return degree_rows(self.draws[None, :])[0]
 
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, the self-loop first."""
         from .configio import rows_text  # not at the top: configio imports graphs via experiments
-        return rows_text("%d %d\n", self.edges[:, 0], self.edges[:, 1])
+        edges = self.edges
+        return rows_text("%d %d\n", edges[:, 0], edges[:, 1])
 
     def degree_table_text(self) -> str:
         """``vertex,degree,birth_time`` CSV with one row per vertex."""
@@ -81,17 +97,13 @@ def graph_from_draws(draws: np.ndarray) -> EvolvingGraph:
 
     Raises ``InvalidColor`` unless the draw at each time n is a color in 1..n.
     """
-    draws = checked_draws(draws)
-    t = len(draws)
-    # Step n joins the color drawn then to the new vertex n + 1.
-    edges = np.column_stack((np.concatenate(([1], draws)), np.arange(1, t + 2)))
-    return EvolvingGraph(edges=edges)
+    return EvolvingGraph(draws=draws)
 
 
 def generate(t: int, schedule: Schedule, seed) -> EvolvingGraph:
     """Sample a draw history of length t and build the graph it encodes.
 
-    The draws are ``graph.edges[1:, 0]``.
+    The draws are ``graph.draws``; ``graph.edges`` derives the edge array from them.
     """
     rng = as_generator(seed)
     return graph_from_draws(sample_history(t, schedule, rng))

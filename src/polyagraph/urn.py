@@ -20,7 +20,6 @@ replays.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 import numpy as np
 
@@ -34,12 +33,12 @@ class UrnState(Record):
 
     ``weights[i]`` is the mass of color i+1; each draw adds one color, so
     there are ``time + 1`` of them, and the newest always has mass exactly 1.
-    Weights may be any numeric type (fractions keep forced replays exact);
-    the sampler never builds an ``UrnState`` and works in floats.
+    The weights are the one field: the time and the total mass are read off
+    them.  Weights may be any numeric type (fractions keep forced replays
+    exact); the sampler never builds an ``UrnState`` and works in floats.
     """
 
     weights: tuple
-    total_weight: Any
 
     @property
     def num_colors(self) -> int:
@@ -49,15 +48,21 @@ class UrnState(Record):
     def time(self) -> int:
         return len(self.weights) - 1
 
+    @property
+    def total_weight(self):
+        """The sum of the weights, in their own type, so Fraction masses stay exact."""
+        return sum(self.weights)
+
 
 def new_urn() -> UrnState:
     """The time-0 urn: one ball of color 1."""
-    return UrnState(weights=(1,), total_weight=1)
+    return UrnState(weights=(1,))
 
 
 def composition(urn: UrnState) -> list:
     """Mass fractions per color, summing to one: the law of the next draw given the whole past."""
-    return [w / urn.total_weight for w in urn.weights]
+    total = urn.total_weight
+    return [w / total for w in urn.weights]
 
 
 def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
@@ -72,16 +77,21 @@ def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
     weights = list(urn.weights)
     weights[drawn - 1] = weights[drawn - 1] + delta
     weights.append(1)
-    return UrnState(weights=tuple(weights), total_weight=urn.total_weight + delta + 1)
+    return UrnState(weights=tuple(weights))
 
 
 def checked_draws(draws) -> np.ndarray:
     """``draws`` as an int64 array, after checking that it is a draw history.
 
-    Raises ``InvalidColor`` unless the draw at each time n is a color in
-    1..n, so that the first draw is color 1.
+    Raises ``InvalidColor`` unless each draw is a whole number that the cast
+    to int64 keeps, and the draw at each time n is a color in 1..n, so that
+    the first draw is color 1.
     """
-    draws = np.ascontiguousarray(draws, dtype=np.int64)
+    given = np.asarray(draws)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer, caught below
+        draws = np.ascontiguousarray(given, dtype=np.int64)
+    if given.dtype != np.int64 and not np.array_equal(draws, given):
+        raise InvalidColor("a draw must be a whole number, so a color")
     t = len(draws)
     if t and draws[0] != 1:
         raise InvalidColor("the first draw must be color 1")
@@ -90,30 +100,26 @@ def checked_draws(draws) -> np.ndarray:
     return draws
 
 
-def replay(draws, schedule: Schedule, t: int | None = None) -> UrnState:
-    """The urn at time t of draw history ``draws``, in one pass of ``step``'s additions.
+def replay(draws, schedule: Schedule) -> UrnState:
+    """The urn after draw history ``draws``, in one pass of ``step``'s additions.
 
-    ``draws[n-1]`` is the color drawn at time n; t defaults to its length.
-    Raises ``InvalidColor`` unless ``draws`` is a draw history
-    (``checked_draws``) and ``IndexError`` unless t is in 0..len(draws).  The
-    masses come from one ``values(t)`` call, except that a ``Constant``
-    repeats its ``value``, so Fraction masses stay exact; float masses equal
-    forced re-stepping bit for bit.
+    ``draws[n-1]`` is the color drawn at time n; replay a prefix
+    ``draws[:t]`` for the urn at time t.  Raises ``InvalidColor`` unless
+    ``draws`` is a draw history (``checked_draws``).  The masses come from
+    one ``values(t)`` call, except that a ``Constant`` repeats its
+    ``value``, so Fraction masses stay exact; float masses equal forced
+    re-stepping bit for bit.
     """
     draws = checked_draws(draws)
-    if t is None:
-        t = len(draws)
-    elif not 0 <= t <= len(draws):
-        raise IndexError(f"time {t} outside recorded range 0..{len(draws)}")
+    t = len(draws)
     if isinstance(schedule, Constant):
         deltas = [schedule.value(1)] * t
     else:
         deltas = schedule.values(t).tolist()
-    weights, total = [1] * (t + 1), 1
-    for delta, drawn in zip(deltas, draws[:t].tolist()):
+    weights = [1] * (t + 1)
+    for delta, drawn in zip(deltas, draws.tolist()):
         weights[drawn - 1] = weights[drawn - 1] + delta
-        total = total + delta + 1
-    return UrnState(weights=tuple(weights), total_weight=total)
+    return UrnState(weights=tuple(weights))
 
 
 class GuideTable:

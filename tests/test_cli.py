@@ -38,6 +38,7 @@ _BAD_COMMAND_LINES = {
     "repro-out-is-a-file": (["repro", "fig3", "--out", "{tmp}/run.cfg"], "--out"),
     "exact-out-is-a-directory": (["exact", "--j", "1", "--t", "3", "--out", "{tmp}"], "--out"),
     "unknown-method": (["exact", "--j", "1", "--t", "3", "--method", "fast"], "--method"),
+    "method-constant": (["exact", "--j", "1", "--t", "3", "--method", "constant"], "--method"),
     "missing-required-option": (["exact", "--t", "3"], "--j"),
 }
 
@@ -176,14 +177,14 @@ class TestExact:
 
     def test_methods_agree(self, tmp_path):
         values = {}
-        for method in ("general", "constant", "dp", "oracle"):
+        for method in ("general", "dp", "oracle"):
             out = tmp_path / f"{method}.csv"
             result = run_cli("exact", "--j", 2, "--t", 8,
                              "--schedule", "const:1", "--method", method, "--out", out)
             assert result.exit_code == 0
             rows = out.read_text().splitlines()[1:]
             values[method] = [float(row.split(",")[1]) for row in rows]
-        for method in ("constant", "dp", "oracle"):
+        for method in ("dp", "oracle"):
             assert values[method] == pytest.approx(values["general"], abs=1e-10)
 
     def test_k_filter(self):
@@ -203,7 +204,7 @@ class TestExact:
         assert result.exit_code == 3
         assert "cap" in result.stderr
 
-    @pytest.mark.parametrize("method", ["general", "constant", "dp", "oracle"])
+    @pytest.mark.parametrize("method", ["general", "dp", "oracle"])
     def test_overflowing_schedule_is_usage_error(self, method):
         result = run_cli("exact", "--j", 1, "--t", 5,
                          "--schedule", "const:1e308", "--method", method)

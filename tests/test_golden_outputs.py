@@ -28,9 +28,9 @@ CASES = {
     "generate-replay-const": ["generate", "--replay", "{replay}"],
     "generate-replay-ln": ["generate", "--replay", "{replay}", "--schedule", "ln"],
     **{f"exact-{method}": ["exact", "--j", "2", "--t", "8", "--method", method]
-       for method in ("general", "constant", "dp", "oracle")},
+       for method in ("general", "dp", "oracle")},
     **{f"exact-{method}-k3": ["exact", "--j", "2", "--t", "8", "--method", method, "--k", "3"]
-       for method in ("general", "constant", "dp", "oracle")},
+       for method in ("general", "dp", "oracle")},
     "exact-general-paper-g": ["exact", "--j", "3", "--t", "14", "--schedule", "paper-g"],
     "exact-oracle-ln-k0": ["exact", "--j", "1", "--t", "6", "--schedule", "ln",
                            "--method", "oracle", "--k", "0"],
@@ -48,14 +48,6 @@ CASES = {
 }
 
 GOLDEN = {
-    'exact-constant': {
-        'stdout':
-            'e7387211d63c9d1ea97501b9b67b1b3457dc2d12606634dc4120c83be219e616',
-    },
-    'exact-constant-k3': {
-        'stdout':
-            'dbbc3fb63b26f992789c80b6508d553b2255cf3c04fd4f1045ad5a9ca9bf0a7b',
-    },
     'exact-dp': {
         'stdout':
             'cb28a1ad29d96a5fddba6aeaf5f78902bdbb31d963a92320be787acb52bb12c5',

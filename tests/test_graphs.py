@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,18 +84,52 @@ class TestReconstruct:
         assert graph.degree_table_text() == "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n"
 
 
+def _graphs(t):
+    """A graph of horizon t for each battery schedule, and a BA graph."""
+    graphs = [generate(t, sched, seed=t) for _, sched in battery_schedules()]
+    graphs.append(ba_generate(t, seed=t))
+    return graphs
+
+
 class TestDerivedFields:
-    def test_edges_are_the_one_field(self):
-        assert list(EvolvingGraph._fields) == ["edges"]
+    def test_draws_are_the_one_field(self):
+        assert list(EvolvingGraph._fields) == ["draws"]
 
     @pytest.mark.parametrize("t", [0, 1, 12, 500])
     def test_degrees_and_vertex_count_come_from_the_edges(self, t):
-        graphs = [generate(t, sched, seed=t) for _, sched in battery_schedules()]
-        graphs.append(ba_generate(t, seed=t))
-        for graph in graphs:
-            assert graph.num_vertices == len(graph.edges) == t + 1
-            assert np.array_equal(graph.degrees, degree_rows(graph.edges[1:, 0][None, :])[0])
+        for graph in _graphs(t):
+            assert graph.num_vertices == len(graph.edges) == t + 1 == graph.horizon + 1
+            assert np.array_equal(graph.degrees, degree_rows(graph.draws[None, :])[0])
             assert graph.degrees is graph.degrees  # computed once, then kept
+
+    @pytest.mark.parametrize("t", [0, 1, 12, 500])
+    def test_edges_keep_the_self_loop_and_birth_order_layout(self, t):
+        for graph in _graphs(t):
+            expected = np.array([[1, 1]] + [[d, n + 1] for n, d in
+                                            enumerate(graph.draws.tolist(), start=1)])
+            assert graph.edges.dtype == np.int64
+            assert np.array_equal(graph.edges, expected)
+
+    @pytest.mark.parametrize("draws", [[2], [1, 1.5]])
+    def test_a_non_history_cannot_be_built(self, draws):
+        with pytest.raises(InvalidColor):
+            EvolvingGraph(draws=np.array(draws))
+
+    def test_the_graph_keeps_its_own_read_only_draws(self):
+        draws = np.array([1, 1, 2, 2])
+        graph = graph_from_draws(draws)
+        draws[:] = 1  # before the degrees are first read
+        assert graph.draws.tolist() == [1, 1, 2, 2]
+        assert graph.degrees[1:].tolist() == [3, 3, 1, 1, 1]
+        assert not graph.draws.flags.writeable
+        with pytest.raises(ValueError):
+            graph.draws[0] = 2
+
+    def test_an_unpickled_graph_is_checked_and_read_only(self):
+        graph = graph_from_draws(np.array([1, 1, 2]))
+        copy = pickle.loads(pickle.dumps(graph))
+        assert copy.draws.tolist() == [1, 1, 2] and not copy.draws.flags.writeable
+        assert np.array_equal(copy.degrees, graph.degrees)
 
 
 class TestDegreeRows:
@@ -137,7 +173,7 @@ class TestGenerate:
     def test_structural_invariants(self, seed, t, sched):
         graph = generate(t, sched, seed=seed)
         draws = sample_history(t, sched, as_generator(seed))
-        assert np.array_equal(graph.edges[1:, 0], draws)
+        assert np.array_equal(graph.draws, draws)
         assert graph.num_vertices == t + 1
         assert graph.edges.dtype == np.int64 and graph.edges.shape == (t + 1, 2)
         assert _edge_tuples(graph)[0] == (1, 1)
@@ -212,7 +248,7 @@ class TestCoupling:
         degrees[1] = 1.0
         worst = 0.0
         for n in range(1, t + 1):
-            drawn = graph.edges[n, 0]  # the color drawn at time n
+            drawn = graph.draws[n - 1]  # the color drawn at time n
             weights[drawn] += 1.0
             weights[n + 1] = 1.0
             degrees[drawn] += 1.0

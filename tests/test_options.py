@@ -21,7 +21,6 @@ ALLOWED = {
     ("configio", "parse_config_text", "source"): "cli repro (names the bundled config)",
     ("configio", "parse_config_text", "base_dir"): "configio.load_config (the file's directory)",
     ("experiments", "run_monte_carlo", "threads"): "cli experiment and repro (--threads)",
-    ("urn", "replay", "t"): "library callers: the time to replay the urn to",
 }
 
 

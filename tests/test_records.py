@@ -26,28 +26,29 @@ def _config(**changes):
     return ExperimentConfig(**{**fields, **changes})
 
 
-# Each maker returns an equal but distinct value on every call; ``other`` differs in one field.
+# Each maker returns an equal but distinct value on every call; ``other`` makes one that
+# differs in one field.  Both are called inside the tests, so a constructor that changes
+# fails the tests that use it rather than the collection of this module.
 VALUES = {
-    "Constant": (lambda: Constant(2.5), Constant(3.0)),
-    "NaturalLog": (lambda: NaturalLog(), Constant(0.0)),
+    "Constant": (lambda: Constant(2.5), lambda: Constant(3.0)),
+    "NaturalLog": (lambda: NaturalLog(), lambda: Constant(0.0)),
     "Stepped": (lambda: Stepped(ends=(3.0, math.inf), levels=(1.0, 2.0)),
-                Stepped(ends=(4.0, math.inf), levels=(1.0, 2.0))),
+                lambda: Stepped(ends=(4.0, math.inf), levels=(1.0, 2.0))),
     "RationalSegments": (lambda: RationalSegments(ends=(2.0, math.inf), kinds=("const", "over_t"),
                                                   params=(1.0, 4.0)),
-                         RationalSegments(ends=(2.0, math.inf), kinds=("const", "const"),
-                                          params=(1.0, 4.0))),
-    "Table": (lambda: Table(entries=(1.0, 0.5)), Table(entries=(1.0, 0.25))),
-    "UrnState": (lambda: UrnState(weights=(2, 1), total_weight=3),
-                 UrnState(weights=(1, 2), total_weight=3)),
-    "ExperimentConfig": (lambda: _config(), _config(seed=2)),
+                         lambda: RationalSegments(ends=(2.0, math.inf), kinds=("const", "const"),
+                                                  params=(1.0, 4.0))),
+    "Table": (lambda: Table(entries=(1.0, 0.5)), lambda: Table(entries=(1.0, 0.25))),
+    "UrnState": (lambda: UrnState(weights=(2, 1)), lambda: UrnState(weights=(1, 2))),
+    "ExperimentConfig": (lambda: _config(), lambda: _config(seed=2)),
 }
 SCHEDULES = ["Constant", "NaturalLog", "Stepped", "RationalSegments", "Table"]
 
 
 @pytest.mark.parametrize("name", VALUES)
 def test_value_records_compare_and_hash_by_their_fields(name):
-    make, other = VALUES[name]
-    a, b = make(), make()
+    make, make_other = VALUES[name]
+    a, b, other = make(), make(), make_other()
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert a != other and not a == other
@@ -113,7 +114,7 @@ def test_repr_names_each_field():
     assert repr(Constant(2.5)) == "Constant(delta=2.5)"
     assert repr(NaturalLog()) == "NaturalLog()"
     assert repr(Table(entries=(1.0,))) == "Table(entries=(1.0,))"
-    assert repr(new_urn()) == "UrnState(weights=(1,), total_weight=1)"
+    assert repr(new_urn()) == "UrnState(weights=(1,))"
     assert repr(_config()) == (
         "ExperimentConfig(model='polya', schedule_spec='const:1', t=5, replicates=2, seed=1, "
         "outputs=('degree_distribution', 'birth_time', 'summary'), out=None)")

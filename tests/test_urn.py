@@ -30,6 +30,24 @@ from polyagraph.urn import (
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
 
 
+class TestUrnState:
+    @pytest.mark.parametrize("weights", [(1,), (2.5, 0.25, 1), (Fraction(7, 3), 1),
+                                         (Fraction(1, 3), 2.0, 1)])
+    def test_total_weight_sums_the_weights_in_their_type(self, weights):
+        urn = UrnState(weights=weights)
+        assert urn.total_weight == sum(weights)
+        assert type(urn.total_weight) is type(sum(weights))
+
+    def test_fraction_total_stays_exact(self):
+        urn = replay([1, 1, 2], Constant(Fraction(1, 3)))
+        assert urn.total_weight == Fraction(5)
+        assert type(urn.total_weight) is Fraction
+
+    def test_a_total_cannot_be_stored(self):
+        with pytest.raises(TypeError):
+            UrnState(weights=(1,), total_weight=5)
+
+
 class TestNewUrn:
     def test_initial_state(self):
         urn = new_urn()
@@ -84,13 +102,13 @@ class TestStep:
             assert urn.weights[-1] == 1
 
     def test_time_is_read_off_the_weights(self):
-        assert list(UrnState._fields) == ["weights", "total_weight"]
+        assert list(UrnState._fields) == ["weights"]
         sched = parse_schedule("paper-g")
         draws = sample_history(40, sched, as_generator(4))
         urn = new_urn()
         for t, color in enumerate(draws.tolist(), start=1):
             urn = step(urn, sched, drawn=color)
-            replayed = replay(draws, sched, t)
+            replayed = replay(draws[:t], sched)
             assert urn.time == urn.num_colors - 1 == t
             assert replayed.time == replayed.num_colors - 1 == t
 
@@ -205,7 +223,7 @@ class TestDrawHistory:
                                    .get(spec, spec))
         draws = sample_history(300, sched, as_generator(17))
         for t in (0, 1, 150, 300):
-            replayed, stepped = replay(draws, sched, t), _stepped(draws, sched, t)
+            replayed, stepped = replay(draws[:t], sched), _stepped(draws, sched, t)
             assert replayed == stepped  # exact for Fractions, bit for bit for floats
             assert type(replayed.total_weight) is type(stepped.total_weight)
 
@@ -215,10 +233,6 @@ class TestDrawHistory:
             urn = replay(sample_history(10**5, sched, as_generator(3)), sched)
             assert urn.time == 10**5 and urn.num_colors == 10**5 + 1
 
-    def test_replay_beyond_the_history_rejected(self):
-        with pytest.raises(IndexError):
-            replay(np.array([1, 1]), Constant(1.0), 3)
-
     def test_first_draw_must_be_color_one(self):
         with pytest.raises(InvalidColor):
             replay(np.array([2]), Constant(1.0))
@@ -226,6 +240,19 @@ class TestDrawHistory:
     def test_draws_must_fit_their_time(self):
         with pytest.raises(InvalidColor):
             replay(np.array([1, 3]), Constant(1.0))
+
+    @pytest.mark.parametrize("draws", [[1, 1.7, 2.9], [1, 1.5], [1, math.nan], [1, math.inf],
+                                       [1, 2**63]])
+    def test_non_integer_draws_rejected(self, draws):
+        # A cast to int64 would truncate 1.7 to color 1 and 1.5 to color 1.
+        with pytest.raises(InvalidColor):
+            checked_draws(draws)
+        with pytest.raises(InvalidColor):
+            replay(draws, Constant(1.0))
+
+    def test_whole_float_draws_accepted(self):
+        assert checked_draws([1.0, 1.0, 2.0]).tolist() == [1, 1, 2]
+        assert checked_draws(np.array([1, 2], dtype=np.int32)).dtype == np.int64
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 40), sched=_SCHEDULES)
     @settings(max_examples=40, deadline=None)
