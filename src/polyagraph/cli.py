@@ -5,7 +5,9 @@ Subcommands: ``generate`` (one graph), ``exact`` (a draw-count distribution),
 figure-reproduction experiments with frozen configurations).  Each is a
 ``cmd_*`` function whose keyword arguments are its subparser's options;
 ``main`` parses a command line, runs the command and maps its errors to exit
-codes.
+codes.  The config flags of ``experiment`` and ``repro`` are config keys,
+read as text by ``configio.read_config`` like a config file's lines; the CLI
+checks only path kinds, ``--threads``, ``--k`` and ``--method dp``.
 
 Progress goes to standard error; data goes to files or standard output.
 Exit codes: 0 success, 2 bad arguments, malformed inputs or a horizon too
@@ -51,18 +53,13 @@ try:
         load_config,
         parse_config_text,
         pmf_csv,
+        read_config,
         write_outputs,
     )
     from .errors import CapExceeded, InvalidColor
     from .exact import brute_force_pmf, pmf_constant_delta_dp, pmf_general
-    from .experiments import (
-        POOL_MIN_DRAWS,
-        ExperimentConfig,
-        draw_count_histogram,
-        run_monte_carlo,
-    )
+    from .experiments import POOL_MIN_DRAWS, draw_count_histogram, run_monte_carlo
     from .graphs import generate as generate_graph, graph_from_draws
-    from .records import replace
     from .schedules import Constant, parse_schedule
 finally:
     if _gc_was_enabled:
@@ -141,8 +138,6 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
     else:
         if t is None:
             raise UsageError("--t is required unless --replay is given")
-        if t < 0:
-            raise UsageError(f"--t must be >= 0, got {t}")
         graph = generate_graph(t, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "edges.txt").write_text(graph.edge_list_text())
@@ -154,8 +149,6 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
 
 def cmd_exact(j, t, schedule_spec, method, k, out):
     """Write the exact draw-count distribution of color j as k,prob CSV."""
-    if not 1 <= j <= t:
-        raise UsageError(f"need 1 <= j <= t, got j={j}, t={t}")
     schedule = parse_schedule(schedule_spec)
     if method == "dp":
         if not isinstance(schedule, Constant):
@@ -179,29 +172,14 @@ def cmd_exact(j, t, schedule_spec, method, k, out):
         print(f"wrote {out}", file=sys.stderr)
 
 
-def _given(flags: dict) -> dict:
-    """The config overrides among ``flags``; an omitted option parses as None."""
-    return {name: value for name, value in flags.items() if value is not None}
+def _with_flags(base, flags):
+    """``base`` (a config, or None) with the config flags given, read by ``read_config``."""
+    entries = [("command line", key, text) for key, text in flags.items() if text is not None]
+    return read_config(entries, base, "command line", None)
 
 
-def _merged_config(config_path, flags) -> ExperimentConfig:
-    overrides = _given(flags)
-    if config_path is None:
-        missing = [name for name in ExperimentConfig._fields
-                   if name not in ExperimentConfig._field_defaults and name not in overrides]
-        if missing:
-            raise UsageError(
-                f"without --config, {', '.join('--' + m for m in missing)} are required"
-            )
-        return ExperimentConfig(**overrides)
-    if overrides.get("model") == "ba":
-        overrides.setdefault("schedule_spec", None)  # a configured schedule does not carry over
-    return replace(load_config(config_path), **overrides)
-
-
-_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores). "
-                 f"Runs of fewer than {POOL_MIN_DRAWS} draws (t*R) use one process "
-                 "whatever the cap.")
+_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores). Runs of "
+                 f"fewer than {POOL_MIN_DRAWS} draws (t*R) use one process whatever the cap.")
 
 
 def _processes(result) -> str:
@@ -210,7 +188,7 @@ def _processes(result) -> str:
 
 def cmd_experiment(config_path, threads, **flags):
     """Run a replicated experiment from a config file and/or inline flags."""
-    config = _merged_config(config_path, flags)
+    config = _with_flags(None if config_path is None else load_config(config_path), flags)
     if config.out is None:
         raise UsageError("an output directory is required (--out or out= in the config)")
     _directory(config.out)  # from --out or the config, checked before the run
@@ -234,16 +212,15 @@ _REPRO_RUNS = {
 }
 
 
-def _repro_config(name: str, flags) -> ExperimentConfig:
+def _repro_config(name: str, flags):
     import importlib.resources
 
     text = (importlib.resources.files("polyagraph") / "repro" / name).read_text()
-    return replace(parse_config_text(text, source=f"repro:{name}"), **_given(flags))
+    return _with_flags(parse_config_text(text, source=f"repro:{name}"), flags)
 
 
 def cmd_repro(figure, out, threads, **flags):
     """Run a bundled figure-reproduction experiment and emit plot-ready CSVs."""
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     if figure == "fig3":
         config = _repro_config("fig3.cfg", flags)
@@ -252,15 +229,17 @@ def cmd_repro(figure, out, threads, **flags):
         exact = pmf_constant_delta_dp(vertex, config.t, float(schedule.delta))
         hist = draw_count_histogram(vertex, config.t, schedule,
                                     config.replicates, config.seed)
+        out.mkdir(parents=True, exist_ok=True)
         (out / "exact_pmf.csv").write_text(pmf_csv(exact.support, exact.probs))
         (out / "empirical_pmf.csv").write_text(
             pmf_csv(exact.support, hist / config.replicates, column="frequency"))
         payload = {"config": config_echo(config), "vertex": vertex}
     else:
         prefix, writer, runs = _REPRO_RUNS[figure]
+        configs = {label: _repro_config(name, flags) for label, name in runs}
+        out.mkdir(parents=True, exist_ok=True)
         payload = {}
-        for label, cfg_name in runs:
-            config = _repro_config(cfg_name, flags)
+        for label, config in configs.items():
             result = run_monte_carlo(config, threads=threads)
             (out / f"{prefix}_{label}.csv").write_text(writer(result))
             payload[label] = config_echo(config)
@@ -305,11 +284,11 @@ def _parser() -> argparse.ArgumentParser:
 
     option = command("experiment", cmd_experiment)
     option("--config", dest="config_path", metavar="PATH", type=_existing_file)
-    option("--model", choices=["polya", "ba"])
-    option("--schedule", dest="schedule_spec", metavar="SPEC")
-    option("--t", type=int)
-    option("--replicates", type=int)
-    option("--seed", type=int)
+    option("--model")
+    option("--schedule", metavar="SPEC")
+    option("--t")
+    option("--replicates")
+    option("--seed")
     option("--out")
     option("--threads", type=_threads, help=_THREADS_HELP)
 
@@ -317,8 +296,8 @@ def _parser() -> argparse.ArgumentParser:
     option("figure", choices=("fig3", *_REPRO_RUNS))
     option("--out", required=True, type=_directory)
     option("--threads", type=_threads, help=_THREADS_HELP)
-    option("--t", type=int, help="Override the frozen horizon (for smoke runs).")
-    option("--replicates", type=int, help="Override the frozen replicate count (for smoke runs).")
+    option("--t", help="Override the frozen horizon (for smoke runs).")
+    option("--replicates", help="Override the frozen replicate count (for smoke runs).")
     return parser
 
 

@@ -1,14 +1,17 @@
 """Experiment config documents and result-file writers.
 
-Config documents are flat ``key = value`` text.  A ``#`` at the start of a
-line or after whitespace starts a comment; elsewhere, as in a ``table:``
-path, it is part of the value.  The keys are the fields of
-``ExperimentConfig``, in its order, with ``schedule`` for ``schedule_spec``:
-a field without a default is required, an ``int`` field must be an integer,
-and ``outputs`` is a comma-separated list that may neither be empty nor
-name a kind twice.  Unknown or duplicate keys are rejected, and the
-schedule must cover the horizon with a finite total mass.  A relative
-``table:`` path in a config file is resolved against the file's directory.
+Config values have one reader, ``read_config``: config documents and the
+config flags of the CLI's ``experiment`` and ``repro`` all go through it.
+The keys are the fields of ``ExperimentConfig``, in its order, with
+``schedule`` for ``schedule_spec``: a field without a default is required
+(unless the values are read over a base config), an ``int`` field must be an
+integer, and ``outputs`` is a comma-separated list that may neither be empty
+nor name a kind twice.  Unknown or duplicate keys are rejected, ``model =
+ba`` drops a base's schedule, and the schedule must cover the horizon with
+a finite total mass.  A document is flat ``key = value`` text; a ``#`` at
+the start of a line or after whitespace starts a comment, elsewhere, as in
+a ``table:`` path, it is part of the value.  A relative ``table:`` path in
+a config file is resolved against the file's directory.
 
 Result files: every CSV row the CLI writes comes from whole columns through
 ``rows_text`` (floats with 17 significant digits), every JSON file from ``json_text``.
@@ -30,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig, MonteCarloResult, degree_distribution
+from .records import replace
 from .schedules import parse_schedule
 from .seeding import SEED_CONTRACT
 
@@ -63,36 +67,48 @@ def parse_config_text(text: str, *, source: str = "<config>", base_dir=None) -> 
 
     A relative ``table:`` path is resolved against ``base_dir`` when given.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(line, 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_OF_KEY:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if not value:
-            raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
-        raw[key] = value
+    def entries():  # (source:line, key, value) of each line that holds more than a comment
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = _COMMENT.split(line, 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield f"{source}:{lineno}", key, value
 
+    return read_config(entries(), None, source, base_dir)
+
+
+def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -> ExperimentConfig:
+    """The config that ``(where, key, text)`` entries give, over ``base`` unless it is None.
+
+    An entry's own fault is reported at its ``where``, any other at ``source``.
+    """
+    raw: dict[str, str] = {}
+    for where, key, text in entries:
+        if key not in _FIELD_OF_KEY:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        if not text:
+            raise ConfigError(f"{where}: empty value for {key!r}")
+        raw[key] = text
     missing = [key for key, name in _FIELD_OF_KEY.items()
                if name not in ExperimentConfig._field_defaults and key not in raw]
-    if missing:
+    if missing and base is None:
         raise ConfigError(f"{source}: missing required key {missing[0]!r}")
     values = {_FIELD_OF_KEY[key]: _field_value(key, text, source) for key, text in raw.items()}
     spec = values.get("schedule_spec", "")
     if base_dir is not None and spec.startswith("table:") and spec != "table:":
         values["schedule_spec"] = f"table:{Path(base_dir) / spec[len('table:'):]}"
+    if values.get("model") == "ba":
+        values.setdefault("schedule_spec", None)  # a base's schedule does not carry over
     try:
-        config = ExperimentConfig(**values)
+        config = ExperimentConfig(**values) if base is None else replace(base, **values)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    if config.schedule_spec is not None:
-        # Parse now and check the whole horizon; raises its own error classes.
+    if config.schedule_spec is not None:  # parsed now and checked over the whole horizon
         parse_schedule(config.schedule_spec).cumulative(config.t)
     return config
 

@@ -114,6 +114,8 @@ def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:
 
     The uniforms map to targets by ``ba_block_draws``, as one row.
     """
+    if t < 0:
+        raise ValueError(f"horizon must be >= 0, got {t}")
     return ba_block_draws(rng.random(t)[None, :])[0]
 
 

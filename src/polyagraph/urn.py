@@ -210,6 +210,8 @@ def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.n
     The uniforms map to colors by ``copy_pointer_draws``, as one row, with a
     table built for this call.
     """
+    if t < 0:
+        raise ValueError(f"horizon must be >= 0, got {t}")
     uniforms = rng.random(t)[None, :]
     return copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t)))[0]
 

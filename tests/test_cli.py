@@ -83,6 +83,12 @@ class TestGenerate:
         assert result.exit_code == 0
         assert (out / "edges.txt").read_text() == "1 1\n"
 
+    def test_negative_horizon_is_usage_error(self, tmp_path):
+        result = run_cli("generate", "--t", "-1", "--out", tmp_path / "x")
+        assert result.exit_code == 2
+        assert result.stderr == "error: horizon must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
     def test_same_seed_same_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -397,6 +403,75 @@ class TestExperiment:
         assert not (tmp_path / "x").exists()
 
 
+class _Stop(Exception):
+    """Raised in place of the run, so a test sees the config the CLI built."""
+
+
+# One value per config flag of ``experiment``, on top of a valid polya config.
+_BASE = {"model": "polya", "schedule": "const:1", "t": "5", "replicates": "2", "seed": "1",
+         "out": "o"}
+_CHANGES = {"model": "ba", "schedule": "ln", "t": "7", "replicates": "3", "seed": "9",
+            "out": "elsewhere"}
+
+
+class TestFlagsAndFiles:
+    """Config flags and config files go through one reader, ``configio.read_config``."""
+
+    @staticmethod
+    def _routes(tmp_path, values):
+        """The ``experiment`` arguments that give ``values`` by a config file and by flags."""
+        lines = "".join(f"{key} = {text}\n" for key, text in values.items())
+        (tmp_path / "run.cfg").write_text(lines)
+        flags = [arg for key, text in values.items() for arg in (f"--{key}", text)]
+        return {"config": ["--config", "run.cfg"], "flags": flags}
+
+    @pytest.mark.parametrize("key", sorted(_CHANGES))
+    def test_file_and_flags_build_equal_configs(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        values = {**_BASE, key: _CHANGES[key]}
+        if values["model"] == "ba":
+            del values["schedule"]
+        seen = {}
+
+        def capture(config, threads):
+            seen[route] = config
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_monte_carlo", capture)
+        for route, args in self._routes(tmp_path, values).items():
+            with pytest.raises(_Stop):
+                run_cli("experiment", *args, "--threads", 1)
+        assert seen["config"] == seen["flags"]
+        assert getattr(seen["flags"], "schedule_spec" if key == "schedule" else key) == (
+            int(_CHANGES[key]) if key in ("t", "replicates", "seed") else _CHANGES[key])
+
+    @pytest.mark.parametrize("key, text, body", [
+        ("t", "x", "key 't' must be an integer, got 'x'"),
+        ("model", "urn", "model must be one of ('polya', 'ba'), got 'urn'"),
+        ("seed", "-1", "seed must be >= 0, got -1"),
+        ("schedule", "table:short.txt", "table covers times 1..3, got 5"),
+    ], ids=["bad-integer", "unknown-model", "negative-seed", "short-table"])
+    def test_bad_value_gives_one_message_by_both_routes(self, tmp_path, monkeypatch,
+                                                        key, text, body):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "short.txt").write_text("1\n1\n1\n")
+        for route, args in self._routes(tmp_path, {**_BASE, key: text}).items():
+            result = run_cli("experiment", *args, "--threads", 1)
+            assert result.exit_code == 2, route
+            source = {"config": "run.cfg: ", "flags": "command line: "}[route]
+            assert result.stderr.replace(source, "", 1) == f"error: {body}\n", route
+            assert not (tmp_path / "o").exists(), route
+
+    def test_empty_flag_value_is_rejected(self, tmp_path, monkeypatch):
+        # An empty --out named the working directory and wrote the results there.
+        monkeypatch.chdir(tmp_path)
+        result = run_cli("experiment", "--model", "ba", "--t", 5, "--replicates", 2,
+                         "--seed", 1, "--out", "", "--threads", 1)
+        assert result.exit_code == 2
+        assert result.stderr == "error: command line: empty value for 'out'\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRepro:
     def test_fig3(self, tmp_path):
         out = tmp_path / "fig3"
@@ -434,6 +509,14 @@ class TestRepro:
             "birth_time_ba.csv", "birth_time_delta1.csv", "birth_time_f.csv",
             "birth_time_g.csv", "birth_time_ln.csv", "summary.json",
         ]
+
+    @pytest.mark.parametrize("figure", ["fig3", "degree-ln"])
+    @pytest.mark.parametrize("flag, text", [("--t", "-1"), ("--replicates", "x")])
+    def test_bad_override_creates_no_output_directory(self, tmp_path, figure, flag, text):
+        result = run_cli("repro", figure, "--out", tmp_path / "x", flag, text)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: command line: ")
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_figure(self, tmp_path):
         result = run_cli("repro", "fig9", "--out", tmp_path / "x")

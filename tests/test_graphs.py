@@ -157,6 +157,17 @@ class TestGenerate:
         assert graph.num_vertices == 1
         assert _edge_tuples(graph) == [(1, 1)]
 
+    def test_negative_horizon_is_named(self):
+        # The one-row samplers check t with ExperimentConfig's wording.
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -1$"):
+            generate(-1, Constant(1.0), seed=0)
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -2$"):
+            ba_generate(-2, seed=0)
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -3$"):
+            sample_history(-3, Constant(1.0), as_generator(0))
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -4$"):
+            ba_draws(-4, as_generator(0))
+
     def test_first_edge_is_deterministic(self):
         for seed in range(5):
             graph = generate(1, Constant(1.0), seed=seed)

@@ -7,13 +7,14 @@ hash by identity.  Frozen records refuse assignment, and a copy with changed
 fields is validated again.
 """
 
+import importlib.resources
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from polyagraph import cli
+from polyagraph.configio import load_config, parse_config_text, read_config
 from polyagraph.exact import Pmf, pmf_constant_delta_dp
 from polyagraph.experiments import ExperimentConfig, run_monte_carlo
 from polyagraph.graphs import graph_from_draws
@@ -154,11 +155,19 @@ def test_a_frozen_graph_still_caches_its_degrees():
 def test_a_changed_config_is_validated_again(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = polya\nschedule = const:1\nt = 5\nreplicates = 3\nseed = 1\n")
-    assert cli._merged_config(cfg, {"seed": 7, "t": None}) == _config(replicates=3, seed=7)
+    base = load_config(cfg)
+
+    def over(config, **texts):
+        return read_config([("flags", key, text) for key, text in texts.items()], config,
+                           "flags", None)
+
+    assert over(base, seed="7") == _config(replicates=3, seed=7)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        cli._merged_config(cfg, {"seed": -1})
+        over(base, seed="-1")
     with pytest.raises(ValueError, match="model 'ba' takes no schedule"):
-        cli._merged_config(cfg, {"model": "ba", "schedule_spec": "ln"})
+        over(base, model="ba", schedule="ln")
+    bundled = importlib.resources.files("polyagraph") / "repro" / "fig3.cfg"
+    fig3 = parse_config_text(bundled.read_text(), source="repro:fig3.cfg")
     with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
-        cli._repro_config("fig3.cfg", {"t": -1, "replicates": None})
-    assert cli._repro_config("fig3.cfg", {"replicates": 9}).replicates == 9
+        over(fig3, t="-1")
+    assert over(fig3, replicates="9").replicates == 9
