@@ -33,8 +33,7 @@ _SUBMODULE = {
                    "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",
                   "brute_force_table", "delta_one_simplified_pmf", "normalization_check",
-                  "pmf_constant_delta", "pmf_constant_delta_dp", "pmf_delta_one",
-                  "pmf_general"),
+                  "pmf_constant_delta", "pmf_constant_delta_dp", "pmf_dp", "pmf_general"),
         "experiments": ("ExperimentConfig", "MonteCarloResult",
                         "average_birth_time_of_graph", "degree_distribution",
                         "draw_count_histogram", "expected_birth_time_table",

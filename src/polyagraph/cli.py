@@ -7,7 +7,8 @@ figure-reproduction experiments with frozen configurations).  Each is a
 ``main`` parses a command line, runs the command and maps its errors to exit
 codes.  The config flags of ``experiment`` and ``repro`` are config keys,
 read as text by ``configio.read_config`` like a config file's lines; the CLI
-checks only path kinds, ``--threads``, ``--k`` and ``--method dp``.
+checks only path kinds, ``--threads`` and ``--k``.  Every ``exact --method``
+route is called as ``route(j, t, schedule)`` and checks its own reach.
 
 Progress goes to standard error; data goes to files or standard output.
 Exit codes: 0 success, 2 bad arguments, malformed inputs or a horizon too
@@ -57,10 +58,10 @@ try:
         write_outputs,
     )
     from .errors import CapExceeded, InvalidColor
-    from .exact import brute_force_pmf, pmf_constant_delta_dp, pmf_general
+    from .exact import brute_force_pmf, pmf_dp, pmf_general
     from .experiments import POOL_MIN_DRAWS, draw_count_histogram, run_monte_carlo
     from .graphs import generate as generate_graph, graph_from_draws
-    from .schedules import Constant, parse_schedule
+    from .schedules import parse_schedule
 finally:
     if _gc_was_enabled:
         gc.enable()
@@ -149,15 +150,8 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
 
 def cmd_exact(j, t, schedule_spec, method, k, out):
     """Write the exact draw-count distribution of color j as k,prob CSV."""
-    schedule = parse_schedule(schedule_spec)
-    if method == "dp":
-        if not isinstance(schedule, Constant):
-            raise UsageError("--method dp requires a const: schedule")
-        pmf = pmf_constant_delta_dp(j, t, float(schedule.delta))
-    elif method == "oracle":
-        pmf = brute_force_pmf(j, t, schedule)
-    else:
-        pmf = pmf_general(j, t, schedule)
+    route = {"general": pmf_general, "dp": pmf_dp, "oracle": brute_force_pmf}[method]
+    pmf = route(j, t, parse_schedule(schedule_spec))
     ks = pmf.support
     if k is not None:
         if not 0 <= k < len(ks):
@@ -226,7 +220,7 @@ def cmd_repro(figure, out, threads, **flags):
         config = _repro_config("fig3.cfg", flags)
         vertex = 2
         schedule = config.schedule()
-        exact = pmf_constant_delta_dp(vertex, config.t, float(schedule.delta))
+        exact = pmf_dp(vertex, config.t, schedule)
         hist = draw_count_histogram(vertex, config.t, schedule,
                                     config.replicates, config.seed)
         out.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ScheduleRangeError
 from .experiments import ExperimentConfig, MonteCarloResult, degree_distribution
 from .records import replace
 from .schedules import parse_schedule
@@ -86,6 +86,7 @@ def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -
     An entry's own fault is reported at its ``where``, any other at ``source``.
     """
     raw: dict[str, str] = {}
+    wheres: dict[str, str] = {}
     for where, key, text in entries:
         if key not in _FIELD_OF_KEY:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -93,7 +94,7 @@ def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -
             raise ConfigError(f"{where}: duplicate key {key!r}")
         if not text:
             raise ConfigError(f"{where}: empty value for {key!r}")
-        raw[key] = text
+        raw[key], wheres[key] = text, where
     missing = [key for key, name in _FIELD_OF_KEY.items()
                if name not in ExperimentConfig._field_defaults and key not in raw]
     if missing and base is None:
@@ -109,7 +110,14 @@ def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     if config.schedule_spec is not None:  # parsed now and checked over the whole horizon
-        parse_schedule(config.schedule_spec).cumulative(config.t)
+        try:
+            schedule = parse_schedule(config.schedule_spec)
+        except ValueError as exc:  # a fault of the schedule entry's own text
+            raise ConfigError(f"{wheres.get('schedule', source)}: {exc}") from None
+        try:
+            schedule.cumulative(config.t)
+        except ScheduleRangeError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     return config
 
 

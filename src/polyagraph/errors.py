@@ -30,7 +30,7 @@ class ScheduleParseError(PolyagraphError, ValueError):
 
 
 class ScheduleRangeError(PolyagraphError, ValueError):
-    """A schedule value is negative, or an evaluation time is out of range."""
+    """A schedule value is negative, a time or horizon is out of range, or a window is not flat."""
 
 
 class ConfigError(PolyagraphError, ValueError):

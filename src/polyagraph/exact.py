@@ -2,17 +2,17 @@
 
 For a color j and horizon t, the number of times color j is drawn lies in
 0..t-j+1, and the corresponding vertex degree is that count plus one.  Three
-routes compute the distribution:
+routes compute the distribution, each called as ``route(j, t, schedule)``:
 
 - ``pmf_general``: the exact sum, valid for any schedule, over the subsets
   of times j..t at which color j is drawn.  Each subset contributes a chain
   of conditional draw/no-draw probabilities, built by one forward pass over
   the subsets; there are 2**(t-j+1) of them, so the support window is
-  capped.  ``pmf_constant_delta`` and ``pmf_delta_one`` are this route at a
+  capped.  ``pmf_constant_delta`` is this route at a constant amount.
+- ``pmf_dp``: a quadratic-time forward recurrence over the draw count, with
+  no cap, for a schedule whose amount is constant over color j's window;
+  it raises for any other.  ``pmf_constant_delta_dp`` is this route at a
   constant amount.
-- ``pmf_constant_delta_dp``: a quadratic-time forward recurrence for constant
-  amounts with no cap; the draw probability at time n depends only on the
-  number of prior draws.
 - ``brute_force_pmf``: an independent oracle that enumerates every possible
   draw sequence outright and replays the urn along each path.
 
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidColor
+from .errors import CapExceeded, InvalidColor, ScheduleRangeError
 from .records import Record
 from .schedules import Constant, Schedule
 
@@ -35,7 +35,6 @@ ENUMERATION_CAP = 25
 BRUTE_FORCE_CAP = 9
 
 _SPLIT = 2 ** 18  # the forward pass halves any larger set of subset states
-_DELTA_ONE_TOL = 1e-10
 
 
 class Pmf(Record):
@@ -80,7 +79,7 @@ def _validate_cap(j: int, t: int) -> None:
     if window > ENUMERATION_CAP:
         raise CapExceeded(
             f"support window {window} exceeds the enumeration cap {ENUMERATION_CAP}; use "
-            "the constant-reinforcement recurrence (pmf_constant_delta_dp) or Monte Carlo"
+            "pmf_dp if the amount is constant over the window, or Monte Carlo"
         )
 
 
@@ -129,15 +128,6 @@ def _count_chain(j: int, t: int, factors) -> np.ndarray:
     return probs
 
 
-def _zero_draws_unit_simplified(j: int, t: int) -> float:
-    if j == 1:
-        return 0.0  # the gamma ratio's pole at color 1
-    den = 1.0
-    for n in range(j - 1, t):
-        den *= 2.0 * n + 1.0
-    return 2.0 * math.factorial(t) / (math.factorial(j - 2) * den)
-
-
 def pmf_general(j: int, t: int, schedule: Schedule) -> Pmf:
     """Exact draw-count distribution for any schedule.
 
@@ -162,48 +152,34 @@ def pmf_constant_delta(j: int, t: int, delta: float) -> Pmf:
     return pmf_general(j, t, Constant(float(delta)))
 
 
-def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
-    """Forward recurrence for a constant amount; no cap, O((t-j+1)^2).
+def pmf_dp(j: int, t: int, schedule: Schedule) -> Pmf:
+    """Forward recurrence over the draw count; no cap, O((t-j+1)^2).
 
-    With a constant amount the draw probability at time n depends only on
-    the number k of prior draws: (1 + k*delta) / (n + (n-1)*delta).  Each
-    step redistributes mass between "no draw" and "one more draw", so the
-    total is conserved by construction.
+    Exact, and otherwise a ``ScheduleRangeError``, when the amount is c at
+    every time j..t-1 (color j's window): after k draws color j has mass
+    1 + k*c, so it is drawn at time n with probability (1 + k*c) / D_n, where
+    D_n = n + (n-1)*c + sum_{p<j} (delta_p - c) = n + S[n-1].  For a
+    ``Constant`` the sum is exactly 0, so D_n is n + (n-1)*c bit for bit.
     """
     _validate_color(j, t)
-    delta = float(delta)
-    Constant(delta).cumulative(t)  # raises if the amount is negative or the total overflows
+    schedule.cumulative(t)  # raises if the total overflows
+    deltas = schedule.values(t)
+    c = float(deltas[j - 1])
+    if np.any(deltas[j - 1:t - 1] != c):
+        raise ScheduleRangeError(f"the amount varies over color {j}'s window, times "
+                                 f"{j}..{t - 1}, so pmf_dp does not apply; use pmf_general")
+    offset = float(np.sum(deltas[:j - 1] - c))
 
     def factors(n, ks):
-        q = (1.0 + ks * delta) / (n + (n - 1) * delta)
+        q = (1.0 + ks * c) / (n + (n - 1) * c + offset)
         return 1.0 - q, q
 
     return Pmf(color=j, horizon=t, probs=_count_chain(j, t, factors))
 
 
-def pmf_delta_one(j: int, t: int) -> Pmf:
-    """Draw-count distribution at unit reinforcement.
-
-    At unit reinforcement the a-th draw contributes factor a, so each
-    subset's draw product collapses to k!.  An alternative closed form
-    (``delta_one_simplified_pmf``) further drops the pruning of draw times
-    from the no-draw product and rewrites the zero-draw term as a gamma
-    ratio; it disagrees with the verified law for colors >= 2.  This
-    function returns the verified values and logs the size of any
-    discrepancy rather than silently reconciling the two.
-    """
-    result = pmf_general(j, t, Constant(1.0))
-    alt = delta_one_simplified_pmf(j, t)
-    gap = float(np.max(np.abs(alt.probs - result.probs)))
-    if gap > _DELTA_ONE_TOL:
-        import logging  # here, so that loading this module, as every CLI launch does, skips it
-
-        logging.getLogger(__name__).warning(
-            "simplified unit-reinforcement closed form disagrees for color %d "
-            "at horizon %d (max gap %.3g); returning the verified distribution",
-            j, t, gap,
-        )
-    return result
+def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
+    """``pmf_dp`` at a constant amount."""
+    return pmf_dp(j, t, Constant(float(delta)))
 
 
 def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
@@ -212,7 +188,8 @@ def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
     Kept so the mismatch against the verified law stays visible: the k >= 1
     sum multiplies k! by the no-draw factor at every time j..t (draw times
     are not excluded), and the zero-draw term is 2 t! / ((j-2)! prod(2n+1)).
-    Do not use for computation; see ``pmf_delta_one``.
+    Do not use for computation: ``pmf_general`` at ``Constant(1.0)`` gives the
+    verified law.
     """
     _validate_color(j, t)
     _validate_cap(j, t)
@@ -223,7 +200,9 @@ def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
 
     probs = _count_chain(j, t, factors)
     probs *= [float(math.factorial(k)) for k in range(len(probs))]
-    probs[0] = _zero_draws_unit_simplified(j, t)
+    den = math.prod(2.0 * n + 1.0 for n in range(j - 1, t))
+    # The gamma ratio's pole at color 1 makes the zero-draw term vanish there.
+    probs[0] = 0.0 if j == 1 else 2.0 * math.factorial(t) / (math.factorial(j - 2) * den)
     return Pmf(color=j, horizon=t, probs=probs)
 
 
@@ -271,7 +250,7 @@ def brute_force_pmf(j: int, t: int, schedule: Schedule) -> Pmf:
     if t > BRUTE_FORCE_CAP:
         raise CapExceeded(
             f"enumerating {t}! draw sequences exceeds the cap ({BRUTE_FORCE_CAP}!); "
-            "use pmf_general or pmf_constant_delta_dp"
+            "use pmf_general, or pmf_dp if the amount is constant over the window"
         )
     table = brute_force_table(t, schedule)
     window = t - j + 1

@@ -61,17 +61,20 @@ class Schedule(Record):
         return float(self._at(np.array([t]))[0])
 
     def values(self, horizon: int) -> np.ndarray:
-        """Masses for times 1..horizon as a float array."""
+        """Masses for times 1..horizon as a float array; the horizon must be >= 0."""
+        if horizon < 0:
+            raise ScheduleRangeError(f"horizon must be >= 0, got {horizon}")
         return self._at(np.arange(1, horizon + 1))
 
     def cumulative(self, horizon: int) -> np.ndarray:
         """Prefix sums: out[n] = sum of masses for times 1..n, out[0] = 0.
 
-        Raises ``ScheduleRangeError`` if the total mass overflows a float.
+        Raises ``ScheduleRangeError`` for a negative horizon or a total mass that overflows.
         """
+        values = self.values(horizon)
         out = np.zeros(horizon + 1)
         with np.errstate(over="ignore"):
-            np.cumsum(self.values(horizon), out=out[1:])
+            np.cumsum(values, out=out[1:])
         if not np.isfinite(out[-1]):
             raise ScheduleRangeError(f"total reinforcement over times 1..{horizon} overflows")
         return out

@@ -208,12 +208,10 @@ def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.n
     """Sample a length-t draw history, a (t,) int64 array, from one ``rng.random(t)`` call.
 
     The uniforms map to colors by ``copy_pointer_draws``, as one row, with a
-    table built for this call.
+    table built for this call before the draw.
     """
-    if t < 0:
-        raise ValueError(f"horizon must be >= 0, got {t}")
-    uniforms = rng.random(t)[None, :]
-    return copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t)))[0]
+    table = GuideTable(schedule.cumulative(t))
+    return copy_pointer_draws(rng.random(t)[None, :], table)[0]
 
 
 def marginal_draw_prob(j: int, t: int, schedule: Schedule) -> float:

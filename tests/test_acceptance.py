@@ -22,7 +22,6 @@ from polyagraph.exact import (
     normalization_check,
     pmf_constant_delta,
     pmf_constant_delta_dp,
-    pmf_delta_one,
     pmf_general,
 )
 from polyagraph.experiments import (
@@ -128,7 +127,7 @@ def test_05_constant_amount_consistency():
                     assert float(np.max(np.abs(a.probs - b.probs))) <= 1e-10
                     assert float(np.max(np.abs(a.probs - c.probs))) <= 1e-10
 
-        verified = pmf_delta_one(2, 12)
+        verified = pmf_general(2, 12, Constant(1.0))
         simplified = delta_one_simplified_pmf(2, 12)
         gap = float(np.max(np.abs(simplified.probs - verified.probs)))
         assert gap > 1e-6, "expected the simplified closed form to disagree"

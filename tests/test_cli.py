@@ -225,7 +225,7 @@ class TestExact:
         def too_large(*args):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
-        monkeypatch.setattr(cli, "pmf_constant_delta_dp", too_large)
+        monkeypatch.setattr(cli, "pmf_dp", too_large)
         result = run_cli("exact", "--j", 2, "--t", 99999999999, "--method", "dp")
         assert result.exit_code == 2
         assert "error: Unable to allocate 745. GiB" in result.stderr
@@ -235,6 +235,22 @@ class TestExact:
         result = run_cli("exact", "--j", 1, "--t", 5,
                          "--schedule", "ln", "--method", "dp")
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("j, code", [(1, 2), (7, 2), (8, 0), (9, 0)])
+    def test_dp_runs_where_the_window_is_flat(self, j, code):
+        # ln's amount varies at every time, so only colors t-1 and t have a flat window.
+        result = run_cli("exact", "--j", j, "--t", 9, "--schedule", "ln", "--method", "dp")
+        assert result.exit_code == code
+        if code:
+            assert result.stderr == (f"error: the amount varies over color {j}'s window, times "
+                                     f"{j}..8, so pmf_dp does not apply; use pmf_general\n")
+
+    def test_dp_on_a_late_paper_f_vertex(self):
+        # Vertex 2501's window lies in paper-f's last segment, past the general route's cap.
+        result = run_cli("exact", "--j", 2501, "--t", 5000, "--schedule", "paper-f",
+                         "--method", "dp")
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 2502  # the header and counts 0..2500
 
 
 class TestExperiment:
@@ -398,8 +414,10 @@ class TestExperiment:
                  "--replicates", 2, "--seed", 1])
         result = run_cli("experiment", *args, "--out", "x", "--threads", 1)
         assert result.exit_code == 2
-        # The config's directory is the working one, so both routes name tab.txt.
-        assert result.stderr == f"error: tab.txt:3: {message}\n"
+        # The config's directory is the working one, so both routes name tab.txt,
+        # after the config line or the command line that gave the schedule.
+        where = "run.cfg:2" if route == "config" else "command line"
+        assert result.stderr == f"error: {where}: tab.txt:3: {message}\n"
         assert not (tmp_path / "x").exists()
 
 

@@ -13,7 +13,7 @@ from polyagraph.configio import (
     save_config,
     write_outputs,
 )
-from polyagraph.errors import ConfigError, ScheduleRangeError
+from polyagraph.errors import ConfigError
 from polyagraph.experiments import OUTPUT_KINDS, ExperimentConfig, run_monte_carlo
 from polyagraph.seeding import SEED_CONTRACT
 
@@ -69,7 +69,7 @@ class TestParse:
         table = tmp_path / "short.txt"
         table.write_text("1\n1\n1\n")
         text = MINIMAL.replace("schedule = const:1", f"schedule = table:{table}")
-        with pytest.raises(ScheduleRangeError):
+        with pytest.raises(ConfigError, match=r"^<config>: table covers times 1\.\.3, got 100$"):
             parse_config_text(text)
 
     def test_hash_inside_table_path_is_kept(self, tmp_path):
@@ -97,8 +97,18 @@ class TestParse:
 
     def test_schedule_total_must_be_finite(self):
         text = MINIMAL.replace("schedule = const:1", "schedule = const:1e308")
-        with pytest.raises(ScheduleRangeError, match="overflows"):
+        with pytest.raises(ConfigError, match="^<config>: total reinforcement .* overflows$"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bogus", "unrecognized schedule spec 'bogus' (at position 0)"),
+        ("const:-1", "negative reinforcement -1.0"),
+    ])
+    def test_schedule_fault_names_its_line(self, spec, message):
+        text = MINIMAL.replace("schedule = const:1", f"schedule = {spec}")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text, source="run.cfg")
+        assert str(err.value) == f"run.cfg:3: {message}"
 
     def test_table_path_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
         (tmp_path / "cfg").mkdir()

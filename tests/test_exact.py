@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from conftest import battery_schedules, enumerate_paths
 from polyagraph import exact
-from polyagraph.errors import CapExceeded, InvalidColor
+from polyagraph.errors import CapExceeded, InvalidColor, ScheduleRangeError
 from polyagraph.exact import (
     Pmf,
     brute_force_pmf,
@@ -15,10 +14,21 @@ from polyagraph.exact import (
     normalization_check,
     pmf_constant_delta,
     pmf_constant_delta_dp,
-    pmf_delta_one,
+    pmf_dp,
     pmf_general,
 )
-from polyagraph.schedules import Constant, NaturalLog, paper_g
+from polyagraph.schedules import Constant, NaturalLog, paper_f, paper_g, parse_schedule
+
+# Two schedules with flat windows of every length at small horizons, and
+# different amounts before them.
+STEPS = [(spec, parse_schedule(spec)) for spec in ("step:3=1,7=4,inf=2.5",
+                                                   "step:5=1,12=10,inf=100")]
+
+
+def _flat(j, t, schedule):
+    """Whether the amount is the same at every time of color j's window, j..t-1."""
+    deltas = schedule.values(t)
+    return bool(np.all(deltas[j - 1:t - 1] == deltas[j - 1]))
 
 
 class TestPmfGeneral:
@@ -123,12 +133,66 @@ class TestRecurrence:
     def test_no_cap(self):
         pmf_constant_delta_dp(1, 40, 2.0)  # window 40 would exceed the sum's cap
 
+    def test_bit_identical_to_the_closed_form_chain(self):
+        # At 0.3 the cumulative masses and (n-1)*0.3 differ in the last bit,
+        # so this pins the closed-form denominator n + (n-1)*delta.
+        delta = 0.3
+        for j, t in [(1, 50), (2, 12), (7, 400), (300, 1000), (9, 9)]:
+            probs = np.zeros(t - j + 2)
+            probs[0] = 1.0
+            ks = np.arange(t - j + 2, dtype=float)
+            for n in range(j, t + 1):
+                q = (1.0 + ks * delta) / (n + (n - 1) * delta)
+                moved = probs * q
+                probs = probs * (1.0 - q)
+                probs[1:] += moved[:-1]
+            assert np.array_equal(pmf_constant_delta_dp(j, t, delta).probs, probs), (j, t)
+            assert np.array_equal(pmf_dp(j, t, Constant(delta)).probs, probs), (j, t)
+
+
+class TestFlatWindowRecurrence:
+    def test_matches_general_on_every_flat_window(self, battery):
+        seen = set()
+        for spec, sched in [*battery, *STEPS]:
+            for t in range(1, 22):
+                for j in range(1, t + 1):
+                    if not _flat(j, t, sched):
+                        continue
+                    got = pmf_dp(j, t, sched).probs
+                    assert np.max(np.abs(got - pmf_general(j, t, sched).probs)) <= 1e-12
+                    seen.add((spec, t - j))
+        # ln is flat only over a window of at most one time, j >= t-1; the
+        # longest window of the second step schedule is 12..20, after both breaks.
+        assert {gap for spec, gap in seen if spec == "ln"} == {0, 1}
+        assert max(gap for spec, gap in seen if spec == STEPS[1][0]) == 9
+
+    def test_matches_oracle(self):
+        for _, sched in [("ln", NaturalLog()), *STEPS]:
+            for t in range(1, 10):
+                table = brute_force_table(t, sched)
+                for j in range(1, t + 1):
+                    if _flat(j, t, sched):
+                        got = pmf_dp(j, t, sched).probs
+                        assert np.max(np.abs(got - table[j, : t - j + 2])) <= 1e-10
+
+    def test_window_that_is_not_flat_is_refused(self):
+        with pytest.raises(ScheduleRangeError, match=r"times 1\.\.4, .* use pmf_general"):
+            pmf_dp(1, 5, NaturalLog())
+        with pytest.raises(ScheduleRangeError, match=r"times 2499\.\.4999"):
+            pmf_dp(2499, 5000, paper_f())  # the amount rises to 100 at time 2500
+
+    def test_late_vertex_under_paper_f(self):
+        # Vertex 2501's window lies in paper-f's last segment, past the sum's cap.
+        law = pmf_dp(2501, 5000, paper_f())
+        assert normalization_check(law) <= 1e-12
+        assert law.probs[19:].sum() == pytest.approx(1.26e-3, rel=0.01)  # P(degree >= 20)
+
 
 class TestDeltaOne:
     def test_matches_recurrence(self):
         for t in range(1, 13):
             for j in range(1, t + 1):
-                a = pmf_delta_one(j, t)
+                a = pmf_general(j, t, Constant(1.0))
                 b = pmf_constant_delta_dp(j, t, 1.0)
                 assert np.max(np.abs(a.probs - b.probs)) <= 1e-10
 
@@ -143,23 +207,18 @@ class TestDeltaOne:
         # The simplified zero-draw term overstates the verified one by
         # exactly 2t / 2**(t-j+1) for colors >= 2.
         for j, t in [(2, 5), (3, 8), (5, 12)]:
-            good = pmf_delta_one(j, t)
+            good = pmf_general(j, t, Constant(1.0))
             alt = delta_one_simplified_pmf(j, t)
             assert alt.probs[0] == pytest.approx(
                 good.probs[0] * (2 * t / 2 ** (t - j + 1)), rel=1e-12
             )
-
-    def test_simplified_form_disagrees_and_is_reported(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="polyagraph.exact"):
-            pmf_delta_one(2, 12)
-        assert any("disagrees" in record.message for record in caplog.records)
 
     def test_simplified_form_color_one_zero_draws(self):
         # The gamma ratio's pole makes the zero-draw term vanish for color 1,
         # which agrees with the verified law there.
         alt = delta_one_simplified_pmf(1, 6)
         assert alt.probs[0] == 0.0
-        assert pmf_delta_one(1, 6).probs[0] == 0.0
+        assert pmf_general(1, 6, Constant(1.0)).probs[0] == 0.0
 
 
 class TestOracle:

@@ -32,6 +32,10 @@ CASES = {
     **{f"exact-{method}-k3": ["exact", "--j", "2", "--t", "8", "--method", method, "--k", "3"]
        for method in ("general", "dp", "oracle")},
     "exact-general-paper-g": ["exact", "--j", "3", "--t", "14", "--schedule", "paper-g"],
+    "exact-dp-paper-f": ["exact", "--j", "2501", "--t", "2520", "--schedule", "paper-f",
+                         "--method", "dp"],
+    "exact-dp-step": ["exact", "--j", "8", "--t", "20", "--schedule", "step:3=1,7=4,inf=2.5",
+                      "--method", "dp"],
     "exact-oracle-ln-k0": ["exact", "--j", "1", "--t", "6", "--schedule", "ln",
                            "--method", "oracle", "--k", "0"],
     **{f"experiment-{spec}-t{t}": ["experiment", "--model", "polya", "--schedule", spec,
@@ -55,6 +59,14 @@ GOLDEN = {
     'exact-dp-k3': {
         'stdout':
             'f19f7a792811a83434d4a52dfc2f8959bc8b01a707702a55d862d8b8655a27c6',
+    },
+    'exact-dp-paper-f': {
+        'stdout':
+            'ab964f7dbfa3d73cd441ec1b23093744c79b3738dbe2162022625e37cb738e10',
+    },
+    'exact-dp-step': {
+        'stdout':
+            '3783ba35bcb0de81dc972443301765ca379e972371d3ae61e674521c4c10bef6',
     },
     'exact-general': {
         'stdout':

@@ -203,6 +203,18 @@ class TestEvaluation:
         with pytest.raises(ScheduleRangeError):
             NaturalLog().value(0)
 
+    @pytest.mark.parametrize("sched", [
+        Constant(1.0), NaturalLog(), Stepped(ends=(5.0,), levels=(1.0,)),
+        RationalSegments(ends=(math.inf,), kinds=("over_t",), params=(2.0,)),
+        Table(entries=(1.0, 2.0)),
+    ], ids=lambda sched: type(sched).__name__)
+    @pytest.mark.parametrize("horizon", [-1, -3])
+    def test_negative_horizon_is_named(self, sched, horizon):
+        for evaluate in (sched.values, sched.cumulative):
+            with pytest.raises(ScheduleRangeError, match=rf"^horizon must be >= 0, got {horizon}$"):
+                evaluate(horizon)
+        assert sched.cumulative(0).tolist() == [0.0]
+
     def test_rational_segment_validation(self):
         with pytest.raises(ValueError):
             RationalSegments(ends=(5.0,), kinds=("weird",), params=(1.0,))
