@@ -28,7 +28,7 @@ _SUBMODULE = {
                       "Table", "paper_f", "paper_g", "parse_schedule"),
         "seeding": ("as_generator", "replicate_generator"),
         "urn": ("GuideTable", "UrnState", "composition", "copy_pointer_draws",
-                "marginal_draw_prob", "new_urn", "replay", "sample_history", "step"),
+                "marginal_draw_prob", "replay", "sample_history", "step"),
         "graphs": ("EvolvingGraph", "ba_draws", "ba_generate", "generate",
                    "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",

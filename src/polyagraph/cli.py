@@ -6,9 +6,11 @@ figure-reproduction experiments with frozen configurations).  Each is a
 ``cmd_*`` function whose keyword arguments are its subparser's options;
 ``main`` parses a command line, runs the command and maps its errors to exit
 codes.  The config flags of ``experiment`` and ``repro`` are config keys,
-read as text by ``configio.read_config`` like a config file's lines; the CLI
-checks only path kinds, ``--threads`` and ``--k``.  Every ``exact --method``
-route is called as ``route(j, t, schedule)`` and checks its own reach.
+read as text by ``configio.read_config`` like a config file's lines;
+``experiment`` takes each of ``configio.CONFIG_KEYS`` but ``outputs``.  The
+CLI checks only path kinds, ``--threads`` and ``--k``.  Every
+``exact --method`` route is called as ``route(j, t, schedule)`` and checks
+its own reach.
 
 Progress goes to standard error; data goes to files or standard output.
 Exit codes: 0 success, 2 bad arguments, malformed inputs or a horizon too
@@ -47,6 +49,7 @@ try:
     import numpy as np
 
     from .configio import (
+        CONFIG_KEYS,
         birth_time_csv,
         config_echo,
         degree_distribution_csv,
@@ -172,8 +175,9 @@ def _with_flags(base, flags):
     return read_config(entries, base, "command line", None)
 
 
-_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores). Runs of "
-                 f"fewer than {POOL_MIN_DRAWS} draws (t*R) use one process whatever the cap.")
+_THREADS_HELP = ("Cap on worker processes for replicates (default: available cores; never "
+                 f"more than the cores). Runs of fewer than {POOL_MIN_DRAWS} draws (t*R) use "
+                 "one process whatever the cap.")
 
 
 def _processes(result) -> str:
@@ -278,12 +282,9 @@ def _parser() -> argparse.ArgumentParser:
 
     option = command("experiment", cmd_experiment)
     option("--config", dest="config_path", metavar="PATH", type=_existing_file)
-    option("--model")
-    option("--schedule", metavar="SPEC")
-    option("--t")
-    option("--replicates")
-    option("--seed")
-    option("--out")
+    for key in CONFIG_KEYS:
+        if key != "outputs":  # a list of kinds, set in a config document only
+            option(f"--{key}")
     option("--threads", type=_threads, help=_THREADS_HELP)
 
     option = command("repro", cmd_repro)

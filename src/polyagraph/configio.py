@@ -40,6 +40,7 @@ from .seeding import SEED_CONTRACT
 # Config keys are ExperimentConfig's field names, but for this one rename.
 _KEY_OF_FIELD = {"schedule_spec": "schedule"}
 _FIELD_OF_KEY = {_KEY_OF_FIELD.get(name, name): name for name in ExperimentConfig._fields}
+CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 

@@ -177,7 +177,7 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
     A run of fewer than ``POOL_MIN_DRAWS`` draws (t·R) runs in this process.
     A larger one splits its replicates into contiguous ranges over a process
     pool of at most ``threads`` workers (default: the cores this process may
-    run on) and never more workers than replicates; ``result.processes``
+    run on), never more than the cores or replicates; ``result.processes``
     says how many sampled.  Replicate r takes draws r·t … (r+1)·t−1 of the
     stream ``as_generator(config.seed)`` regardless of layout (each range
     advances the stream to its first replicate), and all aggregation is exact
@@ -187,7 +187,8 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
     schedule = config.schedule()
     workers = 1
     if t * total >= POOL_MIN_DRAWS:
-        workers = max(1, min(threads if threads is not None else _available_cores(), total))
+        cores = _available_cores()
+        workers = max(1, min(cores if threads is None else threads, cores, total))
     if workers == 1:
         partials = [_aggregate_range(config.model, t, schedule, config.seed, 0, total)]
     else:

@@ -1,10 +1,11 @@
 """The expanding-color urn: state, draw law, stepping, and draw histories.
 
-The urn starts with a single unit-mass ball of color 1.  At each time t >= 1
-a ball is drawn in proportion to mass, the drawn color gains the schedule's
-mass for time t, and a brand-new color enters with mass exactly 1.  The
-sequence of drawn colors is a sufficient statistic: the urn trajectory, the
-attachment graph, and every per-color count are deterministic functions of it.
+The urn starts with a single unit-mass ball of color 1, ``UrnState()``.  At
+each time t >= 1 a ball is drawn in proportion to mass, the drawn color gains
+the schedule's mass for time t, and a brand-new color enters with mass
+exactly 1.  The sequence of drawn colors is a sufficient statistic: the urn
+trajectory, the attachment graph, and every per-color count are
+deterministic functions of it.
 
 A draw history is a plain int64 array whose entry n-1 is the color drawn at
 time n; ``checked_draws`` validates one and ``replay`` rebuilds the urn from
@@ -33,12 +34,13 @@ class UrnState(Record):
 
     ``weights[i]`` is the mass of color i+1; each draw adds one color, so
     there are ``time + 1`` of them, and the newest always has mass exactly 1.
-    The weights are the one field: the time and the total mass are read off
-    them.  Weights may be any numeric type (fractions keep forced replays
-    exact); the sampler never builds an ``UrnState`` and works in floats.
+    The weights are the one field, by default ``(1,)``, the time-0 urn; the
+    time and the total mass are read off them.  Weights may be any numeric
+    type (fractions keep forced replays exact); the sampler never builds an
+    ``UrnState`` and works in floats.
     """
 
-    weights: tuple
+    weights: tuple = (1,)
 
     @property
     def num_colors(self) -> int:
@@ -52,11 +54,6 @@ class UrnState(Record):
     def total_weight(self):
         """The sum of the weights, in their own type, so Fraction masses stay exact."""
         return sum(self.weights)
-
-
-def new_urn() -> UrnState:
-    """The time-0 urn: one ball of color 1."""
-    return UrnState(weights=(1,))
 
 
 def composition(urn: UrnState) -> list:
@@ -134,21 +131,20 @@ class GuideTable:
     stored count never passes the answer.  ``search`` starts each v there and
     steps forward at most twice, checked against S; the few v still short of
     the answer go to ``searchsorted``.  The result is exact for every finite
-    v, whatever rounding the map does, and for a subnormal len(S)/S[-1] too.
-    Where that scale is infinite (S[-1] is 0, or so small that len(S)/S[-1]
-    overflows) there is no table and every v goes to ``searchsorted``.
-    Built once per S, in O(len(S)), and shared by every call.
+    v, whatever rounding the map does, and for any scale len(S)/S[-1]: where
+    it is not finite (S[-1] is 0, or so small that the ratio overflows) the
+    scale is 0 and one bucket holds all of S.  Built once per S, in
+    O(len(S)), and shared by every call.
     """
 
     def __init__(self, S: np.ndarray):
         self._padded = np.concatenate((S, [np.inf]))  # the entry past the end stops every step
         self.S = self._padded[:-1]
         self._total = float(S[-1]) if len(S) else 0.0
-        self._scale = len(S) / self._total if self._total > 0 else math.inf
-        self._guide = None
-        if self._scale < math.inf:
-            in_bucket = np.bincount(self._bucket(self.S), minlength=len(S) + 1)
-            self._guide = in_bucket.cumsum() - in_bucket
+        scale = len(S) / self._total if self._total > 0 else math.inf
+        self._scale = scale if scale < math.inf else 0.0
+        in_bucket = np.bincount(self._bucket(self.S), minlength=len(S) + 1)
+        self._guide = in_bucket.cumsum() - in_bucket
 
     def _bucket(self, v: np.ndarray) -> np.ndarray:
         """Each v's bucket in 0..len(S): floor(len(S)·v/S[-1]), v clipped to [0, S[-1]]."""
@@ -159,8 +155,6 @@ class GuideTable:
 
     def search(self, v: np.ndarray) -> np.ndarray:
         """``np.searchsorted(self.S, v, side="right")`` for an array v of any shape."""
-        if self._guide is None:
-            return np.searchsorted(self.S, v, side="right")
         at = self._guide[self._bucket(v)]
         for _ in range(2):
             at += self._padded[at] <= v

@@ -36,7 +36,7 @@ from polyagraph.experiments import (
 )
 from polyagraph.schedules import Constant
 from polyagraph.seeding import replicate_generator
-from polyagraph.urn import composition, new_urn, sample_history, step
+from polyagraph.urn import UrnState, composition, sample_history, step
 
 
 @contextmanager
@@ -58,16 +58,16 @@ def test_01_forced_path_compositions_exact():
             [Fraction(3, 7), Fraction(3, 7), Fraction(1, 7)],
             [Fraction(5, 10), Fraction(3, 10), Fraction(1, 10), Fraction(1, 10)],
         ]
-        step(new_urn(), sched, drawn=1)  # warm the path before timing
+        step(UrnState(), sched, drawn=1)  # warm the path before timing
         started = time.perf_counter()
-        urn = new_urn()
+        urn = UrnState()
         for drawn, want in zip((1, 2, 1), expected):
             urn = step(urn, sched, drawn=drawn)
             assert composition(urn) == want
         elapsed = time.perf_counter() - started
         assert elapsed < 1e-3, f"took {elapsed * 1e3:.3f} ms"
 
-        float_urn = new_urn()
+        float_urn = UrnState()
         for drawn, want in zip((1, 2, 1), expected):
             float_urn = step(float_urn, Constant(2.0), drawn=drawn)
             got = composition(float_urn)
@@ -265,9 +265,10 @@ def test_09_birth_time_consistency():
 def test_10_byte_identical_reruns(tmp_path, monkeypatch):
     with criterion(10, "experiment reruns with one master seed are "
                        "byte-identical for any thread count"):
-        # This run is far below the pool's threshold; lower it so that
-        # --threads 2 really runs two processes.
+        # This run is far below the pool's threshold; lower it, and allow two
+        # cores, so that --threads 2 really runs two processes.
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)
+        monkeypatch.setattr(experiments, "_available_cores", lambda: 2)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "model = polya\nschedule = paper-f\nt = 300\nreplicates = 20\nseed = 100001\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import itertools
 import math
@@ -173,6 +174,7 @@ class TestRunMonteCarlo:
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # pool this small run
+        monkeypatch.setattr(experiments, "_available_cores", lambda: 2)  # even on one core
         config = ExperimentConfig(model="ba", t=50, replicates=21, seed=4)
         serial = run_monte_carlo(config, threads=1)
         parallel = run_monte_carlo(config, threads=2)
@@ -201,7 +203,8 @@ class TestRunMonteCarlo:
         (1024, POOL_MIN_DRAWS // 1024, 2),       # at the threshold
         (POOL_MIN_DRAWS, 1, 1),                  # never more processes than replicates
     ])
-    def test_run_size_picks_the_process_count(self, t, replicates, processes):
+    def test_run_size_picks_the_process_count(self, t, replicates, processes, monkeypatch):
+        monkeypatch.setattr(experiments, "_available_cores", lambda: 2)
         config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=0)
         assert run_monte_carlo(config, threads=2).processes == processes
 
@@ -217,6 +220,37 @@ class TestRunMonteCarlo:
                                 raising=False)
         assert run_monte_carlo(_polya(12, 10, 3), threads=None).processes == processes
 
+    @pytest.mark.parametrize("cores, replicates", [(2, 20), (3, 20), (3, 2)])
+    def test_pool_never_has_more_workers_than_cores(self, cores, replicates, monkeypatch):
+        # A stand-in pool records its size and runs each range inline, so a
+        # cap far above the cores starts no process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)
+        monkeypatch.setattr(experiments, "_available_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        config = _polya(12, replicates, 3, schedule="ln")
+        pooled = run_monte_carlo(config, threads=100_000)
+        assert sizes == [pooled.processes] == [min(cores, replicates)]
+        serial = run_monte_carlo(config, threads=1)
+        assert np.array_equal(pooled.counts, serial.counts)
+        assert np.array_equal(pooled.birth_sums, serial.birth_sums)
+
 
 class TestBlockedEngine:
     # Blocks hold at most 4096 draws: t=12 packs 341 replicates per block,
@@ -230,6 +264,7 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()] + [None])
     def test_equals_per_replicate_loop(self, spec, threads, monkeypatch):
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # threads=2 pools these runs
+        monkeypatch.setattr(experiments, "_available_cores", lambda: 2)  # even on one core
         for seed, (t, replicates) in itertools.product(self.SEEDS, self.SIZES):
             if spec is None:
                 config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=seed)

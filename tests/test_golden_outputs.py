@@ -44,6 +44,11 @@ CASES = {
     **{f"experiment-ba-t{t}": ["experiment", "--model", "ba", "--t", str(t),
                                "--replicates", "40", "--seed", "9"]
        for t in (0, 1, 12)},
+    **{f"experiment-{spec}-t50": ["experiment", "--model", "polya", "--schedule", spec,
+                                  "--t", "50", "--replicates", "40", "--seed", "9"]
+       for spec in ("const:0", "const:1e-320")},
+    **{f"generate-t50-{spec}": ["generate", "--t", "50", "--schedule", spec, "--seed", "11"]
+       for spec in ("const:0", "const:1e-320")},
     "experiment-ln-t300": ["experiment", "--model", "polya", "--schedule", "ln", "--t", "300",
                            "--replicates", "20", "--seed", "4"],
     "repro-fig3": ["repro", "fig3", "--replicates", "200"],
@@ -116,6 +121,14 @@ GOLDEN = {
         'summary.json':
             '74ba9281b2c9bcfda278a0a19e07581bb9a3b06d538593abe1da0ab82be2c4d1',
     },
+    'experiment-const:0-t50': {
+        'birth_time.csv':
+            '297e04e36b22aee3d541724f1e2e927bb832f64d06994cf8b0ce61eba3327847',
+        'degree_distribution.csv':
+            '118810346e604949926c719ab4213e26553e8bf1acaca657b3d3d88913fc78e7',
+        'summary.json':
+            '3717d26fce79af786be989b19840cc0c2ac3579d901a1e88c66d356b6b0e3789',
+    },
     'experiment-const:1-t0': {
         'birth_time.csv':
             '2f6e6ff55495cd4738b1ebadc50bc00bc062fa826ba396ddf16dccf93ed4c6b2',
@@ -139,6 +152,14 @@ GOLDEN = {
             'e6f01eb62eeffc4a20f1c43fe21f78fa11522173c9053014cdd6c765a8c2fe52',
         'summary.json':
             '21536aafac9bab94545e5a3ec963d3ecf992fab9b9e4c27cc8fc1342a39b6cba',
+    },
+    'experiment-const:1e-320-t50': {
+        'birth_time.csv':
+            '297e04e36b22aee3d541724f1e2e927bb832f64d06994cf8b0ce61eba3327847',
+        'degree_distribution.csv':
+            '118810346e604949926c719ab4213e26553e8bf1acaca657b3d3d88913fc78e7',
+        'summary.json':
+            '76673678f009e216150a96163ab3bcbc93679c43bbb529918c57295f83227cdd',
     },
     'experiment-ln-t0': {
         'birth_time.csv':
@@ -249,6 +270,18 @@ GOLDEN = {
             '4e555cc6f7c07a6945abbf602eb7ff7d7bc4cdcc0fcb830b788fd29e3bd6a0e4',
         'edges.txt':
             '6f30fc6589e1f1b57c35e134736396415556c37091a6d29eceb0947b68b1f83e',
+    },
+    'generate-t50-const:0': {
+        'degrees.csv':
+            'bc81a7bf1629f963fdc3655c36c62be3079b60ca9e8c7f4d9e299d84568a4539',
+        'edges.txt':
+            '47bb60b9000e7e694b6be9c50c63061646ca70fd6dee59fb51c7e4512cb0c0cf',
+    },
+    'generate-t50-const:1e-320': {
+        'degrees.csv':
+            'bc81a7bf1629f963fdc3655c36c62be3079b60ca9e8c7f4d9e299d84568a4539',
+        'edges.txt':
+            '47bb60b9000e7e694b6be9c50c63061646ca70fd6dee59fb51c7e4512cb0c0cf',
     },
     'generate-t7-const:0.5': {
         'degrees.csv':

@@ -19,7 +19,7 @@ from polyagraph.exact import Pmf, pmf_constant_delta_dp
 from polyagraph.experiments import ExperimentConfig, run_monte_carlo
 from polyagraph.graphs import graph_from_draws
 from polyagraph.schedules import Constant, NaturalLog, RationalSegments, Stepped, Table
-from polyagraph.urn import UrnState, new_urn
+from polyagraph.urn import UrnState
 
 
 def _config(**changes):
@@ -96,7 +96,7 @@ def test_array_records_compare_and_hash_by_identity(name):
     lambda: VALUES["Stepped"][0](),
     lambda: VALUES["RationalSegments"][0](),
     lambda: VALUES["Table"][0](),
-    lambda: new_urn(),
+    UrnState,
     lambda: _config(),
     *ARRAY_RECORDS.values(),
 ], ids=[*SCHEDULES, "UrnState", "ExperimentConfig", *ARRAY_RECORDS])
@@ -115,7 +115,7 @@ def test_repr_names_each_field():
     assert repr(Constant(2.5)) == "Constant(delta=2.5)"
     assert repr(NaturalLog()) == "NaturalLog()"
     assert repr(Table(entries=(1.0,))) == "Table(entries=(1.0,))"
-    assert repr(new_urn()) == "UrnState(weights=(1,))"
+    assert repr(UrnState()) == "UrnState(weights=(1,))"
     assert repr(_config()) == (
         "ExperimentConfig(model='polya', schedule_spec='const:1', t=5, replicates=2, seed=1, "
         "outputs=('degree_distribution', 'birth_time', 'summary'), out=None)")

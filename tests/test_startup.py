@@ -4,6 +4,7 @@ import hmac
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,17 @@ import pytest
 import polyagraph
 
 SRC = str(Path(polyagraph.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "polyagraph").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_source_compiles_without_warnings(path):
+    # A launch compiles the package from source when no bytecode is cached
+    # (PYTHONDONTWRITEBYTECODE, a fresh checkout), so a compile-time warning,
+    # such as an invalid escape in a docstring, would reach every run's stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")
 
 
 def _run(code, **env):

@@ -21,7 +21,6 @@ from polyagraph.urn import (
     UrnState,
     copy_pointer_draws,
     marginal_draw_prob,
-    new_urn,
     replay,
     sample_history,
     step,
@@ -50,20 +49,21 @@ class TestUrnState:
 
 class TestNewUrn:
     def test_initial_state(self):
-        urn = new_urn()
+        urn = UrnState()
+        assert urn == UrnState(weights=(1,))
         assert urn.time == 0
         assert urn.weights == (1,)
         assert urn.total_weight == 1
         assert urn.num_colors == 1
 
     def test_initial_composition(self):
-        assert composition(new_urn()) == [1]
+        assert composition(UrnState()) == [1]
 
 
 class TestForcedPathGolden:
     def test_compositions_are_exact_fractions(self):
         sched = Constant(Fraction(2))
-        urn = new_urn()
+        urn = UrnState()
         urn = step(urn, sched, drawn=1)
         assert composition(urn) == [Fraction(3, 4), Fraction(1, 4)]
         urn = step(urn, sched, drawn=2)
@@ -75,7 +75,7 @@ class TestForcedPathGolden:
 
     def test_float_mode_matches_within_tolerance(self):
         sched = Constant(2.0)
-        urn = new_urn()
+        urn = UrnState()
         for drawn, expected in [(1, (0.75, 0.25)),
                                 (2, (3 / 7, 3 / 7, 1 / 7)),
                                 (1, (0.5, 0.3, 0.1, 0.1))]:
@@ -86,16 +86,16 @@ class TestForcedPathGolden:
 class TestStep:
     def test_forced_out_of_range(self):
         with pytest.raises(InvalidColor):
-            step(new_urn(), Constant(1.0), drawn=2)
+            step(UrnState(), Constant(1.0), drawn=2)
 
     def test_zero_reinforcement_still_expands(self):
-        urn = step(new_urn(), Constant(0.0), drawn=1)
+        urn = step(UrnState(), Constant(0.0), drawn=1)
         assert urn.weights == (1, 1)
         assert urn.total_weight == 2
 
     def test_one_new_color_per_step(self):
         sched = NaturalLog()
-        urn = new_urn()
+        urn = UrnState()
         for t, color in enumerate(sample_history(29, sched, as_generator(5)), start=1):
             urn = step(urn, sched, drawn=int(color))
             assert urn.num_colors == t + 1
@@ -105,7 +105,7 @@ class TestStep:
         assert list(UrnState._fields) == ["weights"]
         sched = parse_schedule("paper-g")
         draws = sample_history(40, sched, as_generator(4))
-        urn = new_urn()
+        urn = UrnState()
         for t, color in enumerate(draws.tolist(), start=1):
             urn = step(urn, sched, drawn=color)
             replayed = replay(draws[:t], sched)
@@ -118,12 +118,12 @@ class TestConditionalDrawPmf:
 
     def test_matches_composition_values(self):
         sched = Constant(2.0)
-        urn = step(new_urn(), sched, drawn=1)
+        urn = step(UrnState(), sched, drawn=1)
         assert composition(urn) == pytest.approx([0.75, 0.25], abs=1e-15)
 
     def test_sums_to_one(self):
         sched = NaturalLog()
-        urn = new_urn()
+        urn = UrnState()
         for color in sample_history(25, sched, as_generator(9)):
             urn = step(urn, sched, drawn=int(color))
             assert math.fsum(composition(urn)) == pytest.approx(1, abs=1e-12)
@@ -148,7 +148,7 @@ class TestNewColorDrawProb:
     def test_against_composition_entry(self):
         # At time 2 the newest color's mass fraction is unambiguous.
         sched = Constant(2.0)
-        urn = step(new_urn(), sched, drawn=1)
+        urn = step(UrnState(), sched, drawn=1)
         assert marginal_draw_prob(2, 2, sched) == composition(urn)[-1] == 0.25
 
     def test_against_path_enumeration(self):
@@ -164,7 +164,7 @@ class TestNewColorDrawProb:
         masses = set()
         for first in (1,):
             for second in (1, 2):
-                urn = new_urn()
+                urn = UrnState()
                 urn = step(urn, sched, drawn=first)
                 urn = step(urn, sched, drawn=second)
                 masses.add(composition(urn)[-1])
@@ -204,7 +204,7 @@ class TestMarginalDrawProb:
 
 
 def _stepped(draws, schedule, t):
-    urn = new_urn()
+    urn = UrnState()
     for drawn in draws[:t].tolist():
         urn = step(urn, schedule, drawn=drawn)
     return urn
@@ -421,13 +421,18 @@ class TestGuideTable:
         v = v[np.isfinite(v)]
         assert np.array_equal(GuideTable(S).search(v), np.searchsorted(S, v, side="right"))
 
-    @pytest.mark.parametrize("S", [[0.0], [0.0, 0.0, 0.0], [0.0, 1e308], [0.0, 1e-320]],
+    @pytest.mark.parametrize("S, buckets", [([0.0], 1), ([0.0, 0.0, 0.0], 1), ([0.0, 1e308], 2),
+                                            ([0.0, 1e-320], 1)],
                              ids=["t0", "zero-total", "subnormal-scale", "overflowing-scale"])
-    def test_exact_at_extreme_scales(self, S):
+    def test_exact_at_extreme_scales(self, S, buckets):
         # len(S)/S[-1]: none (t=0 and a zero total), subnormal, and overflowing.
+        # Where it is not finite there is still a table, with one bucket holding all of S.
         S = np.array(S)
+        table = GuideTable(S)
+        assert len(table._guide) == len(S) + 1
+        assert len(np.unique(table._bucket(S))) == buckets
         v = np.array([-1.0, 0.0, S[-1], np.nextafter(S[-1], np.inf), 1e300])
-        assert np.array_equal(GuideTable(S).search(v), np.searchsorted(S, v, side="right"))
+        assert np.array_equal(table.search(v), np.searchsorted(S, v, side="right"))
 
 
 def _reference_draws(uniforms, schedule):
