@@ -31,11 +31,6 @@ from pathlib import Path
 # replicate pool), so cap BLAS before the first import that loads numpy.
 # A value the caller set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# numpy.random imports secrets -> hmac -> _hashlib, which maps OpenSSL's
-# libcrypto (~3.4 MB resident) although the CLI computes no hash.  Without
-# _hashlib, hmac and hashlib use their built-in implementations.  A process
-# that already imported _hashlib keeps it.
-sys.modules.setdefault("_hashlib", None)
 # The imports below build a large heap of long-lived objects (numpy and the
 # package).  Cyclic collections during them only walk that heap, so the
 # collector is off while they run.  After them, gc.freeze() moves the heap to

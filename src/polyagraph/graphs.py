@@ -18,7 +18,7 @@ import numpy as np
 
 from .records import Record
 from .schedules import Schedule
-from .seeding import as_generator
+from .seeding import Stream, as_generator
 from .urn import checked_draws, sample_history
 
 
@@ -109,10 +109,12 @@ def generate(t: int, schedule: Schedule, seed) -> EvolvingGraph:
     return graph_from_draws(sample_history(t, schedule, rng))
 
 
-def ba_draws(t: int, rng: np.random.Generator) -> np.ndarray:
+def ba_draws(t: int, rng: Stream) -> np.ndarray:
     """Sample t degree-proportional attachment targets from one ``rng.random(t)`` call.
 
-    The uniforms map to targets by ``ba_block_draws``, as one row.
+    The uniforms map to targets by ``ba_block_draws``, as one row.  ``rng``
+    is a ``seeding.Stream`` or any generator whose ``random(t)`` returns t
+    uniforms, such as a numpy ``Generator``.
     """
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import InvalidColor
 from .records import Record
 from .schedules import Constant, Schedule
+from .seeding import Stream
 
 
 class UrnState(Record):
@@ -198,11 +199,13 @@ def copy_pointer_draws(uniforms: np.ndarray, table: GuideTable) -> np.ndarray:
     return x.ravel()[src].astype(np.int64).reshape(m, t) + 1
 
 
-def sample_history(t: int, schedule: Schedule, rng: np.random.Generator) -> np.ndarray:
+def sample_history(t: int, schedule: Schedule, rng: Stream) -> np.ndarray:
     """Sample a length-t draw history, a (t,) int64 array, from one ``rng.random(t)`` call.
 
     The uniforms map to colors by ``copy_pointer_draws``, as one row, with a
-    table built for this call before the draw.
+    table built for this call before the draw.  ``rng`` is a
+    ``seeding.Stream`` or any generator whose ``random(t)`` returns t
+    uniforms, such as a numpy ``Generator``.
     """
     table = GuideTable(schedule.cumulative(t))
     return copy_pointer_draws(rng.random(t)[None, :], table)[0]

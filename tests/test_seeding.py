@@ -10,13 +10,76 @@ import polyagraph
 from conftest import stream_at
 from polyagraph.experiments import _replicate_blocks, draw_count_histogram
 from polyagraph.schedules import parse_schedule
-from polyagraph.seeding import as_generator, replicate_generator, replicate_stream
+from polyagraph.seeding import (
+    _STEPS,
+    Stream,
+    as_generator,
+    replicate_generator,
+    replicate_stream,
+)
 
 # 2³²−1 and 2³² straddle the one-to-two-word split of the SeedSequence
 # entropy; 2⁶⁴+5 is three words and 2²⁰⁰+3 is seven.
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, 918273]
 # One row; past 4096 rows; a range not starting at 0; and across r = 2³².
 RANGES = [(0, 1), (0, 4097), (4095, 8200), (2**32 - 2, 2**32 + 2)]
+
+
+def _lcg(rng):
+    """The LCG state and increment of a ``Stream`` or of a numpy PCG64 ``Generator``.
+
+    The two decide every later double.
+    """
+    if isinstance(rng, Stream):
+        return rng.state, rng.inc
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _numpy_stream(entropy):
+    """The reference: numpy's generator for seed contract 3's stream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+class TestStreamMatchesNumpy:
+    # The words SeedSequence hashes: one, at the one-to-two-word split, three
+    # and seven; a numpy integer; and the (master seed, index) tuples of
+    # replicate_generator, the second with a two-word index.
+    ENTROPIES = [*MASTER_SEEDS, np.int64(7), (918273, 0), (918273, 2**40)]
+    # Empty, one, around one vector pass of _STEPS doubles, a t=12 block of
+    # the engine and a t=5000 row.
+    SIZES = [0, 1, _STEPS - 1, _STEPS, _STEPS + 1, (341, 12), (1, 5000)]
+
+    @pytest.mark.parametrize("size", SIZES, ids=str)
+    @pytest.mark.parametrize("entropy", ENTROPIES, ids=repr)
+    def test_doubles_and_jumps(self, entropy, size):
+        stream, reference = Stream(entropy), _numpy_stream(entropy)
+        assert _lcg(stream) == _lcg(reference)
+        for steps in (0, 1, 2**64 + 3):
+            drawn = stream.random(size)
+            assert drawn.dtype == np.float64
+            assert np.array_equal(drawn, reference.random(size))
+            assert stream.advance(steps) is stream
+            reference.bit_generator.advance(steps)
+            assert _lcg(stream) == _lcg(reference)
+        assert np.array_equal(stream.random(size), reference.random(size))
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (-(2**70), ValueError), (-1.5, ValueError),
+        (1.5, TypeError), (np.float64(2.0), TypeError), (None, TypeError), ("5", TypeError),
+    ], ids=repr)
+    def test_bad_seed_raises_as_before(self, seed, error):
+        # The exception types of the numpy-backed as_generator, which refused a
+        # negative seed itself and left SeedSequence to refuse other non-integers.
+        with pytest.raises(error):
+            as_generator(seed)
+        with pytest.raises(error):
+            replicate_stream(seed, 5, 0)
+
+    def test_generators_pass_through(self):
+        stream, reference = Stream(3), _numpy_stream(3)
+        assert as_generator(stream) is stream
+        assert as_generator(reference) is reference
 
 
 class TestReplicateGenerators:
@@ -30,7 +93,7 @@ class TestReplicateGenerators:
         rows = rng.random((hi - lo, t))
         for r, row in zip(range(lo, hi), rows):
             assert np.array_equal(row, stream_at(seed, r * t).random(t)), r
-        assert rng.bit_generator.state == stream_at(seed, hi * t).bit_generator.state
+        assert _lcg(rng) == _lcg(stream_at(seed, hi * t))
 
     def test_empty_range(self):
         schedule = parse_schedule("const:1")
@@ -49,7 +112,7 @@ class TestReplicateGenerators:
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_starts_at_replicate_first(self, seed, t, first):
         rng = replicate_stream(seed, t, first)
-        assert rng.bit_generator.state == stream_at(seed, first * t).bit_generator.state
+        assert _lcg(rng) == _lcg(stream_at(seed, first * t))
 
     # A negative seed or start must fail at the call with the engine's own
     # message, for every caller ExperimentConfig's check does not cover.

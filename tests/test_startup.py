@@ -1,6 +1,5 @@
 """What importing the package and the CLI does to a fresh interpreter."""
 
-import hmac
 import os
 import subprocess
 import sys
@@ -132,23 +131,27 @@ def test_small_run_with_two_threads_starts_no_pool(tmp_path):
     assert out == ["False"]
 
 
-def test_cli_keeps_openssl_unmapped():
+def test_commands_load_no_random_module_and_no_openssl(tmp_path):
+    # The package draws seed contract 3's stream itself (seeding.Stream), so
+    # no command loads numpy's random module, whose secrets -> hmac import
+    # loads hashlib and maps OpenSSL's libcrypto (~3.4 MB resident).
+    commands = [
+        ["experiment", "--model", "polya", "--schedule", "paper-f", "--t", "50",
+         "--replicates", "5", "--seed", "1", "--out", str(tmp_path / "polya")],
+        ["experiment", "--model", "ba", "--t", "50", "--replicates", "5", "--seed", "1",
+         "--out", str(tmp_path / "ba")],
+        ["generate", "--t", "100", "--seed", "1", "--out", str(tmp_path / "graph")],
+        ["repro", "fig3", "--t", "10", "--replicates", "5", "--out", str(tmp_path / "fig3")],
+    ]
+    out = _run("import os, sys\n"
+               "from polyagraph.cli import main\n"
+               f"for argv in {commands!r}:\n"
+               "    assert main(argv, standalone_mode=False) == 0, argv\n"
+               "print([m for m in ('numpy.random', 'hashlib', '_hashlib') if m in sys.modules])\n"
+               "maps = '/proc/self/maps'\n"
+               "print(any('libcrypto' in line for line in open(maps))\n"
+               "      if os.path.exists(maps) else 'unknown')")
+    assert out[-2] == "[]"
     if not sys.platform.startswith("linux"):
         pytest.skip("mapped libraries read from /proc/self/maps, which is Linux only")
-    out = _run("import polyagraph.cli, numpy.random\n"
-               "print(any('libcrypto' in line for line in open('/proc/self/maps')))")
-    assert out == ["False"], "numpy.random mapped OpenSSL's libcrypto"
-
-
-def test_hashes_work_without_openssl():
-    out = _run("import polyagraph.cli, hashlib, hmac, numpy.random\n"
-               "print(hashlib.sha256(b'abc').hexdigest(),\n"
-               "      hmac.new(b'key', b'message', 'sha256').hexdigest())")
-    assert out == ["ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-                   hmac.new(b"key", b"message", "sha256").hexdigest()]
-
-
-def test_process_that_loaded_hashlib_keeps_it():
-    out = _run("import _hashlib, sys, polyagraph.cli\n"
-               "print(sys.modules['_hashlib'] is _hashlib)")
-    assert out == ["True"]
+    assert out[-1] == "False", "OpenSSL's libcrypto was mapped"
