@@ -139,8 +139,10 @@ def cmd_generate(t, schedule_spec, seed, out, replay):
             raise UsageError("--t is required unless --replay is given")
         graph = generate_graph(t, schedule, seed)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "edges.txt").write_text(graph.edge_list_text())
-    (out / "degrees.csv").write_text(graph.degree_table_text())
+    for name, chunks in (("edges.txt", graph.edge_list_chunks()),
+                         ("degrees.csv", graph.degree_table_chunks())):
+        with open(out / name, "w") as f:  # written as rendered, never held whole
+            f.writelines(chunks)
     elapsed = time.perf_counter() - started
     print(f"wrote {graph.num_vertices} vertices, {graph.num_vertices} edges to {out} "
           f"({elapsed:.3f}s)", file=sys.stderr)

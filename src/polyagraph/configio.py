@@ -14,7 +14,7 @@ a ``table:`` path, it is part of the value.  A relative ``table:`` path in
 a config file is resolved against the file's directory.
 
 Result files: every CSV row the CLI writes comes from whole columns through
-``rows_text`` (floats with 17 significant digits), every JSON file from ``json_text``.
+``rowtext`` (floats with 17 significant digits), every JSON file from ``json_text``.
 
     degree_distribution.csv   header ``k,p``
     birth_time.csv            header ``k,mean_birth_time,n_samples``
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, ScheduleRangeError
 from .experiments import ExperimentConfig, MonteCarloResult, degree_distribution
 from .records import replace
+from .rowtext import rows_text
 from .schedules import parse_schedule
 from .seeding import SEED_CONTRACT
 
@@ -42,15 +42,6 @@ _KEY_OF_FIELD = {"schedule_spec": "schedule"}
 _FIELD_OF_KEY = {_KEY_OF_FIELD.get(name, name): name for name in ExperimentConfig._fields}
 CONFIG_KEYS = tuple(_FIELD_OF_KEY)
 _COMMENT = re.compile(r"(?:^|\s)#")
-
-
-def rows_text(row: str, *columns) -> str:
-    """The %-template ``row`` (e.g. ``"%d,%.17g\\n"``) once per entry of the columns.
-
-    One ``%`` over the interleaved values renders every row; ``%.17g`` round-trips floats.
-    """
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
-    return (row * len(columns[0])) % tuple(chain.from_iterable(rows))
 
 
 def pmf_csv(k, probs, column: str = "prob") -> str:

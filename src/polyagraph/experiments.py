@@ -26,7 +26,7 @@ from .exact import pmf_constant_delta_dp, pmf_general
 from .graphs import EvolvingGraph, ba_block_draws, degree_rows
 from .records import Record
 from .schedules import Constant, Schedule, parse_schedule
-from .seeding import replicate_stream
+from .seeding import PASS, replicate_stream
 from .urn import GuideTable, copy_pointer_draws
 # perfbench/tracing.py wraps ``replicate_generator``, ``ba_draws`` and
 # ``sample_history`` in this module's namespace, and its probe calls all
@@ -37,11 +37,6 @@ from .urn import sample_history  # noqa: F401
 
 MODELS = ("polya", "ba")
 OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
-
-# Draws per replicate block: small enough that a block's working arrays stay
-# in cache and a t=5000 block is a single row, so memory matches sampling one
-# replicate at a time.
-BLOCK_ELEMENTS = 4096
 
 # Runs of fewer draws (t·R) than this go in one process whatever the thread
 # cap: below it, starting and feeding a process pool costs more than splitting
@@ -124,23 +119,22 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
     """Yield the draws of replicates lo..hi-1 in order, as (m, t) blocks.
 
     The range reads the run's one stream, advanced once to replicate lo by
-    ``replicate_stream``, and each block's uniforms come from one
-    ``rng.random((m, t))`` call, so the block's row for replicate r holds
-    draws r·t … (r+1)·t−1 of the stream.  A block holds at most
-    ``BLOCK_ELEMENTS`` draws (always at least one row), which bounds its
-    memory, and is mapped to colors by one ``copy_pointer_draws`` call
-    (Polya, sharing one ``GuideTable`` of ``schedule.cumulative(t)``) or one
-    ``ba_block_draws`` call (BA).
+    ``replicate_stream``, and each block's row for replicate r holds draws
+    r·t … (r+1)·t−1 of the stream.  A block of t ≤ ``PASS`` holds as many
+    whole rows as fit in one pass, ``PASS // t``, and takes its uniforms in
+    one ``rng.random((m, t))`` call; a longer row is a block of its own,
+    which the sampler reads in time chunks of one pass.  So no call asks
+    the stream for more than a pass, and a block's working memory beyond
+    its draws stays one pass's.  Blocks map to colors by one
+    ``copy_pointer_draws`` call (Polya, sharing one ``GuideTable`` of
+    ``schedule.cumulative(t)``) or one ``ba_block_draws`` call (BA).
     """
-    rows = max(1, BLOCK_ELEMENTS // max(t, 1))
+    rows = max(1, PASS // max(t, 1))
     table = GuideTable(schedule.cumulative(t)) if model == "polya" else None
     rng = replicate_stream(master_seed, t, lo)
     for first in range(lo, hi, rows):
-        uniforms = rng.random((min(rows, hi - first), t))
-        if model == "ba":
-            yield ba_block_draws(uniforms)
-        else:
-            yield copy_pointer_draws(uniforms, table)
+        m = min(rows, hi - first)
+        yield ba_block_draws(m, t, rng) if model == "ba" else copy_pointer_draws(m, table, rng)
 
 
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
@@ -149,7 +143,7 @@ def _aggregate_range(model, t, schedule, master_seed, lo, hi):
     The degrees of a block come from one ``degree_rows`` call.  Each block's
     birth-time sums pass through float64 (``bincount`` weights) before they
     become integers.  One bin of a block sums at most
-    max(t²/2, (BLOCK_ELEMENTS/2)·t) birth times, so the sums are exact while
+    max(t²/2, (PASS/2)·t) birth times, so the sums are exact while
     that stays below 2⁵³, i.e. for t below about 1.3·10⁸.
     """
     counts = np.zeros(t + 2, dtype=np.int64)

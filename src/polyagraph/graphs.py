@@ -17,8 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .records import Record
+from .rowtext import row_chunks
 from .schedules import Schedule
-from .seeding import Stream, as_generator
+from .seeding import PASS, Stream, as_generator
 from .urn import checked_draws, sample_history
 
 
@@ -63,17 +64,23 @@ class EvolvingGraph(Record):
         return degree_rows(self.draws[None, :])[0]
 
     def edge_list_text(self) -> str:
-        """One 'u v' pair per line, the self-loop first."""
-        from .configio import rows_text  # not at the top: configio imports graphs via experiments
-        edges = self.edges
-        return rows_text("%d %d\n", edges[:, 0], edges[:, 1])
+        """One 'u v' pair per line, the self-loop first: the rows of ``edges``."""
+        return "".join(self.edge_list_chunks())
+
+    def edge_list_chunks(self):
+        """``edge_list_text`` in pieces of at most ``rowtext.CHUNK_ROWS`` lines, built as read."""
+        yield "1 1\n"  # the self-loop
+        yield from row_chunks("%d %d\n", self.draws, range(2, self.num_vertices + 1))
 
     def degree_table_text(self) -> str:
         """``vertex,degree,birth_time`` CSV with one row per vertex."""
-        from .configio import rows_text
-        vertices = np.arange(1, self.num_vertices + 1)
-        return "vertex,degree,birth_time\n" + rows_text(
-            "%d,%d,%d\n", vertices, self.degrees[1:], vertices - 1)
+        return "".join(self.degree_table_chunks())
+
+    def degree_table_chunks(self):
+        """``degree_table_text`` in pieces: the header, then at most ``rowtext.CHUNK_ROWS`` rows each."""
+        yield "vertex,degree,birth_time\n"
+        yield from row_chunks("%d,%d,%d\n", range(1, self.num_vertices + 1), self.degrees[1:],
+                              range(self.num_vertices))
 
 
 def degree_rows(draws: np.ndarray) -> np.ndarray:
@@ -110,45 +117,71 @@ def generate(t: int, schedule: Schedule, seed) -> EvolvingGraph:
 
 
 def ba_draws(t: int, rng: Stream) -> np.ndarray:
-    """Sample t degree-proportional attachment targets from one ``rng.random(t)`` call.
+    """Sample t degree-proportional attachment targets from the next t uniforms of ``rng``.
 
     The uniforms map to targets by ``ba_block_draws``, as one row.  ``rng``
-    is a ``seeding.Stream`` or any generator whose ``random(t)`` returns t
-    uniforms, such as a numpy ``Generator``.
+    is a ``seeding.Stream`` or any generator whose ``random(size)`` returns
+    uniforms and continues its stream from call to call, such as a numpy
+    ``Generator``.
     """
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
-    return ba_block_draws(rng.random(t)[None, :])[0]
+    return ba_block_draws(1, t, rng)[0]
 
 
-def ba_block_draws(uniforms: np.ndarray) -> np.ndarray:
-    """Map an (m, t) matrix of uniforms to m independent rows of attachment targets.
+def ba_block_draws(m: int, t: int, rng: Stream) -> np.ndarray:
+    """Sample m independent rows of t attachment targets from ``rng``, as an (m, t) int64 array.
 
-    Starts from a single vertex whose self-loop counts 1 toward its degree,
-    so at step n the attachment probability of vertex j is its degree over
-    2(n-1) + 1.  Sampling picks a uniform entry of the edge-endpoint list,
-    which holds vertex 1 in slot 0 and, for each step k, its target in slot
-    2k - 1 and vertex k + 1 in slot 2k.  Step n picks slot
-    idx = floor(u_n·(2n - 1)): an even slot is vertex idx/2 + 1, an odd one
-    copies the target of step (idx + 1)/2.  The copies of all rows are
-    resolved together by pointer jumping on the flattened block, O(m·t·log t)
-    numpy work.  This is kept apart from the urn's sampler so it stays an
-    independent baseline.
+    Row r maps the next uniforms r·t … r·t+t−1 of ``rng``.  Starts from a
+    single vertex whose self-loop counts 1 toward its degree, so at step n
+    the attachment probability of vertex j is its degree over 2(n-1) + 1.
+    Sampling picks a uniform entry of the edge-endpoint list, which holds
+    vertex 1 in slot 0 and, for each step k, its target in slot 2k - 1 and
+    vertex k + 1 in slot 2k.  Step n picks slot idx = floor(u_n·(2n - 1)):
+    an even slot is vertex idx/2 + 1, an odd one copies the target of step
+    (idx + 1)/2.  Rows of at most ``PASS`` steps come from one
+    ``rng.random((m, t))`` call, and their copies are resolved together by
+    pointer jumping on the flattened block.  A longer row is drawn in time
+    chunks of ``PASS`` steps, one call each: a copy from an earlier chunk
+    takes that step's finished target by one gather, and only the copies
+    inside the chunk are jumped.  O(m·t·log t) numpy work.  This is kept
+    apart from the urn's sampler so it stays an independent baseline.
     """
-    m, t = uniforms.shape
-    n = np.arange(1, t + 1)
+    if t <= PASS:
+        return _ba_chunk(rng.random((m, t)), ())
+    targets = np.empty((m, t), dtype=np.int64)
+    for row in targets:
+        for a in range(0, t, PASS):
+            row[a : a + PASS] = _ba_chunk(rng.random((1, min(PASS, t - a))), row[:a])[0]
+    return targets
+
+
+def _ba_chunk(uniforms: np.ndarray, done) -> np.ndarray:
+    """The targets of steps a+1..a+c of m rows, from their (m, c) uniforms, with a = len(done).
+
+    ``done`` is the finished targets of steps 1..a of the one row (m = 1)
+    when a > 0.
+    """
+    m, c = uniforms.shape
+    a = len(done)
+    n = np.arange(a + 1, a + c + 1)
     idx = (uniforms * (2 * n - 1)).astype(np.int64)
-    # src is the 0-based step whose target step n takes; a step that lands
-    # on a vertex slot points to itself.  Row offsets make the pointers
-    # index the flattened block.
-    src = np.where(idx & 1, idx >> 1, n - 1)
-    src = (src + t * np.arange(m)[:, None]).ravel()
+    # src is the 0-based step, less a, whose target step n takes; a step
+    # that lands on a vertex slot points to itself.  Row offsets make the
+    # pointers index the flattened chunk.
+    src = np.where(idx & 1, idx >> 1, n - 1) - a
+    src = (src + c * np.arange(m)[:, None]).ravel()
+    slot = (idx >> 1).ravel()
+    if a:  # a copy from an earlier chunk stops there, with slot = that step's target - 1
+        early = np.flatnonzero(src < 0)
+        slot[early] = done[src[early] + a] - 1
+        src[early] = early
     while True:
         nxt = src[src]
         if (nxt == src).all():
             break
         src = nxt
-    return (idx >> 1).ravel()[src].reshape(m, t) + 1
+    return slot[src].reshape(m, c) + 1
 
 
 def ba_generate(t: int, seed) -> EvolvingGraph:

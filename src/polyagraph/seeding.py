@@ -37,8 +37,11 @@ same seed gives a different history.  Contract 3 keeps that map and draws
 every replicate's uniforms from the one stream of the master seed:
 replicate r takes draws r·t … (r+1)·t−1.  ``Stream`` computes that stream
 in the package, bit-identical to numpy's, so the contract did not change
-when numpy's generator stopped drawing it.  Bump it whenever the map from a
-seed to histories changes.
+when numpy's generator stopped drawing it.  Nor did it change when the
+samplers began to read a row longer than ``PASS`` in time chunks: successive
+``random`` calls continue the stream, so every draw still takes the uniform
+at the same stream position.  Bump it whenever the map from a seed to
+histories changes.
 """
 
 _M32 = (1 << 32) - 1
@@ -49,10 +52,17 @@ _M128 = (1 << 128) - 1
 # state <- state * a + inc (mod 2**128), then the output of the new state.
 _MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-# Doubles computed per vector pass, and the length of the per-process jump
-# tables: a t=5000 replicate row is one pass, and the tables and one pass's
-# temporaries stay a few hundred kB.  A power of two, for the doubling.
-_STEPS = 8192
+PASS = 4096
+"""The package's one vector length: doubles per ``Stream`` pass, and draws per sampler chunk.
+
+``Stream.random`` computes at most this many doubles in one vector pass,
+which is also the length of the per-process jump tables and of each
+stream's offsets.  The Monte Carlo engine's blocks hold at most this many
+draws, and ``urn.copy_pointer_draws`` and ``graphs.ba_block_draws`` sample
+a longer row in time chunks of this many draws, so no sampler asks the
+stream for more than one pass at a time and a pass's temporaries stay in
+cache.  A power of two, for the doubling that builds the tables.
+"""
 
 
 def _entropy_words(entropy) -> list[int]:
@@ -150,18 +160,18 @@ def _mul_add(x, y: int, z):
 
 @functools.cache
 def _jump_tables():
-    """(aᵏ, 1 + a + … + aᵏ⁻¹) for k = 1 … ``_STEPS``, each a (2, _STEPS) array of (high, low) words.
+    """(aᵏ, 1 + a + … + aᵏ⁻¹) for k = 1 … ``PASS``, each a (2, PASS) array of (high, low) words.
 
     k steps take a state s to aᵏ·s + (1 + a + … + aᵏ⁻¹)·inc.  The tables are
     built once per process by doubling: entries h+1 … 2h are the first h
     times aʰ, plus 1 + … + aʰ⁻¹ for the sums.
     """
-    powers = np.empty((2, _STEPS), dtype=np.uint64)
-    sums = np.empty((2, _STEPS), dtype=np.uint64)
+    powers = np.empty((2, PASS), dtype=np.uint64)
+    sums = np.empty((2, PASS), dtype=np.uint64)
     powers[:, 0] = _MULT >> 64, _MULT & _M64
     sums[:, 0] = 0, 1
     h, power, total = 1, _MULT, 1
-    while h < _STEPS:
+    while h < PASS:
         powers[:, h : 2 * h] = _mul_add(powers[:, :h], power, (0, 0))
         sums[:, h : 2 * h] = _mul_add(sums[:, :h], power, (total >> 64, total & _M64))
         h, power, total = 2 * h, power * power & _M128, total * (power + 1) & _M128
@@ -176,9 +186,11 @@ class Stream:
     skips doubles; ``state`` and ``inc`` are the LCG's 128-bit state and
     increment, which decide every later double.  Each double is the XSL-RR
     output of the next LCG state, shifted right by 11 and scaled by 2⁻⁵³.
-    The states of a pass come from the per-process jump tables in one
-    vector expression, aᵏ·s + cₖ with cₖ = (1 + … + aᵏ⁻¹)·inc; the stream
-    computes its cₖ on first use.
+    ``random`` works in passes of at most ``PASS`` doubles.  The states of a
+    pass come from the per-process jump tables in one vector expression,
+    aᵏ·s + cₖ with cₖ = (1 + … + aᵏ⁻¹)·inc; the stream computes its cₖ on
+    first use.  How a run of doubles is split into ``random`` calls does not
+    change them: each call continues where the last one stopped.
     """
 
     __slots__ = ("state", "inc", "_offsets")
@@ -207,8 +219,8 @@ class Stream:
         """The next doubles in [0, 1), as a float64 array of shape ``size``, filled in C order."""
         out = np.empty(size)
         flat = out.reshape(-1)
-        for start in range(0, flat.size, _STEPS):
-            hi, lo = self._next_states(min(flat.size - start, _STEPS))
+        for start in range(0, flat.size, PASS):
+            hi, lo = self._next_states(min(flat.size - start, PASS))
             # XSL-RR: the high word xor the low, rotated right by the top 6 bits.
             lo ^= hi
             hi >>= 58

@@ -10,11 +10,12 @@ deterministic functions of it.
 A draw history is a plain int64 array whose entry n-1 is the color drawn at
 time n; ``checked_draws`` validates one and ``replay`` rebuilds the urn from
 it.  ``copy_pointer_draws`` is the one random sampler: it maps uniforms to
-whole histories, many at once, by copying colors from earlier draws (see its
-docstring).  It finds the time each draw copies from in a ``GuideTable``
-built once from the schedule's cumulative masses, a table lookup and a step
-or two per draw rather than an O(log t) binary search; ``sample_history``
-applies it to one generator.  ``step`` only applies forced draws, for exact
+whole histories, many at once, by copying colors from earlier draws, and
+reads a history longer than one pass in time chunks (see its docstring).
+It finds the time each draw copies from in a ``GuideTable`` built once
+from the schedule's cumulative masses, a table lookup and a step or two per
+draw rather than an O(log t) binary search; ``sample_history`` applies it
+to one generator.  ``step`` only applies forced draws, for exact
 replays.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import InvalidColor
 from .records import Record
 from .schedules import Constant, Schedule
-from .seeding import Stream
+from .seeding import PASS, Stream
 
 
 class UrnState(Record):
@@ -145,7 +146,9 @@ class GuideTable:
         scale = len(S) / self._total if self._total > 0 else math.inf
         self._scale = scale if scale < math.inf else 0.0
         in_bucket = np.bincount(self._bucket(self.S), minlength=len(S) + 1)
-        self._guide = in_bucket.cumsum() - in_bucket
+        # The counts are at most len(S), so int32 holds them below 2³¹ at half the memory.
+        self._guide = np.cumsum(in_bucket, dtype=np.int32 if len(S) < 2**31 else np.intp)
+        self._guide -= in_bucket
 
     def _bucket(self, v: np.ndarray) -> np.ndarray:
         """Each v's bucket in 0..len(S): floor(len(S)·v/S[-1]), v clipped to [0, S[-1]]."""
@@ -156,7 +159,8 @@ class GuideTable:
 
     def search(self, v: np.ndarray) -> np.ndarray:
         """``np.searchsorted(self.S, v, side="right")`` for an array v of any shape."""
-        at = self._guide[self._bucket(v)]
+        at = self._bucket(v)  # the int32 guide is read into this intp array, so no gather casts
+        at[...] = self._guide[at]
         for _ in range(2):
             at += self._padded[at] <= v
         short = self._padded[at] <= v
@@ -165,50 +169,79 @@ class GuideTable:
         return at
 
 
-def copy_pointer_draws(uniforms: np.ndarray, table: GuideTable) -> np.ndarray:
-    """Map an (m, t) matrix of uniforms to m independent length-t draw rows.
+def copy_pointer_draws(m: int, table: GuideTable, rng: Stream) -> np.ndarray:
+    """Sample m independent length-t draw rows from ``rng``, as an (m, t) int64 array.
 
     ``table`` is ``GuideTable(S)`` with S = ``schedule.cumulative(t)``, built
-    once and shared by every call for that schedule and horizon.  Just
-    before the draw at time n the urn's mass splits into n unit balls, one
-    per color, and the reinforcement mass S[n-1] laid down by the draws at
-    times 1..n-1.  A point x = u·(n + S[n-1]) below n draws color
-    floor(x) + 1; otherwise it falls in the mass laid down at some time
-    s < n, found by ``table.search`` (a table lookup, not a binary search),
-    and the draw at n copies the color drawn at s.  The copy pointers of all
-    rows are resolved together by pointer jumping on the flattened block:
-    O(m·t·log t) numpy work in all.  Each row's draws depend only on that
-    row's uniforms.
+    once and shared by every call for that schedule and horizon.  Row r maps
+    the next uniforms r·t … r·t+t−1 of ``rng``, one per draw.  Just before
+    the draw at time n the urn's mass splits into n unit balls, one per
+    color, and the reinforcement mass S[n-1] laid down by the draws at times
+    1..n-1.  A point x = u·(n + S[n-1]) below n draws color floor(x) + 1;
+    otherwise it falls in the mass laid down at some time s < n, found by
+    ``table.search`` (a table lookup, not a binary search), and the draw at
+    n copies the color drawn at s.
+
+    Rows of at most ``PASS`` draws are one chunk: one ``rng.random((m, t))``
+    call, whose copy pointers are resolved together by pointer jumping on
+    the flattened block.  A longer row is drawn in time chunks of ``PASS``
+    draws, one ``rng.random`` call each, so memory beyond the row's draws
+    stays one pass's.  There a pointer into an earlier chunk takes that
+    draw's finished color by one gather, and only the pointers inside the
+    chunk are jumped.  Successive calls continue the stream, so the draws
+    are those of one call for all m·t uniforms.  O(m·t·log t) numpy work in
+    all; each row's draws depend only on that row's uniforms.
     """
-    S = table.S
-    m, t = uniforms.shape
-    n = np.arange(1, t + 1)
-    x = uniforms * (n + S[:-1])
+    t = len(table.S) - 1
+    if t <= PASS:
+        return _chunk_draws(rng.random((m, t)), table, ())
+    draws = np.empty((m, t), dtype=np.int64)
+    for row in draws:
+        for a in range(0, t, PASS):
+            row[a : a + PASS] = _chunk_draws(rng.random((1, min(PASS, t - a))), table, row[:a])[0]
+    return draws
+
+
+def _chunk_draws(uniforms: np.ndarray, table: GuideTable, done) -> np.ndarray:
+    """The draws at times a+1..a+c of m rows, from their (m, c) uniforms, with a = len(done).
+
+    ``done`` is the finished draws at times 1..a of the one row (m = 1)
+    when a > 0.
+    """
+    m, c = uniforms.shape
+    a = len(done)
+    n = np.arange(a + 1, a + c + 1)
+    x = uniforms * (n + table.S[a : a + c])
     copied_from = table.search(x - n)
-    # src[:, n-1] is the 0-based time whose color the draw at n takes; a draw
-    # from the unit balls points to itself.  Rounding can put x - n at or
-    # past S[n-1], where any earlier time is a valid source.  Row offsets
-    # then make the pointers index the flattened block.
-    src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - 1
-    src = (src + t * np.arange(m)[:, None]).ravel()
+    # src[:, i] is the 0-based time, less a, whose color the draw at n = a+1+i
+    # takes; a draw from the unit balls points to itself.  Rounding can put
+    # x - n at or past S[n-1], where any earlier time is a valid source.  Row
+    # offsets then make the pointers index the flattened chunk.
+    src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - (a + 1)
+    src = (src + c * np.arange(m)[:, None]).ravel()
+    x = x.ravel()
+    if a:  # a pointer into an earlier chunk stops there, with x = that draw's color - 1
+        early = np.flatnonzero(src < 0)
+        x[early] = done[src[early] + a] - 1
+        src[early] = early
     while True:
         nxt = src[src]
         if (nxt == src).all():
             break
         src = nxt
-    return x.ravel()[src].astype(np.int64).reshape(m, t) + 1
+    return x[src].astype(np.int64).reshape(m, c) + 1
 
 
 def sample_history(t: int, schedule: Schedule, rng: Stream) -> np.ndarray:
-    """Sample a length-t draw history, a (t,) int64 array, from one ``rng.random(t)`` call.
+    """Sample a length-t draw history, a (t,) int64 array, from the next t uniforms of ``rng``.
 
     The uniforms map to colors by ``copy_pointer_draws``, as one row, with a
-    table built for this call before the draw.  ``rng`` is a
-    ``seeding.Stream`` or any generator whose ``random(t)`` returns t
-    uniforms, such as a numpy ``Generator``.
+    table built for this call before the draw; a history longer than
+    ``PASS`` is drawn in time chunks.  ``rng`` is a ``seeding.Stream`` or
+    any generator whose ``random(size)`` returns uniforms and continues
+    its stream from call to call, such as a numpy ``Generator``.
     """
-    table = GuideTable(schedule.cumulative(t))
-    return copy_pointer_draws(rng.random(t)[None, :], table)[0]
+    return copy_pointer_draws(1, GuideTable(schedule.cumulative(t)), rng)[0]
 
 
 def marginal_draw_prob(j: int, t: int, schedule: Schedule) -> float:

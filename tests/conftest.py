@@ -10,13 +10,14 @@ import collections
 import contextlib
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from polyagraph.cli import main as cli_main
-from polyagraph.schedules import Constant, NaturalLog, paper_f
+from polyagraph.schedules import Constant, NaturalLog, Table, paper_f, paper_g
 
 
 CliResult = collections.namedtuple("CliResult", "exit_code stdout stderr")
@@ -42,6 +43,17 @@ def battery_schedules():
         ("const:2", Constant(2.0)),
         ("ln", NaturalLog()),
         ("paper-f", paper_f()),
+    ]
+
+
+def schedule_kinds(t):
+    """One schedule of each kind, covering times 1..t: constant, ln, steps, rational segments, table."""
+    return [
+        ("const:0.5", Constant(0.5)),
+        ("ln", NaturalLog()),
+        ("paper-f", paper_f()),
+        ("paper-g", paper_g()),
+        ("table", Table(tuple((np.arange(t) % 7 / 2).tolist()))),
     ]
 
 
@@ -94,6 +106,37 @@ def ba_draws_loop(t, rng):
         endpoints[size + 1] = n + 1
         size += 2
     return draws
+
+
+class Replay:
+    """A generator whose ``random(size)`` returns the next entries of fixed uniforms, in C order.
+
+    It feeds chosen uniforms, such as edge values, to the samplers, which
+    read their rows in one or more ``random`` calls.
+    """
+
+    def __init__(self, uniforms):
+        self._flat = np.asarray(uniforms, dtype=np.float64).ravel()
+        self._at = 0
+
+    def random(self, size):
+        count = math.prod(np.atleast_1d(size))
+        out = self._flat[self._at : self._at + count]
+        assert len(out) == count, "asked for more uniforms than were given"
+        self._at += count
+        return out.reshape(size).copy()
+
+
+class Recording:
+    """A generator that passes ``random`` on to ``rng`` and records each call's size."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(math.prod(np.atleast_1d(size)))
+        return self.rng.random(size)
 
 
 # PCG64's 128-bit LCG multiplier; each 64-bit output is one step of

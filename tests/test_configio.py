@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from polyagraph.configio import (
     config_text,
     load_config,
     parse_config_text,
-    rows_text,
     save_config,
     write_outputs,
 )
 from polyagraph.errors import ConfigError
 from polyagraph.experiments import OUTPUT_KINDS, ExperimentConfig, run_monte_carlo
+from polyagraph.rowtext import CHUNK_ROWS, row_chunks, rows_text
 from polyagraph.seeding import SEED_CONTRACT
 
 MINIMAL = """\
@@ -228,6 +229,17 @@ class TestWriteOutputs:
         k = np.arange(len(values))
         expected = "".join(f"{i},{format(float(v), '.17g')}\n" for i, v in zip(k, values))
         assert rows_text("%d,%.17g\n", k, values) == expected
+
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_chunks_join_to_the_one_shot_text(self, rows):
+        k = np.arange(rows)
+        values = np.sqrt(k) / 3
+        one_shot = ("%d,%.17g\n" * rows) % tuple(chain.from_iterable(zip(k.tolist(),
+                                                                          values.tolist())))
+        chunks = list(row_chunks("%d,%.17g\n", k, values))
+        assert [chunk.count("\n") for chunk in chunks] == (
+            [CHUNK_ROWS] * (rows // CHUNK_ROWS) + [rows % CHUNK_ROWS] * (rows % CHUNK_ROWS > 0))
+        assert "".join(chunks) == rows_text("%d,%.17g\n", k, values) == one_shot
 
     def test_rows_text_of_no_rows_is_empty(self):
         assert rows_text("%d,%.17g,%d\n", np.array([], dtype=np.int64), [], []) == ""

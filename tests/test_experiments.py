@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ba_draws_loop, battery_schedules, enumerate_paths, path_degrees, stream_at
+from conftest import (
+    Recording,
+    ba_draws_loop,
+    battery_schedules,
+    enumerate_paths,
+    path_degrees,
+    schedule_kinds,
+    stream_at,
+)
 from polyagraph import experiments
 from polyagraph.errors import CapExceeded, InsufficientData
 from polyagraph.exact import pmf_constant_delta_dp
 from polyagraph.experiments import (
-    BLOCK_ELEMENTS,
     POOL_MIN_DRAWS,
     ExperimentConfig,
     _replicate_blocks,
@@ -27,7 +34,7 @@ from polyagraph.experiments import (
 )
 from polyagraph.graphs import ba_block_draws, graph_from_draws
 from polyagraph.schedules import Constant, NaturalLog
-from polyagraph.seeding import as_generator
+from polyagraph.seeding import PASS, as_generator, replicate_stream
 from polyagraph.urn import GuideTable, copy_pointer_draws, sample_history
 
 
@@ -187,12 +194,12 @@ class TestRunMonteCarlo:
         # Replicate r must take draws 20r .. 20r+19 of the master seed's stream.
         config = _polya(20, 3, 1234)
         result = run_monte_carlo(config, threads=1)
-        uniforms = as_generator(1234).random((3, 20))
+        rng = as_generator(1234)
 
         table = GuideTable(Constant(1.0).cumulative(20))
         counts = np.zeros(22, dtype=np.int64)
         for r in range(3):
-            draws = copy_pointer_draws(uniforms[r : r + 1], table)[0]
+            draws = copy_pointer_draws(1, table, rng)[0]
             deg = np.bincount(draws, minlength=22) + 1
             deg[0] = 0
             counts += np.bincount(deg[1:], minlength=22)
@@ -253,18 +260,25 @@ class TestRunMonteCarlo:
 
 
 class TestBlockedEngine:
-    # Blocks hold at most 4096 draws: t=12 packs 341 replicates per block,
-    # so 1000 replicates span three blocks (two per worker at threads=2);
-    # 4095, 4096 and 4097 straddle the one-row limit.
-    SIZES = [(0, 5), (1, 5), (12, 1000), (4095, 3), (4096, 3), (4097, 3)]
+    # Blocks hold at most a pass of 4096 draws: t=12 packs 341 replicates per
+    # block, so 1000 replicates span three blocks (two per worker at
+    # threads=2); 4095, 4096 and 4097 straddle the one-row limit, past which a
+    # row is drawn in time chunks, and 8193 ends one draw into a third chunk.
+    SIZES = [(0, 5), (1, 5), (12, 1000), (PASS - 1, 3), (PASS, 3), (PASS + 1, 3),
+             (2 * PASS + 1, 2)]
     # 2⁶⁴+5 is three 32-bit entropy words, which with r's fill the pool of four.
     SEEDS = (606, 2**64 + 5)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()] + [None])
-    def test_equals_per_replicate_loop(self, spec, threads, monkeypatch):
+    @pytest.mark.parametrize("spec", [name for name, _ in battery_schedules()]
+                             + ["paper-g", "table", None])
+    def test_equals_per_replicate_loop(self, spec, threads, monkeypatch, tmp_path):
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 0)  # threads=2 pools these runs
         monkeypatch.setattr(experiments, "_available_cores", lambda: 2)  # even on one core
+        if spec == "table":  # masses 0, 0.5, ..., 3 over and over, for every horizon below
+            path = tmp_path / "table.txt"
+            path.write_text("".join(f"{n % 7 / 2}\n" for n in range(3 * PASS)))
+            spec = f"table:{path}"
         for seed, (t, replicates) in itertools.product(self.SEEDS, self.SIZES):
             if spec is None:
                 config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=seed)
@@ -283,15 +297,32 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("t", [0, 1, 12, 4097])
     @pytest.mark.parametrize("model", ["polya", "ba"])
     def test_range_rows_are_the_streams_rows(self, model, t, lo):
-        rows = max(1, BLOCK_ELEMENTS // max(t, 1))
+        rows = max(1, PASS // max(t, 1))
         hi = lo + 2 * rows + 1  # two full blocks and one short one
         schedule = NaturalLog() if model == "polya" else None
         blocks = list(_replicate_blocks(model, t, schedule, 606, lo, hi))
         assert [len(block) for block in blocks] == [rows, rows, 1]
-        uniforms = stream_at(606, lo * t).random((hi - lo, t))
-        expected = (ba_block_draws(uniforms) if model == "ba"
-                    else copy_pointer_draws(uniforms, GuideTable(schedule.cumulative(t))))
+        rng = stream_at(606, lo * t)
+        expected = (ba_block_draws(hi - lo, t, rng) if model == "ba"
+                    else copy_pointer_draws(hi - lo, GuideTable(schedule.cumulative(t)), rng))
         assert np.array_equal(np.concatenate(blocks), expected)
+
+    @pytest.mark.parametrize("t", [12, PASS - 1, PASS, PASS + 1, 2 * PASS + 1])
+    @pytest.mark.parametrize("model", ["polya", "ba"])
+    def test_no_call_asks_for_more_than_a_pass(self, model, t, monkeypatch):
+        streams = []
+
+        def recording_stream(*args):
+            streams.append(Recording(replicate_stream(*args)))
+            return streams[-1]
+
+        monkeypatch.setattr(experiments, "replicate_stream", recording_stream)
+        replicates = 2 * PASS // t + 1  # three blocks at t=12, the last one short
+        schedule = NaturalLog() if model == "polya" else None
+        blocks = list(_replicate_blocks(model, t, schedule, 606, 0, replicates))
+        assert sum(len(block) for block in blocks) == replicates
+        [stream] = streams
+        assert sum(stream.sizes) == replicates * t and max(stream.sizes) <= PASS
 
 
 class TestBirthTimeCurve:
@@ -385,6 +416,16 @@ class TestDrawCountHistogram:
         for draws in _reference_draws("polya", t, schedule, 8, replicates):
             expected[np.count_nonzero(draws == j)] += 1
         assert np.array_equal(hist, expected)
+
+    @pytest.mark.parametrize("t", [PASS - 1, PASS, PASS + 1, 2 * PASS + 1])
+    def test_equals_per_replicate_loop_around_a_pass(self, t):
+        for name, schedule in schedule_kinds(t):
+            for j in (1, 2, t):
+                hist = draw_count_histogram(j, t, schedule, 3, master_seed=t)
+                expected = np.zeros(t - j + 2, dtype=np.int64)
+                for draws in _reference_draws("polya", t, schedule, t, 3):
+                    expected[np.count_nonzero(draws == j)] += 1
+                assert np.array_equal(hist, expected), (name, j)
 
     def test_repeatable(self):
         a = draw_count_histogram(3, 10, NaturalLog(), replicates=50, master_seed=1)

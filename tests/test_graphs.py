@@ -16,8 +16,9 @@ from polyagraph.graphs import (
     generate,
     graph_from_draws,
 )
-from polyagraph.schedules import Constant, parse_schedule
-from polyagraph.seeding import as_generator
+from polyagraph.rowtext import CHUNK_ROWS
+from polyagraph.schedules import Constant, NaturalLog, parse_schedule
+from polyagraph.seeding import PASS, as_generator
 from polyagraph.urn import GuideTable, copy_pointer_draws, sample_history
 
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
@@ -132,16 +133,32 @@ class TestDerivedFields:
         assert np.array_equal(copy.degrees, graph.degrees)
 
 
+class TestTexts:
+    @pytest.mark.parametrize("t", [CHUNK_ROWS - 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_streamed_texts_equal_one_shot_texts(self, t):
+        # Both texts have t + 1 rows, and the edge list's t draw rows follow
+        # the self-loop, so these horizons put each text's last chunk boundary
+        # a row before, on, and a row after its end.
+        graph = generate(t, NaturalLog(), seed=t)
+        vertices = np.arange(1, t + 2)
+        table = np.column_stack((vertices, graph.degrees[1:], vertices - 1))
+        assert graph.edge_list_text() == (
+            ("%d %d\n" * (t + 1)) % tuple(graph.edges.ravel().tolist()))
+        assert graph.degree_table_text() == "vertex,degree,birth_time\n" + (
+            ("%d,%d,%d\n" * (t + 1)) % tuple(table.ravel().tolist()))
+        for chunks in (graph.edge_list_chunks(), graph.degree_table_chunks()):
+            assert max(chunk.count("\n") for chunk in chunks) <= CHUNK_ROWS
+
+
 class TestDegreeRows:
     @pytest.mark.parametrize("model", ["polya", "ba"])
     @pytest.mark.parametrize("t", [0, 1, 12, 4097])
     def test_rows_equal_one_graph_each(self, model, t):
-        uniforms = as_generator(t).random((5, t))
         if model == "ba":
-            block = ba_block_draws(uniforms)
+            block = ba_block_draws(5, t, as_generator(t))
         else:
             table = GuideTable(parse_schedule("paper-g").cumulative(t))
-            block = copy_pointer_draws(uniforms, table)
+            block = copy_pointer_draws(5, table, as_generator(t))
         deg = degree_rows(block)
         assert deg.shape == (5, t + 2)
         for row, draws in zip(deg, block):
@@ -237,11 +254,11 @@ class TestBaseline:
             assert draws.dtype == np.int64
             assert np.array_equal(draws, ba_draws_loop(t, as_generator(seed))), seed
 
-    @pytest.mark.parametrize("t", [0, 1, 12, 4097])
+    @pytest.mark.parametrize("t", [0, 1, 12, PASS - 1, PASS, PASS + 1, 2 * PASS + 1])
     def test_block_rows_match_endpoint_list_loop(self, t):
         # Row r of the block reads uniforms r·t .. r·t+t-1, as the loop does
         # when it is called once per row on one generator.
-        block = ba_block_draws(as_generator(9).random((5, t)))
+        block = ba_block_draws(5, t, as_generator(9))
         rng = as_generator(9)
         for row in block:
             assert np.array_equal(row, ba_draws_loop(t, rng))

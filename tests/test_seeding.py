@@ -11,8 +11,9 @@ from conftest import stream_at
 from polyagraph.experiments import _replicate_blocks, draw_count_histogram
 from polyagraph.schedules import parse_schedule
 from polyagraph.seeding import (
-    _STEPS,
+    PASS,
     Stream,
+    _jump_tables,
     as_generator,
     replicate_generator,
     replicate_stream,
@@ -46,9 +47,10 @@ class TestStreamMatchesNumpy:
     # and seven; a numpy integer; and the (master seed, index) tuples of
     # replicate_generator, the second with a two-word index.
     ENTROPIES = [*MASTER_SEEDS, np.int64(7), (918273, 0), (918273, 2**40)]
-    # Empty, one, around one vector pass of _STEPS doubles, a t=12 block of
-    # the engine and a t=5000 row.
-    SIZES = [0, 1, _STEPS - 1, _STEPS, _STEPS + 1, (341, 12), (1, 5000)]
+    # Empty, one, around one and two vector passes of PASS doubles, a t=12
+    # block of the engine and a t=5000 row.
+    SIZES = [0, 1, PASS - 1, PASS, PASS + 1, 2 * PASS - 1, 2 * PASS, 2 * PASS + 1, (341, 12),
+             (1, 5000)]
 
     @pytest.mark.parametrize("size", SIZES, ids=str)
     @pytest.mark.parametrize("entropy", ENTROPIES, ids=repr)
@@ -63,6 +65,12 @@ class TestStreamMatchesNumpy:
             reference.bit_generator.advance(steps)
             assert _lcg(stream) == _lcg(reference)
         assert np.array_equal(stream.random(size), reference.random(size))
+
+    def test_jump_tables_and_offsets_are_one_pass_long(self):
+        stream = Stream(5)
+        stream.random(3 * PASS + 7)  # four passes, the last short
+        powers, sums = _jump_tables()
+        assert powers.shape == sums.shape == stream._offsets.shape == (2, PASS)
 
     @pytest.mark.parametrize("seed, error", [
         (-1, ValueError), (-(2**70), ValueError), (-1.5, ValueError),

@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import battery_schedules, enumerate_paths, pooled_chi_square_p
+from conftest import (
+    Recording,
+    Replay,
+    battery_schedules,
+    enumerate_paths,
+    pooled_chi_square_p,
+    schedule_kinds,
+)
 from polyagraph.errors import InvalidColor, ScheduleRangeError
 from polyagraph.exact import pmf_general
 from polyagraph.graphs import ba_draws
 from polyagraph.schedules import Constant, NaturalLog, RationalSegments, Table, parse_schedule
-from polyagraph.seeding import as_generator
+from polyagraph.seeding import PASS, as_generator
 from polyagraph.urn import (
     checked_draws,
     composition,
@@ -321,10 +328,27 @@ class TestSampleHistory:
         # Each row of a block maps like a one-row call on that row's uniforms.
         for name, sched in battery_schedules():
             uniforms = np.stack([as_generator(seed).random(t) for seed in range(7)])
-            block = copy_pointer_draws(uniforms, GuideTable(sched.cumulative(t)))
+            block = copy_pointer_draws(7, GuideTable(sched.cumulative(t)), Replay(uniforms))
             assert block.shape == (7, t) and block.dtype == np.int64
             for seed, row in enumerate(block):
                 assert np.array_equal(row, sample_history(t, sched, as_generator(seed))), name
+
+    @pytest.mark.parametrize("t", [PASS - 1, PASS, PASS + 1, 2 * PASS + 1])
+    def test_rows_past_a_pass_equal_one_shot_rows(self, t):
+        # A row longer than a pass is drawn in time chunks; its draws are those
+        # of the one-shot block sampler on the same uniforms.
+        for name, sched in schedule_kinds(t):
+            S = sched.cumulative(t)
+            expected = _searchsorted_copy_pointer_draws(as_generator(t).random((2, t)), S)
+            assert np.array_equal(sample_history(t, sched, as_generator(t)), expected[0]), name
+            block = copy_pointer_draws(2, GuideTable(S), as_generator(t))
+            assert np.array_equal(block, expected), name
+
+    @pytest.mark.parametrize("t", [0, 12, PASS, PASS + 1, 2 * PASS + 1])
+    def test_asks_for_at_most_a_pass_at_a_time(self, t):
+        rng = Recording(as_generator(3))
+        sample_history(t, NaturalLog(), rng)
+        assert sum(rng.sizes) == t and max(rng.sizes) <= PASS
 
     @pytest.mark.parametrize("spec, j, t, seed", [
         ("ln", 3, 10, 31),
@@ -405,7 +429,7 @@ class TestGuideTable:
         found = table.search(x - n)
         assert np.array_equal(found[copies],
                               np.searchsorted(S, (x - n)[copies], side="right"))
-        assert np.array_equal(copy_pointer_draws(uniforms, table),
+        assert np.array_equal(copy_pointer_draws(3, table, Replay(uniforms)),
                               _searchsorted_copy_pointer_draws(uniforms, S))
 
     @given(spec=st.sampled_from(_TABLE_SPECS), t=st.integers(0, 300),
@@ -429,7 +453,7 @@ class TestGuideTable:
         # Where it is not finite there is still a table, with one bucket holding all of S.
         S = np.array(S)
         table = GuideTable(S)
-        assert len(table._guide) == len(S) + 1
+        assert len(table._guide) == len(S) + 1 and table._guide.dtype == np.int32
         assert len(np.unique(table._bucket(S))) == buckets
         v = np.array([-1.0, 0.0, S[-1], np.nextafter(S[-1], np.inf), 1e300])
         assert np.array_equal(table.search(v), np.searchsorted(S, v, side="right"))
