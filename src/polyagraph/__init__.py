@@ -29,8 +29,7 @@ _SUBMODULE = {
         "seeding": ("as_generator", "replicate_generator"),
         "urn": ("GuideTable", "UrnState", "composition", "copy_pointer_draws",
                 "marginal_draw_prob", "replay", "sample_history", "step"),
-        "graphs": ("EvolvingGraph", "ba_draws", "ba_generate", "generate",
-                   "graph_from_draws"),
+        "graphs": ("EvolvingGraph", "ba_draws", "generate", "graph_from_draws"),
         "exact": ("BRUTE_FORCE_CAP", "ENUMERATION_CAP", "Pmf", "brute_force_pmf",
                   "brute_force_table", "delta_one_simplified_pmf", "normalization_check",
                   "pmf_constant_delta", "pmf_constant_delta_dp", "pmf_dp", "pmf_general"),
@@ -38,7 +37,7 @@ _SUBMODULE = {
                         "average_birth_time_of_graph", "degree_distribution",
                         "draw_count_histogram", "expected_birth_time_table",
                         "expected_degree_count_table", "run_monte_carlo", "tail_slope"),
-        "configio": ("load_config", "parse_config_text", "save_config", "write_outputs"),
+        "configio": ("config_text", "load_config", "parse_config_text", "write_outputs"),
     }.items()
     for name in names
 }

@@ -260,7 +260,8 @@ def _parser() -> argparse.ArgumentParser:
     option = command("generate", cmd_generate)
     option("--t", type=int, help="Number of growth steps.")
     option("--schedule", dest="schedule_spec", metavar="SPEC", default="const:1",
-           help="Reinforcement schedule string (default: %(default)s).")
+           help="Reinforcement schedule string (default: %(default)s). With --replay it "
+                "is only checked: the graph depends on the draws alone.")
     option("--seed", type=int, default=0, help="Master seed (default: %(default)s).")
     option("--out", required=True, type=_directory)
     option("--replay", type=_existing_file,

@@ -132,6 +132,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_text(config: ExperimentConfig) -> str:
+    """The config document of ``config``; ``parse_config_text`` restores an equal config.
+
+    Written to a file, a relative ``table:`` path is read as relative to that file.
+    """
     lines = []
     for key, name in _FIELD_OF_KEY.items():
         value = getattr(config, name)
@@ -140,16 +144,6 @@ def config_text(config: ExperimentConfig) -> str:
         if value is not None:
             lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def save_config(config: ExperimentConfig, path) -> Path:
-    """Write a config document; ``load_config`` restores an equal config.
-
-    A relative ``table:`` path is then read as relative to the written file.
-    """
-    path = Path(path)
-    path.write_text(config_text(config))
-    return path
 
 
 def config_echo(config: ExperimentConfig) -> dict:

@@ -49,6 +49,9 @@ class ExperimentConfig(Record):
     """One experiment: a model, a horizon, a replicate count, and a master seed.
 
     These fields, in this order, are the keys of a config document (``configio``).
+    A run pools int64 tables, whose bins reach at most R·(t+1) vertices or,
+    as a degree's birth-time sum, R·t(t−1)/2; numpy's int64 sums wrap
+    silently past 2⁶³, so a config where either could is refused.
     """
 
     _keyword_only = True
@@ -81,6 +84,10 @@ class ExperimentConfig(Record):
             raise ValueError(f"unknown outputs {sorted(unknown)}; known: {OUTPUT_KINDS}")
         if len(set(self.outputs)) < len(self.outputs):
             raise ValueError(f"outputs name a kind more than once: {','.join(self.outputs)}")
+        if self.replicates * max(self.t + 1, self.t * (self.t - 1) // 2) >= 2**63:
+            raise ValueError(f"replicates={self.replicates} at t={self.t} could overflow the "
+                             "int64 pooled sums: replicates*max(t+1, t*(t-1)/2) must be "
+                             "below 2**63")
 
     def schedule(self) -> Schedule | None:
         return parse_schedule(self.schedule_spec) if self.schedule_spec else None
@@ -140,21 +147,19 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
 def _aggregate_range(model, t, schedule, master_seed, lo, hi):
     """The tables ``MonteCarloResult.counts`` and ``birth_sums`` of replicates lo..hi-1.
 
-    The degrees of a block come from one ``degree_rows`` call.  Each block's
-    birth-time sums pass through float64 (``bincount`` weights) before they
-    become integers.  One bin of a block sums at most
-    max(t²/2, (PASS/2)·t) birth times, so the sums are exact while
-    that stays below 2⁵³, i.e. for t below about 1.3·10⁸.
+    The degrees of a block come from one ``degree_rows`` call, and both
+    tables are int64 sums, exact within ``ExperimentConfig``'s bound.
     """
     counts = np.zeros(t + 2, dtype=np.int64)
     birth_sums = np.zeros(t + 2, dtype=np.int64)
-    births = np.arange(t, dtype=np.float64)  # birth time of vertex j is j - 1
     for draws in _replicate_blocks(model, t, schedule, master_seed, lo, hi):
         deg = degree_rows(draws)
         counts += np.bincount(deg[:, 1:].ravel(), minlength=t + 2)
-        interior = deg[:, 1 : t + 1].ravel()  # vertices born before the horizon
-        birth_sums += np.bincount(interior, weights=np.tile(births, len(deg)),
-                                  minlength=t + 2).astype(np.int64)
+        # Vertex j = 1..t, born at time j - 1, adds its birth time to its
+        # degree's bin.  Index and values are both flat: numpy 2.4.6's add.at
+        # sums a 2-D index against 1-D values wrongly, and runs twice as slow
+        # on values broadcast to the index's shape.
+        np.add.at(birth_sums, deg[:, 1 : t + 1].ravel(), np.tile(np.arange(t), len(deg)))
     return counts, birth_sums
 
 

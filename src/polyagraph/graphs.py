@@ -64,7 +64,11 @@ class EvolvingGraph(Record):
         return degree_rows(self.draws[None, :])[0]
 
     def edge_list_text(self) -> str:
-        """One 'u v' pair per line, the self-loop first: the rows of ``edges``."""
+        """One 'u v' pair per line, the self-loop first: the rows of ``edges``.
+
+        ``edge_list_chunks`` joined.  The CLI writes the chunks; this one-string
+        form stays because perfbench's probe calls it.
+        """
         return "".join(self.edge_list_chunks())
 
     def edge_list_chunks(self):
@@ -72,12 +76,11 @@ class EvolvingGraph(Record):
         yield "1 1\n"  # the self-loop
         yield from row_chunks("%d %d\n", self.draws, range(2, self.num_vertices + 1))
 
-    def degree_table_text(self) -> str:
-        """``vertex,degree,birth_time`` CSV with one row per vertex."""
-        return "".join(self.degree_table_chunks())
-
     def degree_table_chunks(self):
-        """``degree_table_text`` in pieces: the header, then at most ``rowtext.CHUNK_ROWS`` rows each."""
+        """``vertex,degree,birth_time`` CSV with one row per vertex, built as read.
+
+        The pieces are the header, then at most ``rowtext.CHUNK_ROWS`` rows each.
+        """
         yield "vertex,degree,birth_time\n"
         yield from row_chunks("%d,%d,%d\n", range(1, self.num_vertices + 1), self.degrees[1:],
                               range(self.num_vertices))
@@ -182,9 +185,3 @@ def _ba_chunk(uniforms: np.ndarray, done) -> np.ndarray:
             break
         src = nxt
     return slot[src].reshape(m, c) + 1
-
-
-def ba_generate(t: int, seed) -> EvolvingGraph:
-    """Generate a degree-proportional attachment graph with one edge per arrival."""
-    rng = as_generator(seed)
-    return graph_from_draws(ba_draws(t, rng))

@@ -40,6 +40,9 @@ _BAD_COMMAND_LINES = {
     "unknown-method": (["exact", "--j", "1", "--t", "3", "--method", "fast"], "--method"),
     "method-constant": (["exact", "--j", "1", "--t", "3", "--method", "constant"], "--method"),
     "missing-required-option": (["exact", "--t", "3"], "--j"),
+    "threads-not-an-integer": (["experiment", "--config", "{tmp}/run.cfg", "--out", "{tmp}/o",
+                                "--threads", "abc"],
+                               "argument --threads: invalid int value: 'abc'"),
 }
 
 
@@ -134,6 +137,12 @@ class TestGenerate:
         assert "exceeds int64" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_neither_horizon_nor_replay_is_usage_error(self, tmp_path):
+        result = run_cli("generate", "--out", tmp_path / "o")
+        assert result.exit_code == 2
+        assert result.stderr == "Error: --t is required unless --replay is given\n"
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         result = run_cli("generate", "--t", "5", "--seed", "-1",
                          "--out", tmp_path / "x")
@@ -199,6 +208,13 @@ class TestExact:
         lines = result.stdout.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0,")
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_k_outside_the_support_is_usage_error(self, k):
+        result = run_cli("exact", "--j", 3, "--t", 5, "--k", k)
+        assert result.exit_code == 2
+        assert result.stderr == f"Error: k={k} outside the support 0..3\n"
+        assert result.stdout == ""
 
     def test_color_after_horizon_is_usage_error(self):
         result = run_cli("exact", "--j", 5, "--t", 3)
@@ -340,6 +356,32 @@ class TestExperiment:
         assert result.exit_code == 2
         assert "--threads" in result.stderr
         assert not (tmp_path / "x").exists()
+
+    def test_no_output_directory_is_usage_error(self):
+        result = run_cli("experiment", "--model", "ba", "--t", 5, "--replicates", 2, "--seed", 1)
+        assert result.exit_code == 2
+        assert result.stderr == ("Error: an output directory is required "
+                                 "(--out or out= in the config)\n")
+
+    def test_run_whose_sums_could_wrap_is_usage_error(self, tmp_path, monkeypatch):
+        # Refused while the config is read, before any work: the stand-ins for
+        # the run's routes stop a run the check lets through.
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        for name in ("run_monte_carlo", "pmf_dp", "draw_count_histogram"):
+            monkeypatch.setattr(cli, name, stop)
+        flags = ["--t", 10**7, "--out", tmp_path / "o"]
+        for args in (["experiment", "--model", "ba", "--seed", 1, *flags],
+                     ["repro", "degree-ln", *flags], ["repro", "fig3", *flags]):
+            result = run_cli(*args, "--replicates", 2 * 10**5)
+            assert result.exit_code == 2, args
+            assert result.stderr.startswith(
+                "error: command line: replicates=200000 at t=10000000 could overflow the "
+                "int64 pooled sums: "), args
+            assert not (tmp_path / "o").exists()
+        with pytest.raises(_Stop):
+            run_cli("experiment", "--model", "ba", "--seed", 1, *flags, "--replicates", 18 * 10**4)
 
     def test_empty_outputs_is_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"

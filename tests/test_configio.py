@@ -10,7 +10,6 @@ from polyagraph.configio import (
     config_text,
     load_config,
     parse_config_text,
-    save_config,
     write_outputs,
 )
 from polyagraph.errors import ConfigError
@@ -132,24 +131,27 @@ class TestRoundTrip:
             model="polya", t=30, replicates=4, seed=9, schedule_spec="paper-g",
             outputs=("degree_distribution", "summary"), out="results",
         )
-        path = save_config(config, tmp_path / "run.cfg")
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(config))
         assert load_config(path) == config
 
     def test_ba_round_trip(self, tmp_path):
         config = ExperimentConfig(model="ba", t=12, replicates=2, seed=1)
-        assert load_config(save_config(config, tmp_path / "ba.cfg")) == config
+        path = tmp_path / "ba.cfg"
+        path.write_text(config_text(config))
+        assert load_config(path) == config
 
-    def test_saved_text_key_order(self, tmp_path):
+    def test_saved_text_key_order(self):
         config = ExperimentConfig(
             model="polya", t=30, replicates=4, seed=9, schedule_spec="paper-g",
             outputs=("degree_distribution", "summary"), out="results",
         )
-        assert save_config(config, tmp_path / "run.cfg").read_text() == (
+        assert config_text(config) == (
             "model = polya\nschedule = paper-g\nt = 30\nreplicates = 4\nseed = 9\n"
             "outputs = degree_distribution,summary\nout = results\n"
         )
         config = ExperimentConfig(model="ba", t=12, replicates=2, seed=1)
-        assert save_config(config, tmp_path / "ba.cfg").read_text() == (
+        assert config_text(config) == (
             "model = ba\nt = 12\nreplicates = 2\nseed = 1\n"
             "outputs = degree_distribution,birth_time,summary\n"
         )

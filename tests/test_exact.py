@@ -248,6 +248,11 @@ class TestOracle:
         pmf = brute_force_pmf(2, 3, Constant(2.0))
         assert pmf.probs[1] == pytest.approx(7 / 28, abs=1e-14)
 
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_horizon_below_one_is_refused(self, t):
+        with pytest.raises(ValueError, match=rf"^horizon must be >= 1, got {t}$"):
+            brute_force_table(t, Constant(1.0))
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             brute_force_pmf(1, 10, Constant(1.0))

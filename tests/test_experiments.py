@@ -121,6 +121,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="outputs must name at least one"):
             ExperimentConfig(model="ba", t=5, replicates=1, seed=0, outputs=())
 
+    def test_runs_whose_int64_sums_could_wrap_are_refused(self):
+        # A degree's birth-time sum can reach R·t(t-1)/2: 1.0e19 > 2⁶³ at R=2·10⁵, 9.0e18 at
+        # 1.8·10⁵.  At t <= 3 the vertex count R·(t+1) is the larger bin.
+        with pytest.raises(ValueError, match=r"^replicates=200000 at t=10000000 could overflow "
+                                             r"the int64 pooled sums: "):
+            ExperimentConfig(model="polya", schedule_spec="ln", t=10**7, replicates=2 * 10**5,
+                             seed=0)
+        assert ExperimentConfig(model="polya", schedule_spec="ln", t=10**7,
+                                replicates=18 * 10**4, seed=0).replicates == 18 * 10**4
+        with pytest.raises(ValueError, match=r"^replicates=9223372036854775808 at t=0 "):
+            ExperimentConfig(model="ba", t=0, replicates=2**63, seed=0)
+        ExperimentConfig(model="ba", t=0, replicates=2**63 - 1, seed=0)
+
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
             ExperimentConfig("ba", None, 5, 1, 0)
@@ -426,6 +439,11 @@ class TestDrawCountHistogram:
                 for draws in _reference_draws("polya", t, schedule, t, 3):
                     expected[np.count_nonzero(draws == j)] += 1
                 assert np.array_equal(hist, expected), (name, j)
+
+    @pytest.mark.parametrize("j", [0, 11, -1])
+    def test_color_outside_the_horizon_is_refused(self, j):
+        with pytest.raises(ValueError, match=rf"^color {j} outside 1..10$"):
+            draw_count_histogram(j, 10, NaturalLog(), replicates=5, master_seed=1)
 
     def test_repeatable(self):
         a = draw_count_histogram(3, 10, NaturalLog(), replicates=50, master_seed=1)

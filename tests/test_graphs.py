@@ -11,7 +11,6 @@ from polyagraph.graphs import (
     EvolvingGraph,
     ba_block_draws,
     ba_draws,
-    ba_generate,
     degree_rows,
     generate,
     graph_from_draws,
@@ -22,6 +21,11 @@ from polyagraph.seeding import PASS, as_generator
 from polyagraph.urn import GuideTable, copy_pointer_draws, sample_history
 
 _SCHEDULES = st.sampled_from([sched for _, sched in battery_schedules()])
+
+
+def _ba_graph(t, seed):
+    """The BA graph of horizon t from the stream of ``seed``."""
+    return graph_from_draws(ba_draws(t, as_generator(seed)))
 
 
 def _edge_tuples(graph):
@@ -82,13 +86,14 @@ class TestReconstruct:
     def test_exports(self):
         graph = graph_from_draws(np.array([1, 1]))
         assert graph.edge_list_text() == "1 1\n1 2\n1 3\n"
-        assert graph.degree_table_text() == "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n"
+        assert "".join(graph.degree_table_chunks()) == (
+            "vertex,degree,birth_time\n1,3,0\n2,1,1\n3,1,2\n")
 
 
 def _graphs(t):
     """A graph of horizon t for each battery schedule, and a BA graph."""
     graphs = [generate(t, sched, seed=t) for _, sched in battery_schedules()]
-    graphs.append(ba_generate(t, seed=t))
+    graphs.append(_ba_graph(t, seed=t))
     return graphs
 
 
@@ -144,7 +149,7 @@ class TestTexts:
         table = np.column_stack((vertices, graph.degrees[1:], vertices - 1))
         assert graph.edge_list_text() == (
             ("%d %d\n" * (t + 1)) % tuple(graph.edges.ravel().tolist()))
-        assert graph.degree_table_text() == "vertex,degree,birth_time\n" + (
+        assert "".join(graph.degree_table_chunks()) == "vertex,degree,birth_time\n" + (
             ("%d,%d,%d\n" * (t + 1)) % tuple(table.ravel().tolist()))
         for chunks in (graph.edge_list_chunks(), graph.degree_table_chunks()):
             assert max(chunk.count("\n") for chunk in chunks) <= CHUNK_ROWS
@@ -178,8 +183,6 @@ class TestGenerate:
         # The one-row samplers check t with ExperimentConfig's wording.
         with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -1$"):
             generate(-1, Constant(1.0), seed=0)
-        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -2$"):
-            ba_generate(-2, seed=0)
         with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -3$"):
             sample_history(-3, Constant(1.0), as_generator(0))
         with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -4$"):
@@ -216,17 +219,17 @@ class TestGenerate:
 
 class TestBaseline:
     def test_first_edge(self):
-        graph = ba_generate(1, seed=3)
+        graph = _ba_graph(1, seed=3)
         assert _edge_tuples(graph) == [(1, 1), (1, 2)]
 
     def test_structure(self):
-        graph = ba_generate(200, seed=8)
+        graph = _ba_graph(200, seed=8)
         assert graph.num_vertices == 201
         assert int(graph.degrees[1:].sum()) == 401
         assert _is_tree_rooted_at_one(graph)
 
     def test_deterministic(self):
-        assert _edge_tuples(ba_generate(100, seed=5)) == _edge_tuples(ba_generate(100, seed=5))
+        assert _edge_tuples(_ba_graph(100, seed=5)) == _edge_tuples(_ba_graph(100, seed=5))
 
     def test_path_law_matches_unit_reinforcement_urn(self):
         # Exhaustively: each draw sequence has the same probability under

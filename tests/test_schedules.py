@@ -97,6 +97,14 @@ class TestParse:
             parse_schedule(f"table:{path}")
         assert str(err.value) == f"{path}:{lineno}: {message}"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-lines"])
+    def test_table_file_without_entries_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "deltas.txt"
+        path.write_text(text)
+        with pytest.raises(ScheduleParseError) as err:
+            parse_schedule(f"table:{path}")
+        assert str(err.value) == f"empty table file {path} (at position {len('table:')})"
+
     def test_table_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_schedule(f"table:{tmp_path / 'nope.txt'}")
@@ -215,8 +223,29 @@ class TestEvaluation:
                 evaluate(horizon)
         assert sched.cumulative(0).tolist() == [0.0]
 
-    def test_rational_segment_validation(self):
-        with pytest.raises(ValueError):
-            RationalSegments(ends=(5.0,), kinds=("weird",), params=(1.0,))
-        with pytest.raises(ScheduleRangeError):
-            Stepped(ends=(5.0,), levels=(-1.0,))
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Stepped(ends=(), levels=()), ValueError,
+         "ends and levels must be equal-length and nonempty"),
+        (lambda: Stepped(ends=(5.0, 9.0), levels=(1.0,)), ValueError,
+         "ends and levels must be equal-length and nonempty"),
+        (lambda: Stepped(ends=(9.0, 5.0), levels=(1.0, 2.0)), ValueError,
+         "breakpoints not strictly ascending: (9.0, 5.0)"),
+        (lambda: Stepped(ends=(5.0,), levels=(-1.0,)), ScheduleRangeError,
+         "negative reinforcement in (-1.0,)"),
+        (lambda: RationalSegments(ends=(), kinds=(), params=()), ValueError,
+         "segment fields must be equal-length and nonempty"),
+        (lambda: RationalSegments(ends=(5.0,), kinds=("const", "over_t"), params=(1.0,)),
+         ValueError, "segment fields must be equal-length and nonempty"),
+        (lambda: RationalSegments(ends=(5.0,), kinds=("weird",), params=(1.0,)), ValueError,
+         "unknown segment kind in ('weird',)"),
+        (lambda: RationalSegments(ends=(5.0,), kinds=("const",), params=(-2.0,)),
+         ScheduleRangeError, "negative reinforcement in (-2.0,)"),
+        (lambda: Table(entries=(1.0, -0.5)), ScheduleRangeError,
+         "negative reinforcement in table"),
+    ], ids=["stepped-empty", "stepped-lengths", "stepped-unsorted", "stepped-negative",
+            "segments-empty", "segments-lengths", "segments-kind", "segments-negative",
+            "table-negative"])
+    def test_bad_record_is_refused(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
