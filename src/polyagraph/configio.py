@@ -45,7 +45,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def pmf_csv(k, probs, column: str = "prob") -> str:
-    """``k,<column>`` CSV of a law over the draw counts ``k`` (``exact``, ``repro fig3``)."""
+    """``k,<column>`` CSV of a law over the draw counts or degrees ``k``."""
     return f"k,{column}\n" + rows_text("%d,%.17g\n", k, probs)
 
 
@@ -152,8 +152,7 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def degree_distribution_csv(result: MonteCarloResult) -> str:
-    k, p = zip(*degree_distribution(result))
-    return "k,p\n" + rows_text("%d,%.17g\n", k, p)
+    return pmf_csv(*zip(*degree_distribution(result)), column="p")
 
 
 def birth_time_csv(result: MonteCarloResult) -> str:

@@ -40,33 +40,21 @@ _SPLIT = 2 ** 18  # the forward pass halves any larger set of subset states
 class Pmf(Record):
     """Distribution of a color's draw count: probs[k] = P(count = k).
 
-    The support is 0..horizon-color+1; shifting the index by one gives the
-    law of the corresponding vertex's degree.  Compared and hashed by
-    identity, since an array field has no single truth value.
+    The support is 0..len(probs)-1, which is 0..t-color+1 at horizon t;
+    shifting the index by one gives the law of the corresponding vertex's
+    degree.  Compared and hashed by identity, since an array field has no
+    single truth value.
     """
 
     color: int
-    horizon: int
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        expected = self.horizon - self.color + 2
-        if probs.shape != (expected,):
-            raise ValueError(
-                f"support of color {self.color} at horizon {self.horizon} has "
-                f"{expected} points, got array of shape {probs.shape}"
-            )
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
     @property
     def support(self) -> np.ndarray:
-        return np.arange(self.horizon - self.color + 2)
-
-
-def normalization_check(pmf: Pmf) -> float:
-    """Absolute deviation of the total mass from one."""
-    return abs(math.fsum(pmf.probs.tolist()) - 1.0)
+        return np.arange(len(self.probs))
 
 
 def _validate_color(j: int, t: int) -> None:
@@ -144,7 +132,7 @@ def pmf_general(j: int, t: int, schedule: Schedule) -> Pmf:
     probs = np.zeros(t - j + 2)
     _forward(n, t, S, deltas, np.full(1, drawn, dtype=float),
              np.full(1, count, dtype=np.intp), np.ones(1), probs)
-    return Pmf(color=j, horizon=t, probs=probs)
+    return Pmf(color=j, probs=probs)
 
 
 def pmf_constant_delta(j: int, t: int, delta: float) -> Pmf:
@@ -174,7 +162,7 @@ def pmf_dp(j: int, t: int, schedule: Schedule) -> Pmf:
         q = (1.0 + ks * c) / (n + (n - 1) * c + offset)
         return 1.0 - q, q
 
-    return Pmf(color=j, horizon=t, probs=_count_chain(j, t, factors))
+    return Pmf(color=j, probs=_count_chain(j, t, factors))
 
 
 def pmf_constant_delta_dp(j: int, t: int, delta: float) -> Pmf:
@@ -203,7 +191,7 @@ def delta_one_simplified_pmf(j: int, t: int) -> Pmf:
     den = math.prod(2.0 * n + 1.0 for n in range(j - 1, t))
     # The gamma ratio's pole at color 1 makes the zero-draw term vanish there.
     probs[0] = 0.0 if j == 1 else 2.0 * math.factorial(t) / (math.factorial(j - 2) * den)
-    return Pmf(color=j, horizon=t, probs=probs)
+    return Pmf(color=j, probs=probs)
 
 
 def brute_force_table(t: int, schedule: Schedule) -> np.ndarray:
@@ -254,4 +242,4 @@ def brute_force_pmf(j: int, t: int, schedule: Schedule) -> Pmf:
         )
     table = brute_force_table(t, schedule)
     window = t - j + 1
-    return Pmf(color=j, horizon=t, probs=table[j, : window + 1].copy())
+    return Pmf(color=j, probs=table[j, : window + 1].copy())

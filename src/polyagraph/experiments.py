@@ -11,8 +11,7 @@ Birth-time conventions: vertex j is born at time j - 1, and all birth-time
 statistics range over vertices j = 1..t, excluding the final vertex (which
 always has degree 1 and birth time t).  Degrees come from
 ``graphs.degree_rows``, which alone knows that a vertex's degree is one plus
-its color's draw count; the engine pools its degree tables, and
-``average_birth_time_of_graph`` reads a materialized graph's.
+its color's draw count; the engine pools its degree tables.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientData
 from .exact import pmf_constant_delta_dp, pmf_general
-from .graphs import EvolvingGraph, ba_block_draws, degree_rows
+from .graphs import ba_block_draws, degree_rows
 from .records import Record
 from .schedules import Constant, Schedule, parse_schedule
 from .seeding import PASS, replicate_stream
@@ -40,8 +39,8 @@ OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
 
 # Runs of fewer draws (t·R) than this go in one process whatever the thread
 # cap: below it, starting and feeding a process pool costs more than splitting
-# the replicates saves (the break-even, measured on 2 cores, is the table in
-# ROADMAP.md at commit e063225).
+# the replicates saves (the break-even, measured on 2 cores, is the pool table
+# in ROADMAP.md's "Measured now").
 POOL_MIN_DRAWS = 1 << 20
 
 
@@ -225,19 +224,6 @@ def tail_slope(distribution, k_min: int, k_max: int) -> float:
     log_k = np.log([k for k, _ in pts])
     log_p = np.log([p for _, p in pts])
     return float(np.polyfit(log_k, log_p, 1)[0])
-
-
-def average_birth_time_of_graph(graph: EvolvingGraph, k: int) -> float | None:
-    """Mean birth time of the graph's degree-k vertices born before the horizon.
-
-    Averages j - 1 over vertices j = 1..t whose degree at the horizon is k;
-    None when no such vertex exists.
-    """
-    t = graph.horizon
-    if not 1 <= k <= t + 1:
-        raise ValueError(f"degree {k} outside 1..{t + 1}")
-    hits = np.flatnonzero(graph.degrees[1 : t + 1] == k)
-    return float(hits.mean()) if hits.size else None  # position i is vertex i+1, born at time i
 
 
 def _exact_tables(t: int, schedule: Schedule):

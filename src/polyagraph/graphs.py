@@ -49,10 +49,6 @@ class EvolvingGraph(Record):
         return len(self.draws) + 1
 
     @property
-    def horizon(self) -> int:
-        return len(self.draws)
-
-    @property
     def edges(self) -> np.ndarray:
         """The (t + 1, 2) int64 edge array: the self-loop (1, 1), then (draw, n + 1) for step n."""
         return np.column_stack((np.concatenate(([1], self.draws)),

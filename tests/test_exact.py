@@ -7,11 +7,9 @@ from conftest import battery_schedules, enumerate_paths
 from polyagraph import exact
 from polyagraph.errors import CapExceeded, InvalidColor, ScheduleRangeError
 from polyagraph.exact import (
-    Pmf,
     brute_force_pmf,
     brute_force_table,
     delta_one_simplified_pmf,
-    normalization_check,
     pmf_constant_delta,
     pmf_constant_delta_dp,
     pmf_dp,
@@ -71,7 +69,7 @@ class TestPmfGeneral:
 
     def test_normalized_at_the_cap(self):
         pmf = pmf_general(3, 27, NaturalLog())  # window 25, split at the default size
-        assert normalization_check(pmf) <= 1e-12
+        assert abs(math.fsum(pmf.probs.tolist()) - 1.0) <= 1e-12
 
     def test_color_out_of_range(self):
         with pytest.raises(InvalidColor):
@@ -128,7 +126,7 @@ class TestRecurrence:
 
     def test_conserves_mass_at_large_horizon(self):
         pmf = pmf_constant_delta_dp(1, 2000, 1.0)
-        assert normalization_check(pmf) <= 1e-12
+        assert abs(math.fsum(pmf.probs.tolist()) - 1.0) <= 1e-12
 
     def test_no_cap(self):
         pmf_constant_delta_dp(1, 40, 2.0)  # window 40 would exceed the sum's cap
@@ -184,7 +182,7 @@ class TestFlatWindowRecurrence:
     def test_late_vertex_under_paper_f(self):
         # Vertex 2501's window lies in paper-f's last segment, past the sum's cap.
         law = pmf_dp(2501, 5000, paper_f())
-        assert normalization_check(law) <= 1e-12
+        assert abs(math.fsum(law.probs.tolist()) - 1.0) <= 1e-12
         assert law.probs[19:].sum() == pytest.approx(1.26e-3, rel=0.01)  # P(degree >= 20)
 
 
@@ -259,21 +257,22 @@ class TestOracle:
 
 
 class TestNormalizationCheck:
-    def test_hand_built_deficit(self):
-        pmf = Pmf(color=2, horizon=2, probs=np.array([0.5, 0.4]))
-        assert normalization_check(pmf) == pytest.approx(0.1, abs=1e-15)
-
     def test_exact_paths_are_normalized(self, battery):
         for _, sched in battery:
             for t in (1, 4, 8, 10):
                 for j in range(1, t + 1):
-                    assert normalization_check(pmf_general(j, t, sched)) <= 1e-9
+                    pmf = pmf_general(j, t, sched)
+                    assert abs(math.fsum(pmf.probs.tolist()) - 1.0) <= 1e-9
 
-    def test_pmf_shape_is_validated(self):
-        with pytest.raises(ValueError):
-            Pmf(color=1, horizon=3, probs=np.array([1.0, 0.0]))
-
-    def test_support(self):
-        pmf = pmf_constant_delta_dp(3, 10, 1.0)
-        assert pmf.support.tolist() == list(range(9))
-        assert len(pmf.probs) == 9
+    @pytest.mark.parametrize("route", [
+        pmf_general,
+        pmf_dp,
+        brute_force_pmf,
+        lambda j, t, schedule: delta_one_simplified_pmf(j, t),
+    ], ids=["general", "dp", "oracle", "simplified"])
+    @pytest.mark.parametrize("j, t", [(1, 1), (1, 7), (3, 7), (7, 7)])
+    def test_support(self, route, j, t):
+        # Color j's draw count lies in 0..t-j+1, so every route returns t-j+2 probabilities.
+        pmf = route(j, t, Constant(1.0))
+        assert (pmf.color, len(pmf.probs)) == (j, t - j + 2)
+        assert pmf.support.tolist() == list(range(t - j + 2))

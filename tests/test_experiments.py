@@ -24,7 +24,6 @@ from polyagraph.experiments import (
     POOL_MIN_DRAWS,
     ExperimentConfig,
     _replicate_blocks,
-    average_birth_time_of_graph,
     degree_distribution,
     draw_count_histogram,
     expected_birth_time_table,
@@ -352,24 +351,6 @@ class TestBirthTimeCurve:
         for k, mean, n in rows:
             assert n > 0
             assert 0 <= mean <= 30
-
-
-class TestAverageBirthTime:
-    def test_golden_history(self):
-        graph = graph_from_draws(np.array([1, 1, 2, 2]))
-        # Degrees of vertices 1..4 are 3, 3, 1, 1 (vertex 5 is outside).
-        assert average_birth_time_of_graph(graph, 3) == 0.5
-        assert average_birth_time_of_graph(graph, 1) == 2.5
-        assert average_birth_time_of_graph(graph, 2) is None
-
-    def test_horizon_one(self):
-        graph = graph_from_draws(np.array([1]))
-        assert average_birth_time_of_graph(graph, 2) == 0.0
-        assert average_birth_time_of_graph(graph, 1) is None  # vertex 2 is outside the range
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            average_birth_time_of_graph(graph_from_draws(np.array([1])), 3)
 
 
 class TestExpectedBirthTime:

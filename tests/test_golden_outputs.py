@@ -25,6 +25,13 @@ CASES = {
     **{f"generate-t7-{spec}": ["generate", "--t", "7", "--schedule", spec, "--seed", "11"]
        for spec in ("const:1", "const:0.5", "ln", "paper-f", "paper-g")},
     "generate-t3000-ln": ["generate", "--t", "3000", "--schedule", "ln", "--seed", "2"],
+    # Rows one step longer than a pass (seeding.PASS = 4096): the time-chunk path.
+    **{f"generate-t4097-{spec}": ["generate", "--t", "4097", "--schedule", spec, "--seed", "11"]
+       for spec in ("ln", "paper-f")},
+    "experiment-paper-g-t4097": ["experiment", "--model", "polya", "--schedule", "paper-g",
+                                 "--t", "4097", "--replicates", "3", "--seed", "9"],
+    "experiment-ba-t4097": ["experiment", "--model", "ba", "--t", "4097", "--replicates", "3",
+                            "--seed", "9"],
     "generate-replay-const": ["generate", "--replay", "{replay}"],
     "generate-replay-ln": ["generate", "--replay", "{replay}", "--schedule", "ln"],
     **{f"exact-{method}": ["exact", "--j", "2", "--t", "8", "--method", method]
@@ -120,6 +127,14 @@ GOLDEN = {
             'ad95a9dce3cf3d39eb91de6592d75ea94e559343b7eb924cced6ae762c4ccff5',
         'summary.json':
             '74ba9281b2c9bcfda278a0a19e07581bb9a3b06d538593abe1da0ab82be2c4d1',
+    },
+    'experiment-ba-t4097': {
+        'birth_time.csv':
+            '4b4df82adf4454bcc0e56abde7835ba913ce7781ce163c92a283631fe941ea68',
+        'degree_distribution.csv':
+            '0aba713649a0e06f00b65ba69474f6a03d7a926af4d4f5ec623ae479b143d1c8',
+        'summary.json':
+            '59d5f0f187628e4b0488e1b75b6fb6786d1ac16b81812f383d18a7a65e61347e',
     },
     'experiment-const:0-t50': {
         'birth_time.csv':
@@ -241,6 +256,14 @@ GOLDEN = {
         'summary.json':
             'f0e921f490af420ce58e3326013b6650a05221960ed8b09ccee1999435e5baf4',
     },
+    'experiment-paper-g-t4097': {
+        'birth_time.csv':
+            'e6d43b9f10527b8dce406f1c71482ebfa58941e08675fd3cc47232728c48c9e7',
+        'degree_distribution.csv':
+            '632265b98ca8d722b4b9682633b5fc9fb914796823d28fb4fb33e616cb9ac80c',
+        'summary.json':
+            'fcd15055df63f1dbf3ed8a00c507a3a9c67a8595b9f73086262627a8e33b93a8',
+    },
     'generate-replay-const': {
         'degrees.csv':
             'f5efe08c95dbf36f58d0546a34e593241ede4b6836928dd9c1f3bc4d5f0be2fb',
@@ -270,6 +293,18 @@ GOLDEN = {
             '4e555cc6f7c07a6945abbf602eb7ff7d7bc4cdcc0fcb830b788fd29e3bd6a0e4',
         'edges.txt':
             '6f30fc6589e1f1b57c35e134736396415556c37091a6d29eceb0947b68b1f83e',
+    },
+    'generate-t4097-ln': {
+        'degrees.csv':
+            '84db2c2ae81a8efb38275bb75cd9e7143869215060b59aa1b5201e4d4caeac6d',
+        'edges.txt':
+            '648bbe495962ef8f68aa96297d1cf31ca3fd5745db17043caff6bed26736da72',
+    },
+    'generate-t4097-paper-f': {
+        'degrees.csv':
+            '424afd9d4d9b3021a602c477fc010be70956afc2e2ae950e493c5bea39193b82',
+        'edges.txt':
+            'e086b7bcf14c4573d6ac772ba98ff6d53021c8fca9a71e7e76236bee47e37b71',
     },
     'generate-t50-const:0': {
         'degrees.csv':

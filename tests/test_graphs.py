@@ -104,7 +104,7 @@ class TestDerivedFields:
     @pytest.mark.parametrize("t", [0, 1, 12, 500])
     def test_degrees_and_vertex_count_come_from_the_edges(self, t):
         for graph in _graphs(t):
-            assert graph.num_vertices == len(graph.edges) == t + 1 == graph.horizon + 1
+            assert graph.num_vertices == len(graph.edges) == t + 1 == len(graph.draws) + 1
             assert np.array_equal(graph.degrees, degree_rows(graph.draws[None, :])[0])
             assert graph.degrees is graph.degrees  # computed once, then kept
 
