@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import ScheduleParseError, ScheduleRangeError
 from .records import Record
+from .seeding import PASS
 
 
 class Schedule(Record):
@@ -69,12 +70,26 @@ class Schedule(Record):
     def cumulative(self, horizon: int) -> np.ndarray:
         """Prefix sums: out[n] = sum of masses for times 1..n, out[0] = 0.
 
-        Raises ``ScheduleRangeError`` for a negative horizon or a total mass that overflows.
+        Built in slices of ``seeding.PASS`` times, so memory beyond the result
+        stays one slice's.  The masses are written into the result a slice at
+        a time; then each slice's first mass takes the prefix before it and
+        the slice is summed in place, the order of one whole-array
+        ``np.cumsum``, so the sums are the same bit for bit.  Raises
+        ``ScheduleRangeError`` for a negative horizon, a time outside the
+        schedule's domain (named as the horizon), or a total mass that overflows.
         """
-        values = self.values(horizon)
+        if horizon < 0:
+            raise ScheduleRangeError(f"horizon must be >= 0, got {horizon}")
         out = np.zeros(horizon + 1)
+        starts = range(0, horizon, PASS)
+        for a in reversed(starts):  # the last slice first, so a table too short names the horizon
+            out[a + 1 : a + 1 + PASS] = self._at(np.arange(a + 1, min(a + PASS, horizon) + 1))
         with np.errstate(over="ignore"):
-            np.cumsum(values, out=out[1:])
+            for a in starts:
+                part = out[a + 1 : a + 1 + PASS]
+                if a:  # out[0] is not added, so a leading -0.0 mass stays -0.0, as in np.cumsum
+                    part[0] += out[a]
+                np.cumsum(part, out=part)
         if not np.isfinite(out[-1]):
             raise ScheduleRangeError(f"total reinforcement over times 1..{horizon} overflows")
         return out

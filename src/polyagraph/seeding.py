@@ -53,7 +53,8 @@ _M128 = (1 << 128) - 1
 _MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 PASS = 4096
-"""The package's one vector length: doubles per ``Stream`` pass, and draws per sampler chunk.
+"""The package's one vector length: doubles per ``Stream`` pass, draws per sampler chunk, and
+entries per slice of the sampler's set-up.
 
 ``Stream.random`` computes at most this many doubles in one vector pass,
 which is also the length of the per-process jump tables and of each
@@ -61,7 +62,10 @@ stream's offsets.  The Monte Carlo engine's blocks hold at most this many
 draws, and ``urn.copy_pointer_draws`` and ``graphs.ba_block_draws`` sample
 a longer row in time chunks of this many draws, so no sampler asks the
 stream for more than one pass at a time and a pass's temporaries stay in
-cache.  A power of two, for the doubling that builds the tables.
+cache.  ``schedules.Schedule.cumulative`` and ``urn.GuideTable`` build the
+sampler's set-up a slice of this many entries at a time, so their memory
+beyond the arrays they return is one slice's.  A power of two, for the
+doubling that builds the tables.
 """
 
 

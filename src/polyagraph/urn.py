@@ -136,7 +136,9 @@ class GuideTable:
     v, whatever rounding the map does, and for any scale len(S)/S[-1]: where
     it is not finite (S[-1] is 0, or so small that the ratio overflows) the
     scale is 0 and one bucket holds all of S.  Built once per S, in
-    O(len(S)), and shared by every call.
+    O(len(S)), and shared by every call.  The buckets are counted one slice
+    of ``PASS`` entries of S at a time, so the build holds no full-length
+    array beyond the padded S and the guide.
     """
 
     def __init__(self, S: np.ndarray):
@@ -145,10 +147,14 @@ class GuideTable:
         self._total = float(S[-1]) if len(S) else 0.0
         scale = len(S) / self._total if self._total > 0 else math.inf
         self._scale = scale if scale < math.inf else 0.0
-        in_bucket = np.bincount(self._bucket(self.S), minlength=len(S) + 1)
-        # The counts are at most len(S), so int32 holds them below 2³¹ at half the memory.
-        self._guide = np.cumsum(in_bucket, dtype=np.int32 if len(S) < 2**31 else np.intp)
-        self._guide -= in_bucket
+        # Entry b+1 counts the entries of S in bucket b, one slice of S at a
+        # time; S is nondecreasing, so a slice's buckets are one contiguous run.
+        guide = np.zeros(len(S) + 2, dtype=np.intp)
+        for a in range(0, len(S), PASS):
+            b = self._bucket(self.S[a : a + PASS])
+            counts = np.bincount(b - b[0])
+            guide[b[0] + 1 : b[0] + 1 + len(counts)] += counts
+        self._guide = np.cumsum(guide, out=guide)[:-1]  # the entries in buckets below b
 
     def _bucket(self, v: np.ndarray) -> np.ndarray:
         """Each v's bucket in 0..len(S): floor(len(S)·v/S[-1]), v clipped to [0, S[-1]]."""
@@ -159,8 +165,7 @@ class GuideTable:
 
     def search(self, v: np.ndarray) -> np.ndarray:
         """``np.searchsorted(self.S, v, side="right")`` for an array v of any shape."""
-        at = self._bucket(v)  # the int32 guide is read into this intp array, so no gather casts
-        at[...] = self._guide[at]
+        at = self._guide[self._bucket(v)]
         for _ in range(2):
             at += self._padded[at] <= v
         short = self._padded[at] <= v

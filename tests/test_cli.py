@@ -505,17 +505,19 @@ class TestFlagsAndFiles:
         assert getattr(seen["flags"], "schedule_spec" if key == "schedule" else key) == (
             int(_CHANGES[key]) if key in ("t", "replicates", "seed") else _CHANGES[key])
 
-    @pytest.mark.parametrize("key, text, body", [
-        ("t", "x", "key 't' must be an integer, got 'x'"),
-        ("model", "urn", "model must be one of ('polya', 'ba'), got 'urn'"),
-        ("seed", "-1", "seed must be >= 0, got -1"),
-        ("schedule", "table:short.txt", "table covers times 1..3, got 5"),
-    ], ids=["bad-integer", "unknown-model", "negative-seed", "short-table"])
+    @pytest.mark.parametrize("changes, body", [
+        ({"t": "x"}, "key 't' must be an integer, got 'x'"),
+        ({"model": "urn"}, "model must be one of ('polya', 'ba'), got 'urn'"),
+        ({"seed": "-1"}, "seed must be >= 0, got -1"),
+        ({"schedule": "table:short.txt"}, "table covers times 1..3, got 5"),
+        ({"schedule": "table:short.txt", "t": "5000"}, "table covers times 1..3, got 5000"),
+    ], ids=["bad-integer", "unknown-model", "negative-seed", "short-table",
+            "short-table-past-a-pass"])
     def test_bad_value_gives_one_message_by_both_routes(self, tmp_path, monkeypatch,
-                                                        key, text, body):
+                                                        changes, body):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "short.txt").write_text("1\n1\n1\n")
-        for route, args in self._routes(tmp_path, {**_BASE, key: text}).items():
+        for route, args in self._routes(tmp_path, {**_BASE, **changes}).items():
             result = run_cli("experiment", *args, "--threads", 1)
             assert result.exit_code == 2, route
             source = {"config": "run.cfg: ", "flags": "command line: "}[route]

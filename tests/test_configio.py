@@ -68,9 +68,12 @@ class TestParse:
     def test_schedule_must_cover_horizon(self, tmp_path):
         table = tmp_path / "short.txt"
         table.write_text("1\n1\n1\n")
-        text = MINIMAL.replace("schedule = const:1", f"schedule = table:{table}")
-        with pytest.raises(ConfigError, match=r"^<config>: table covers times 1\.\.3, got 100$"):
-            parse_config_text(text)
+        for t in (100, 5000):  # 5000 lies past the first slice of the prefix sums
+            text = MINIMAL.replace("schedule = const:1", f"schedule = table:{table}").replace(
+                "t = 100", f"t = {t}")
+            message = rf"^<config>: table covers times 1\.\.3, got {t}$"
+            with pytest.raises(ConfigError, match=message):
+                parse_config_text(text)
 
     def test_hash_inside_table_path_is_kept(self, tmp_path):
         table = tmp_path / "run#1" / "tab.txt"

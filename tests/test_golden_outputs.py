@@ -28,6 +28,9 @@ CASES = {
     # Rows one step longer than a pass (seeding.PASS = 4096): the time-chunk path.
     **{f"generate-t4097-{spec}": ["generate", "--t", "4097", "--schedule", spec, "--seed", "11"]
        for spec in ("ln", "paper-f")},
+    # Rows crossing two pass edges, one on a step breakpoint at time 4096.
+    **{f"generate-t8193-{spec}": ["generate", "--t", "8193", "--schedule", spec, "--seed", "11"]
+       for spec in ("step:4096=1,8000=100,inf=0.5", "const:0.7")},
     "experiment-paper-g-t4097": ["experiment", "--model", "polya", "--schedule", "paper-g",
                                  "--t", "4097", "--replicates", "3", "--seed", "9"],
     "experiment-ba-t4097": ["experiment", "--model", "ba", "--t", "4097", "--replicates", "3",
@@ -347,6 +350,18 @@ GOLDEN = {
             '2b55de1ce582a4f31d420832a0d147e66d22b1357b6dae621dd753ee63655e52',
         'edges.txt':
             '61222d0303fe489f2f364263807f8d8bca536c245791f7e42303f5d0c7ebb59b',
+    },
+    'generate-t8193-const:0.7': {
+        'degrees.csv':
+            '4e20a24341e13d80a3b7c33e120aeebf2584e288900a7a6518415299f0c08cd4',
+        'edges.txt':
+            'fa1a6b49109167db2356ae424ee0688720d985d488bac4b65dffdb6670c5bc0e',
+    },
+    'generate-t8193-step:4096=1,8000=100,inf=0.5': {
+        'degrees.csv':
+            'cae7ef3fde9cbd06bde37911a0064d443232540be8f95e44c0403b37ccc3e9b1',
+        'edges.txt':
+            '52ab1c8aaab9c4d145332fec0012358dac5851f0b7d1ff8feeb1c51b534fe49f',
     },
     'repro-birthtime-all': {
         'birth_time_ba.csv':

@@ -14,6 +14,7 @@ from polyagraph.schedules import (
     paper_g,
     parse_schedule,
 )
+from polyagraph.seeding import PASS
 
 
 class TestParse:
@@ -195,6 +196,12 @@ class TestEvaluation:
         with pytest.raises(ScheduleRangeError, match="overflows"):
             parse_schedule("const:1e308").cumulative(5)
         assert parse_schedule("const:1e307").cumulative(5)[-1] == 5e307
+        # Finite over the first slice of PASS sums, first overflowing in the second.
+        assert np.isfinite(parse_schedule("const:3e304").cumulative(PASS)[-1])
+        h = 2 * PASS + 1
+        with pytest.raises(ScheduleRangeError,
+                           match=rf"^total reinforcement over times 1\.\.{h} overflows$"):
+            parse_schedule("const:3e304").cumulative(h)
 
     @pytest.mark.parametrize("spec", ["const:1", "ln", "paper-f", "paper-g"])
     def test_nonnegative_and_finite_over_horizon(self, spec):
@@ -202,10 +209,21 @@ class TestEvaluation:
         assert np.all(np.isfinite(vec))
         assert np.all(vec >= 0)
 
-    def test_cumulative(self):
+    def test_cumulative(self, tmp_path):
         sched = parse_schedule("const:2")
         cum = sched.cumulative(5)
         assert cum.tolist() == [0, 2, 4, 6, 8, 10]
+        # Summed a slice of PASS times at a time, the prefix sums must equal
+        # one whole-array cumsum bit for bit, on both sides of each slice edge.
+        table = tmp_path / "masses.txt"
+        masses = ((np.arange(9000) % 7) * 0.3 + 0.1).tolist()
+        table.write_text("".join(f"{v!r}\n" for v in masses))
+        for spec in ("const:0", "const:-0", "const:0.7", "ln", "step:3=1,4096=2.5,inf=0.25",
+                     "paper-f", "paper-g", f"table:{table}"):
+            sched = parse_schedule(spec)
+            for h in (0, 1, PASS - 1, PASS, PASS + 1, 2 * PASS + 1):
+                whole = np.concatenate(([0.0], np.cumsum(sched.values(h))))
+                assert sched.cumulative(h).tobytes() == whole.tobytes(), (spec, h)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ScheduleRangeError):

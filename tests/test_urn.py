@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -453,10 +454,42 @@ class TestGuideTable:
         # Where it is not finite there is still a table, with one bucket holding all of S.
         S = np.array(S)
         table = GuideTable(S)
-        assert len(table._guide) == len(S) + 1 and table._guide.dtype == np.int32
+        assert len(table._guide) == len(S) + 1 and table._guide.dtype == np.intp
         assert len(np.unique(table._bucket(S))) == buckets
         v = np.array([-1.0, 0.0, S[-1], np.nextafter(S[-1], np.inf), 1e300])
         assert np.array_equal(table.search(v), np.searchsorted(S, v, side="right"))
+
+    @pytest.mark.parametrize("S", [
+        parse_schedule("paper-f").cumulative(2 * PASS + 1),
+        parse_schedule("step:4096=1,8000=100,inf=0.5").cumulative(2 * PASS + 1),
+        parse_schedule("step:4096=0,inf=1").cumulative(2 * PASS + 1),
+        np.zeros(2 * PASS + 2),
+    ], ids=["paper-f", "breakpoint-on-a-slice-edge", "zero-mass-stretch", "all-zero"])
+    def test_sliced_guide_is_the_whole_array_guide(self, S):
+        # The guide is counted a slice of PASS entries at a time; it must be
+        # the exclusive prefix of one bincount over all of S.
+        table = GuideTable(S)
+        in_bucket = np.bincount(table._bucket(S), minlength=len(S) + 1)
+        assert np.array_equal(table._guide, np.cumsum(in_bucket) - in_bucket)
+        v = np.concatenate([S, np.nextafter(S, -np.inf), np.nextafter(S, np.inf),
+                            as_generator(5).random(1000) * S[-1]])
+        assert np.array_equal(table.search(v), np.searchsorted(S, v, side="right"))
+
+    def test_set_up_memory_is_the_results_and_one_slice(self):
+        # Each build keeps one slice of PASS entries beyond what it returns,
+        # where a whole-array build would peak at about three times its result.
+        h = 2**19
+        tracemalloc.start()
+        try:
+            S = NaturalLog().cumulative(h)
+            assert tracemalloc.get_traced_memory()[1] < S.nbytes + 2**20
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            table = GuideTable(S)
+            kept = table._padded.nbytes + table._guide.nbytes
+            assert tracemalloc.get_traced_memory()[1] - start < kept + 2**20
+        finally:
+            tracemalloc.stop()
 
 
 def _reference_draws(uniforms, schedule):
