@@ -57,7 +57,7 @@ try:
     )
     from .errors import CapExceeded, InvalidColor
     from .exact import brute_force_pmf, pmf_dp, pmf_general
-    from .experiments import POOL_MIN_DRAWS, draw_count_histogram, run_monte_carlo
+    from .experiments import BA_POOL_FACTOR, POOL_MIN_DRAWS, draw_count_histogram, run_monte_carlo
     from .graphs import generate as generate_graph, graph_from_draws
     from .schedules import parse_schedule
 finally:
@@ -173,8 +173,9 @@ def _with_flags(base, flags):
 
 
 _THREADS_HELP = ("Cap on worker processes for replicates (default: available cores; never "
-                 f"more than the cores). Runs of fewer than {POOL_MIN_DRAWS} draws (t*R) use "
-                 "one process whatever the cap.")
+                 f"more than the cores). Runs of fewer than {POOL_MIN_DRAWS} draws (t*R), "
+                 f"{POOL_MIN_DRAWS * BA_POOL_FACTOR} for the BA model, use one process "
+                 "whatever the cap.")
 
 
 def _processes(result) -> str:

@@ -76,6 +76,8 @@ def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -
     """The config that ``(where, key, text)`` entries give, over ``base`` unless it is None.
 
     An entry's own fault is reported at its ``where``, any other at ``source``.
+    ``base`` is a config this reader returned, so its schedule is checked
+    again only when an entry sets ``schedule``, ``t`` or ``model``.
     """
     raw: dict[str, str] = {}
     wheres: dict[str, str] = {}
@@ -101,7 +103,9 @@ def read_config(entries, base: ExperimentConfig | None, source: str, base_dir) -
         config = ExperimentConfig(**values) if base is None else replace(base, **values)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    if config.schedule_spec is not None:  # parsed now and checked over the whole horizon
+    # Parsed now and checked over the whole horizon, unless the base's check still holds.
+    recheck = base is None or {"schedule", "t", "model"} & raw.keys()
+    if config.schedule_spec is not None and recheck:
         try:
             schedule = parse_schedule(config.schedule_spec)
         except ValueError as exc:  # a fault of the schedule entry's own text

@@ -40,8 +40,10 @@ OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
 # Runs of fewer draws (t·R) than this go in one process whatever the thread
 # cap: below it, starting and feeding a process pool costs more than splitting
 # the replicates saves (the break-even, measured on 2 cores, is the pool table
-# in ROADMAP.md's "Measured now").
+# in ROADMAP.md's "Measured now").  The BA baseline samples faster than the
+# urn, so a BA run pools only from BA_POOL_FACTOR times as many draws, 2²³.
 POOL_MIN_DRAWS = 1 << 20
+BA_POOL_FACTOR = 8
 
 
 class ExperimentConfig(Record):
@@ -172,7 +174,8 @@ def _available_cores() -> int:
 def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> MonteCarloResult:
     """Run the configured replicates and pool their statistics.
 
-    A run of fewer than ``POOL_MIN_DRAWS`` draws (t·R) runs in this process.
+    A run of fewer than ``POOL_MIN_DRAWS`` draws (t·R), or ``BA_POOL_FACTOR``
+    times as many for the BA model, runs in this process.
     A larger one splits its replicates into contiguous ranges over a process
     pool of at most ``threads`` workers (default: the cores this process may
     run on), never more than the cores or replicates; ``result.processes``
@@ -184,7 +187,7 @@ def run_monte_carlo(config: ExperimentConfig, *, threads: int | None = None) -> 
     t, total = config.t, config.replicates
     schedule = config.schedule()
     workers = 1
-    if t * total >= POOL_MIN_DRAWS:
+    if t * total >= POOL_MIN_DRAWS * (BA_POOL_FACTOR if config.model == "ba" else 1):
         cores = _available_cores()
         workers = max(1, min(cores if threads is None else threads, cores, total))
     if workers == 1:

@@ -165,19 +165,21 @@ def _ba_chunk(uniforms: np.ndarray, done) -> np.ndarray:
     a = len(done)
     n = np.arange(a + 1, a + c + 1)
     idx = (uniforms * (2 * n - 1)).astype(np.int64)
+    slot = idx >> 1
     # src is the 0-based step, less a, whose target step n takes; a step
-    # that lands on a vertex slot points to itself.  Row offsets make the
-    # pointers index the flattened chunk.
-    src = np.where(idx & 1, idx >> 1, n - 1) - a
+    # that lands on a vertex slot (idx even) points to itself.  Row offsets
+    # make the pointers index the flattened chunk.  The parity is idx - 2·slot,
+    # not idx & 1: int64 & is numpy code that nothing else in a BA launch runs.
+    src = np.where(idx - 2 * slot, slot, n - 1) - a
     src = (src + c * np.arange(m)[:, None]).ravel()
-    slot = (idx >> 1).ravel()
+    slot = slot.ravel()
     if a:  # a copy from an earlier chunk stops there, with slot = that step's target - 1
-        early = np.flatnonzero(src < 0)
+        early = np.flatnonzero(src >> 63)  # -1 where src < 0: shifts run anyway, unlike int64 <
         slot[early] = done[src[early] + a] - 1
         src[early] = early
     while True:
         nxt = src[src]
-        if (nxt == src).all():
+        if not np.count_nonzero(nxt - src):  # .all() would page in numpy code for this line alone
             break
         src = nxt
     return slot[src].reshape(m, c) + 1

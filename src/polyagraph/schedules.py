@@ -90,7 +90,7 @@ class Schedule(Record):
                 if a:  # out[0] is not added, so a leading -0.0 mass stays -0.0, as in np.cumsum
                     part[0] += out[a]
                 np.cumsum(part, out=part)
-        if not np.isfinite(out[-1]):
+        if not math.isfinite(out[-1]):  # np.isfinite would page in numpy code for this scalar alone
             raise ScheduleRangeError(f"total reinforcement over times 1..{horizon} overflows")
         return out
 
@@ -168,11 +168,15 @@ class RationalSegments(Schedule):
             raise ScheduleRangeError(f"negative reinforcement in {self.params}")
 
     def _at(self, ts):
-        idx = np.minimum(np.searchsorted(self.ends, ts, side="left"), len(self.ends) - 1)
-        out = np.asarray(self.params, dtype=float)[idx]
-        over = np.asarray(self.kinds)[idx] == "over_t"
-        out[over] /= ts[over]
-        return out
+        # A time's segment is the number of ends below it, counted end by end,
+        # and its divisor is 1 on a const segment (p / 1 is p exactly): the
+        # numpy code of searchsorted, of a string comparison and of boolean
+        # indexing would run for this method alone.
+        idx = np.zeros(len(ts), dtype=np.intp)
+        for end in self.ends[:-1]:
+            idx += ts > end
+        over = np.array([kind == "over_t" for kind in self.kinds])[idx]
+        return np.asarray(self.params, dtype=float)[idx] / np.where(over, ts, 1)
 
 
 class Table(Schedule):

@@ -169,7 +169,7 @@ class GuideTable:
         for _ in range(2):
             at += self._padded[at] <= v
         short = self._padded[at] <= v
-        if short.any():
+        if np.count_nonzero(short):  # .any() would page in numpy code for this line alone
             at[short] = np.searchsorted(self.S, v[short], side="right")
         return at
 
@@ -226,12 +226,12 @@ def _chunk_draws(uniforms: np.ndarray, table: GuideTable, done) -> np.ndarray:
     src = (src + c * np.arange(m)[:, None]).ravel()
     x = x.ravel()
     if a:  # a pointer into an earlier chunk stops there, with x = that draw's color - 1
-        early = np.flatnonzero(src < 0)
+        early = np.flatnonzero(src >> 63)  # -1 where src < 0: shifts run anyway, unlike int64 <
         x[early] = done[src[early] + a] - 1
         src[early] = early
     while True:
         nxt = src[src]
-        if (nxt == src).all():
+        if not np.count_nonzero(nxt - src):  # .all() would page in numpy code for this line alone
             break
         src = nxt
     return x[src].astype(np.int64).reshape(m, c) + 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import run_cli
 from polyagraph import cli, errors
 from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
-from polyagraph.schedules import parse_schedule
+from polyagraph.schedules import Schedule, parse_schedule
 
 
 def test_every_polyagraph_error_is_a_value_error():
@@ -440,6 +440,35 @@ class TestExperiment:
         assert result.exit_code == 4
         assert "No such file" in result.stderr
 
+
+    def test_flags_that_leave_the_schedule_alone_do_not_check_it_again(self, tmp_path,
+                                                                       monkeypatch):
+        # Reading the config checks the schedule over the horizon and the run
+        # builds its prefix sums: --out changes neither, so no third build.
+        horizons = []
+        cumulative = Schedule.cumulative
+
+        def counted(schedule, horizon):
+            horizons.append(horizon)
+            return cumulative(schedule, horizon)
+
+        monkeypatch.setattr(Schedule, "cumulative", counted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = polya\nschedule = ln\nt = 30\nreplicates = 2\nseed = 1\n")
+        result = run_cli("experiment", "--config", cfg, "--out", tmp_path / "o", "--threads", 1)
+        assert result.exit_code == 0
+        assert horizons == [30, 30]
+
+    def test_horizon_flag_past_a_config_table_is_a_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tab.txt").write_text("1\n1\n1\n")
+        (tmp_path / "run.cfg").write_text("model = polya\nschedule = table:tab.txt\nt = 3\n"
+                                          "replicates = 2\nseed = 1\n")
+        result = run_cli("experiment", "--config", "run.cfg", "--t", 5, "--out", "o",
+                         "--threads", 1)
+        assert result.exit_code == 2
+        assert result.stderr == "error: command line: table covers times 1..3, got 5\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("route", ["--schedule", "config"])
     @pytest.mark.parametrize("line, message", [

@@ -224,7 +224,23 @@ class TestRunMonteCarlo:
     ])
     def test_run_size_picks_the_process_count(self, t, replicates, processes, monkeypatch):
         monkeypatch.setattr(experiments, "_available_cores", lambda: 2)
-        config = ExperimentConfig(model="ba", t=t, replicates=replicates, seed=0)
+        config = _polya(t, replicates, 0)
+        assert run_monte_carlo(config, threads=2).processes == processes
+
+    @pytest.mark.parametrize("model, t, replicates, processes", [
+        ("ba", 1024, 7, 1),      # one replicate below the BA threshold
+        ("ba", 1024, 8, 2),      # at it
+        ("polya", 512, 2, 2),    # the urn pools from POOL_MIN_DRAWS
+    ])
+    def test_ba_runs_pool_from_more_draws(self, model, t, replicates, processes, monkeypatch):
+        # BA samples faster than the urn, so its pool breaks even later (2²³
+        # draws against 2²⁰ on 2 cores); the threshold scales with POOL_MIN_DRAWS.
+        monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 1024)
+        monkeypatch.setattr(experiments, "_available_cores", lambda: 2)
+        assert experiments.BA_POOL_FACTOR == 8
+        schedule = "const:1" if model == "polya" else None
+        config = ExperimentConfig(model=model, schedule_spec=schedule, t=t,
+                                  replicates=replicates, seed=0)
         assert run_monte_carlo(config, threads=2).processes == processes
 
     @pytest.mark.parametrize("cores, processes", [({0}, 1), ({0, 3, 5}, 3), (None, 2)])

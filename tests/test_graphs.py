@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ba_draws_loop, battery_schedules, enumerate_paths
+from conftest import Replay, ba_draws_loop, battery_schedules, enumerate_paths
 from polyagraph.errors import InvalidColor
 from polyagraph.graphs import (
     EvolvingGraph,
@@ -265,6 +265,20 @@ class TestBaseline:
         rng = as_generator(9)
         for row in block:
             assert np.array_equal(row, ba_draws_loop(t, rng))
+
+    @pytest.mark.parametrize("t", [PASS, PASS + 1, 2 * PASS + 1])
+    def test_deepest_copy_chain_matches_endpoint_list_loop(self, t):
+        # Step n >= 2 lands on odd slot 2n - 3 and so copies the target of step
+        # n - 1: one chain through every step and every chunk, the most rounds
+        # of pointer jumping and a pointer into the previous chunk at each chunk.
+        n = np.arange(1, t + 1)
+        uniforms = np.maximum(2 * n - 2.5, 0.0) / (2 * n - 1)
+        assert np.array_equal((uniforms * (2 * n - 1)).astype(int)[1:], 2 * n[1:] - 3)
+        expected = ba_draws_loop(t, Replay(uniforms))
+        assert np.array_equal(expected, np.ones(t, dtype=np.int64))
+        assert np.array_equal(ba_draws(t, Replay(uniforms)), expected)
+        assert np.array_equal(ba_block_draws(2, t, Replay(np.tile(uniforms, 2))),
+                              np.stack([expected, expected]))
 
 
 class TestCoupling:

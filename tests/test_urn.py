@@ -345,6 +345,20 @@ class TestSampleHistory:
             block = copy_pointer_draws(2, GuideTable(S), as_generator(t))
             assert np.array_equal(block, expected), name
 
+    @pytest.mark.parametrize("t", [PASS, PASS + 1, 2 * PASS + 1])
+    def test_deepest_copy_chain_matches_scalar_reference(self, t):
+        # With the largest uniform every draw after the first falls in the mass
+        # laid down by the draw before it, so each copies the step before: one
+        # chain through every time and every chunk, the most rounds of pointer
+        # jumping and a pointer into the previous chunk at each chunk.
+        top = np.full(t, 1.0 - 2.0**-53)
+        for name, sched in [("const:1", Constant(1.0)), ("paper-g", parse_schedule("paper-g"))]:
+            expected = _reference_draws(top, sched)
+            assert expected == [1] * t, name
+            assert sample_history(t, sched, Replay(top)).tolist() == expected, name
+            block = copy_pointer_draws(2, GuideTable(sched.cumulative(t)), Replay(np.tile(top, 2)))
+            assert block.tolist() == [expected, expected], name
+
     @pytest.mark.parametrize("t", [0, 12, PASS, PASS + 1, 2 * PASS + 1])
     def test_asks_for_at_most_a_pass_at_a_time(self, t):
         rng = Recording(as_generator(3))
