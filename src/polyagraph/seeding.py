@@ -1,31 +1,29 @@
 """Randomness plumbing: one frozen, documented seeding contract.
 
-A seed names one stream of uniform doubles: the stream numpy gives as
-``Generator(PCG64(SeedSequence(seed))).random``, which ``Stream`` computes
-itself, bit for bit, so no launch loads numpy's random module.  PCG64 is
-O'Neill's XSL-RR 128/64 generator; NumPy's NEP 19 freezes its stream and
-``SeedSequence``'s, which is all a ``Stream`` reproduces.  The tests keep
-numpy's generator as the reference.
+A seed names one stream of uniform doubles, ``Stream(seed)``: double i of
+the stream is SplitMix64's finalizer applied to a counter, key + (i+1)·γ
+mod 2⁶⁴, where the key is a hash of the seed (Steele, Lea & Flood,
+"Fast splittable pseudorandom number generators", OOPSLA 2014).  The
+double at any position costs the same, so positioning a stream needs no
+jump.
 
 Every stochastic operation takes either an integer seed or a ready
 generator: a ``Stream``, or anything else whose ``random(size)`` returns
 uniforms, such as a numpy ``Generator``.  A replicated run with master seed
 s draws from one stream, ``as_generator(s)``, and replicate r of a length-t
 run takes draws r·t … (r+1)·t−1 of it.  ``replicate_stream`` positions that
-stream at any replicate with ``Stream.advance``, so each worker range
-starts from its own first replicate, and results do not depend on how
-replicates are scheduled onto workers.
+stream at any replicate, so each worker range starts from its own first
+replicate, and results do not depend on how replicates are scheduled onto
+workers.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
 
 import numpy as np
 
-SEED_CONTRACT = 3
+SEED_CONTRACT = 4
 """Version of the map from a seed to sampled histories, recorded in summary.json.
 
 Contract 1 inverted each draw's cumulative mass through a binary-indexed
@@ -34,189 +32,93 @@ Contract 1 inverted each draw's cumulative mass through a binary-indexed
 ``rng.random(t)`` call per replicate from the PCG64 stream seeded by
 ``SeedSequence((master_seed, r))``, but mapped to colors differently, so the
 same seed gives a different history.  Contract 3 keeps that map and draws
-every replicate's uniforms from the one stream of the master seed:
-replicate r takes draws r·t … (r+1)·t−1.  ``Stream`` computes that stream
-in the package, bit-identical to numpy's, so the contract did not change
-when numpy's generator stopped drawing it.  Nor did it change when the
-samplers began to read a row longer than ``PASS`` in time chunks: successive
-``random`` calls continue the stream, so every draw still takes the uniform
-at the same stream position.  Bump it whenever the map from a seed to
+every replicate's uniforms from the one stream of the master seed, numpy's
+``Generator(PCG64(SeedSequence(master_seed))).random``: replicate r takes
+draws r·t … (r+1)·t−1.
+
+Contract 4 keeps the map from uniforms to colors and the stream positions,
+and changes the stream to ``Stream``'s.  Uniform i (0-based) of seed s is
+(mix(key(s) + (i+1)·γ mod 2⁶⁴) >> 11)·2⁻⁵³, where mix is SplitMix64's
+finalizer and γ = 0x9E3779B97F4A7C15.  key(s) starts at 0 and, for each
+64-bit word of the seed in turn, becomes mix(key xor word).  An
+integer seed's words are its word count and then its words, least
+significant first (0 is one zero word); a tuple's are its item count and
+then each item's words.
+
+How a run of doubles is split into ``random`` calls does not change them,
+so the samplers' time chunks of ``PASS`` draws leave every draw at its
+stream position.  Bump the contract whenever the map from a seed to
 histories changes.
 """
 
-_M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-
-# PCG64's 128-bit LCG multiplier: each double is one step of
-# state <- state * a + inc (mod 2**128), then the output of the new state.
-_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_GAMMA = 0x9E3779B97F4A7C15
 
 PASS = 4096
 """The package's one vector length: doubles per ``Stream`` pass, draws per sampler chunk, and
 entries per slice of the sampler's set-up.
 
-``Stream.random`` computes at most this many doubles in one vector pass,
-which is also the length of the per-process jump tables and of each
-stream's offsets.  The Monte Carlo engine's blocks hold at most this many
-draws, and ``urn.copy_pointer_draws`` and ``graphs.ba_block_draws`` sample
-a longer row in time chunks of this many draws, so no sampler asks the
-stream for more than one pass at a time and a pass's temporaries stay in
-cache.  ``schedules.Schedule.cumulative`` and ``urn.GuideTable`` build the
+``Stream.random`` computes at most this many doubles in one vector pass.
+The Monte Carlo engine's blocks hold at most this many draws, and
+``urn.copy_pointer_draws`` and ``graphs.ba_block_draws`` sample a longer
+row in time chunks of this many draws, so no sampler asks the stream for
+more than one pass at a time and a pass's temporaries stay in cache.
+``schedules.Schedule.cumulative`` and ``urn.GuideTable`` build the
 sampler's set-up a slice of this many entries at a time, so their memory
-beyond the arrays they return is one slice's.  A power of two, for the
-doubling that builds the tables.
+beyond the arrays they return is one slice's.
 """
 
 
-def _entropy_words(entropy) -> list[int]:
-    """The entropy as ``SeedSequence`` reads it: 32-bit words, least significant first.
+def _words(seed) -> list[int]:
+    """The 64-bit words that key a seed: see ``SEED_CONTRACT``.
 
-    An integer gives its words (0 gives one zero word); a tuple gives its
-    items' words in order.  Raises ValueError for a negative number and
-    TypeError for anything else that is not an integer.
+    Raises ValueError for a negative number and TypeError for anything else
+    that is not an integer or a tuple of integers.
     """
-    if isinstance(entropy, tuple):
-        return [word for part in entropy for word in _entropy_words(part)]
-    if entropy < 0:
-        raise ValueError(f"seed must be >= 0, got {entropy}")
-    n = operator.index(entropy)
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
+    if isinstance(seed, tuple):
+        return [len(seed), *(word for item in seed for word in _words(operator.index(item)))]
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    n = operator.index(seed)
+    words = [n & _M64]
+    while n := n >> 64:
+        words.append(n & _M64)
+    return [len(words), *words]
 
 
-def _hasher(init: int, mult: int):
-    """``SeedSequence``'s hashmix: a function whose every call advances one hash constant."""
-    const = init
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value = (value ^ const) * (const := const * mult & _M32) & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return r ^ r >> 16
-
-
-def _seed_state(entropy) -> tuple[int, int]:
-    """The LCG state and increment of ``PCG64(SeedSequence(entropy))``, in Python ints.
-
-    ``SeedSequence`` hashes the entropy words into a pool of four words,
-    mixes every pool word into every other and then any words past the
-    fourth into each; its ``generate_state(4, uint64)`` hashes the pool
-    twice over into four 64-bit words.  PCG64 takes the first two as the
-    initial state and the last two as the stream selector, and steps the
-    LCG twice (``srandom``).
-    """
-    words = _entropy_words(entropy)
-    words += [0] * (4 - len(words))
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    out = [hashmix(word) for word in pool + pool]
-    seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
-    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 | 1
-    inc &= _M128
-    return ((inc + seed) * _MULT + inc) & _M128, inc
-
-
-def _mul_add(x, y: int, z):
-    """x·y + z mod 2¹²⁸, elementwise, as a (high, low) pair of uint64 arrays.
-
-    ``x`` and ``z`` are (high, low) pairs of uint64 words (arrays or ints),
-    ``y`` a Python int.  The high word of the low words' product is summed
-    from their 32-bit halves, so no partial product exceeds 64 bits.
-    """
-    (xh, xl), (zh, zl) = x, z
-    yh, yl = y >> 64, y & _M64
-    y0, y1 = yl & _M32, yl >> 32
-    x0, x1 = xl & _M32, xl >> 32
-    mid = x0 * y0
-    mid >>= 32
-    mid += x1 * y0
-    cross = x0 * y1
-    cross += mid & _M32
-    cross >>= 32
-    mid >>= 32
-    hi = x1 * y1
-    hi += mid
-    hi += cross
-    hi += xh * yl
-    hi += xl * yh
-    lo = xl * yl
-    lo += zl
-    hi += zh
-    hi += lo < zl
-    return hi, lo
-
-
-@functools.cache
-def _jump_tables():
-    """(aᵏ, 1 + a + … + aᵏ⁻¹) for k = 1 … ``PASS``, each a (2, PASS) array of (high, low) words.
-
-    k steps take a state s to aᵏ·s + (1 + a + … + aᵏ⁻¹)·inc.  The tables are
-    built once per process by doubling: entries h+1 … 2h are the first h
-    times aʰ, plus 1 + … + aʰ⁻¹ for the sums.
-    """
-    powers = np.empty((2, PASS), dtype=np.uint64)
-    sums = np.empty((2, PASS), dtype=np.uint64)
-    powers[:, 0] = _MULT >> 64, _MULT & _M64
-    sums[:, 0] = 0, 1
-    h, power, total = 1, _MULT, 1
-    while h < PASS:
-        powers[:, h : 2 * h] = _mul_add(powers[:, :h], power, (0, 0))
-        sums[:, h : 2 * h] = _mul_add(sums[:, :h], power, (total >> 64, total & _M64))
-        h, power, total = 2 * h, power * power & _M128, total * (power + 1) & _M128
-    return powers, sums
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array, which it returns."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 class Stream:
-    """The uniform doubles of ``Generator(PCG64(SeedSequence(entropy)))``, bit for bit.
+    """The uniform doubles of seed contract 4 for a seed (see ``SEED_CONTRACT``).
 
-    ``entropy`` is an integer >= 0 or a tuple of them.  ``random(size)``
+    ``seed`` is an integer >= 0 or a tuple of them.  ``random(size)``
     returns the next doubles in an array of that shape and ``advance(steps)``
-    skips doubles; ``state`` and ``inc`` are the LCG's 128-bit state and
-    increment, which decide every later double.  Each double is the XSL-RR
-    output of the next LCG state, shifted right by 11 and scaled by 2⁻⁵³.
-    ``random`` works in passes of at most ``PASS`` doubles.  The states of a
-    pass come from the per-process jump tables in one vector expression,
-    aᵏ·s + cₖ with cₖ = (1 + … + aᵏ⁻¹)·inc; the stream computes its cₖ on
-    first use.  How a run of doubles is split into ``random`` calls does not
-    change them: each call continues where the last one stopped.
+    skips doubles.  ``key``, the seed's hash, and ``position``, the index of
+    the next double, decide every later double.  ``random`` works in passes
+    of at most ``PASS`` doubles; each call continues where the last one
+    stopped.
     """
 
-    __slots__ = ("state", "inc", "_offsets")
+    __slots__ = ("key", "position")
 
-    def __init__(self, entropy):
-        self.state, self.inc = _seed_state(entropy)
-        self._offsets = np.empty((2, 0), dtype=np.uint64)
+    def __init__(self, seed):
+        key = np.zeros(1, dtype=np.uint64)
+        for word in _words(seed):
+            key ^= np.uint64(word)
+            _mix(key)
+        self.key, self.position = int(key[0]), 0
 
     def advance(self, steps: int) -> Stream:
-        """Skip ``steps`` doubles (mod 2¹²⁸, as PCG64's ``advance``) and return the stream.
-
-        The LCG step is composed with itself by square-and-multiply, so the
-        jump costs O(log steps).
-        """
-        steps %= 1 << 128
-        mult, plus = _MULT, self.inc
-        while steps:
-            if steps & 1:
-                self.state = (self.state * mult + plus) & _M128
-            plus = (mult + 1) * plus & _M128
-            mult = mult * mult & _M128
-            steps >>= 1
+        """Skip ``steps`` doubles and return the stream."""
+        self.position += steps
         return self
 
     def random(self, size) -> np.ndarray:
@@ -224,27 +126,14 @@ class Stream:
         out = np.empty(size)
         flat = out.reshape(-1)
         for start in range(0, flat.size, PASS):
-            hi, lo = self._next_states(min(flat.size - start, PASS))
-            # XSL-RR: the high word xor the low, rotated right by the top 6 bits.
-            lo ^= hi
-            hi >>= 58
-            right = lo >> hi
-            np.subtract(64, hi, out=hi)
-            hi &= 63
-            lo <<= hi
-            lo |= right
-            lo >>= 11
-            np.multiply(lo, 2.0**-53, out=flat[start : start + len(lo)])
+            z = np.arange(min(flat.size - start, PASS), dtype=np.uint64)
+            z *= _GAMMA
+            z += (self.key + (self.position + 1) * _GAMMA) & _M64
+            self.position += len(z)
+            _mix(z)
+            z >>= 11
+            np.multiply(z, 2.0**-53, out=flat[start : start + len(z)])
         return out
-
-    def _next_states(self, m: int):
-        """The next m LCG states as (high, low) uint64 arrays; the stream moves past them."""
-        powers, sums = _jump_tables()
-        if self._offsets.shape[1] < m:
-            self._offsets = np.array(_mul_add(sums[:, :m], self.inc, (0, 0)))
-        hi, lo = _mul_add(powers[:, :m], self.state, self._offsets[:, :m])
-        self.state = int(hi[-1]) << 64 | int(lo[-1])
-        return hi, lo
 
 
 def as_generator(seed):
@@ -257,12 +146,10 @@ def as_generator(seed):
 
 
 def replicate_stream(master_seed: int, t: int, first: int) -> Stream:
-    """The run's stream ``Stream(master_seed)``, advanced to replicate ``first``.
+    """The run's stream ``Stream(master_seed)`` at replicate ``first``.
 
     Its next draw is draw first·t of the stream, the first uniform of
-    replicate ``first`` in a length-t run; ``random`` takes one 64-bit step
-    per double, so advancing by first·t steps skips exactly the earlier
-    replicates.
+    replicate ``first`` in a length-t run.
 
     Raises ValueError for a negative ``master_seed`` or ``first``.
     """

@@ -82,11 +82,13 @@ def step(urn: UrnState, schedule: Schedule, *, drawn: int) -> UrnState:
 def checked_draws(draws) -> np.ndarray:
     """``draws`` as an int64 array, after checking that it is a draw history.
 
-    Raises ``InvalidColor`` unless each draw is a whole number that the cast
-    to int64 keeps, and the draw at each time n is a color in 1..n, so that
-    the first draw is color 1.
+    Raises ``InvalidColor`` unless ``draws`` is one-dimensional, each draw
+    is a whole number that the cast to int64 keeps, and the draw at each
+    time n is a color in 1..n, so that the first draw is color 1.
     """
     given = np.asarray(draws)
+    if given.ndim != 1:
+        raise InvalidColor(f"a draw history is a 1-D array of colors, got {given.ndim} dimensions")
     with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer, caught below
         draws = np.ascontiguousarray(given, dtype=np.int64)
     if given.dtype != np.int64 and not np.array_equal(draws, given):

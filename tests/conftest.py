@@ -139,30 +139,51 @@ class Recording:
         return self.rng.random(size)
 
 
-# PCG64's 128-bit LCG multiplier; each 64-bit output is one step of
-# state <- state * mult + inc (mod 2**128).
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M64 = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def stream_at(master_seed, steps):
-    """``as_generator(master_seed)`` after ``steps`` 64-bit outputs (one per double).
+def _splitmix(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
 
-    The scalar reference for PCG64's ``advance``: the LCG step is composed
-    with itself by square-and-multiply in Python integers, so a stream can
-    be positioned past 2**32 replicates without drawing them.
+
+def _seed_words(seed):
+    if isinstance(seed, tuple):
+        return [len(seed), *(word for item in seed for word in _seed_words(int(item)))]
+    n, words = int(seed), []
+    while True:
+        words.append(n & _M64)
+        n >>= 64
+        if not n:
+            return [len(words), *words]
+
+
+class ReferenceStream:
+    """Seed contract 4's doubles of ``seed`` from ``position`` on, one at a time in Python ints.
+
+    The scalar reference for ``seeding.Stream``: double i (0-based) is
+    (mix(key + (i+1)·γ mod 2⁶⁴) >> 11)·2⁻⁵³, where mix is SplitMix64's
+    finalizer, γ = 0x9E3779B97F4A7C15, and the key folds the seed's words
+    (an integer's word count, then its 64-bit words, least significant
+    first; a tuple's item count, then its items' words) by key ← mix(key xor
+    word).  It computes a double at any position directly, so a stream can
+    be read past 2⁶³ doubles or across the 2⁶⁴ counter wrap.
     """
-    bit_generator = np.random.PCG64(np.random.SeedSequence(master_seed))
-    state = bit_generator.state
-    x, mult, plus = state["state"]["state"], _PCG64_MULT, state["state"]["inc"]
-    while steps:
-        if steps & 1:
-            x = (x * mult + plus) % 2**128
-        plus = (mult + 1) * plus % 2**128
-        mult = mult * mult % 2**128
-        steps >>= 1
-    state["state"]["state"] = x
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
+
+    def __init__(self, seed, position):
+        self.key = 0
+        for word in _seed_words(seed):
+            self.key = _splitmix(self.key ^ word)
+        self.position = position
+
+    def random(self, size):
+        count = int(np.prod(size))
+        first = self.position + 1
+        self.position += count
+        return np.array([(_splitmix((self.key + i * _GAMMA) & _M64) >> 11) * 2.0**-53
+                         for i in range(first, first + count)], dtype=np.float64).reshape(size)
 
 
 def path_degrees(path):

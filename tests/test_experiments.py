@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     Recording,
+    ReferenceStream,
     ba_draws_loop,
     battery_schedules,
     enumerate_paths,
     path_degrees,
     schedule_kinds,
-    stream_at,
 )
 from polyagraph import experiments
 from polyagraph.errors import CapExceeded, InsufficientData
@@ -330,7 +330,7 @@ class TestBlockedEngine:
         schedule = NaturalLog() if model == "polya" else None
         blocks = list(_replicate_blocks(model, t, schedule, 606, lo, hi))
         assert [len(block) for block in blocks] == [rows, rows, 1]
-        rng = stream_at(606, lo * t)
+        rng = ReferenceStream(606, lo * t)
         expected = (ba_block_draws(hi - lo, t, rng) if model == "ba"
                     else copy_pointer_draws(hi - lo, GuideTable(schedule.cumulative(t)), rng))
         assert np.array_equal(np.concatenate(blocks), expected)

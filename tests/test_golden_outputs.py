@@ -113,7 +113,7 @@ GOLDEN = {
         'degree_distribution.csv':
             'e872dbd0af9acac5b962898cf14412613751951d048bef5bc3a3260e365b3ec3',
         'summary.json':
-            '63787ed44540a045813ec433d6d5ce0f564cd6cd53995208f0fa27bc91277d66',
+            '8497dd1f2ed91d84dccc1e590e9f569e27f1feda2f3091f4f1ebba265c449fff',
     },
     'experiment-ba-t1': {
         'birth_time.csv':
@@ -121,31 +121,31 @@ GOLDEN = {
         'degree_distribution.csv':
             '650aa41ad34b7035e9ab2d84de030b8d24242fdc1f1d451b802f2e1a3c861d9d',
         'summary.json':
-            '7d2fa56f2aad0cfcdd2db8d9a12137570278346bf8cbcb7c8f726eae188ca17c',
+            '75b1bda0eec9200caa0ccf30c71bb11ee693b0e4620bdc123590e72629e448b6',
     },
     'experiment-ba-t12': {
         'birth_time.csv':
-            'df9d56c1c2834f21832e5facf102c294f52d21a98435ca4410da0a99b6279406',
+            'c7f2ad05f6e438dc7a6aeb6106bc77adb5edf19857f8da62c43897cc2fc335cb',
         'degree_distribution.csv':
-            'ad95a9dce3cf3d39eb91de6592d75ea94e559343b7eb924cced6ae762c4ccff5',
+            '1a720ed2a87a38b71c488132a7e8af1f6f80183cd57e4aa27530d1a9934cabf3',
         'summary.json':
-            '74ba9281b2c9bcfda278a0a19e07581bb9a3b06d538593abe1da0ab82be2c4d1',
+            '9ab14400e9acd47974b75e361b08b031157929829ec4d6bf657dea2e23ffae51',
     },
     'experiment-ba-t4097': {
         'birth_time.csv':
-            '4b4df82adf4454bcc0e56abde7835ba913ce7781ce163c92a283631fe941ea68',
+            'f559ff8328085863ae6007abd2752e7efa2f8caf4354f9a41a75770f417842f1',
         'degree_distribution.csv':
-            '0aba713649a0e06f00b65ba69474f6a03d7a926af4d4f5ec623ae479b143d1c8',
+            'f9f64d67701efc6200c8739cdb9a8933da96e98d806356866024e2ea84e6d330',
         'summary.json':
-            '59d5f0f187628e4b0488e1b75b6fb6786d1ac16b81812f383d18a7a65e61347e',
+            '4d2ba6271b1b9213cc909bf2ab3ed8b3d8a6a2431684b64280d222835d42f87e',
     },
     'experiment-const:0-t50': {
         'birth_time.csv':
-            '297e04e36b22aee3d541724f1e2e927bb832f64d06994cf8b0ce61eba3327847',
+            '85ed612c53c17527bff5cb8d266811cb9a332b147b59983df3ef1f4f57c4c332',
         'degree_distribution.csv':
-            '118810346e604949926c719ab4213e26553e8bf1acaca657b3d3d88913fc78e7',
+            '5eb70e9134fb886deb5eb2725b747e170d0f2fadf08ca5e59dc789d225d2fccd',
         'summary.json':
-            '3717d26fce79af786be989b19840cc0c2ac3579d901a1e88c66d356b6b0e3789',
+            'af12b4fd7a8847bad883f6be37a1488cf71995689b08e2c26b50b11107742150',
     },
     'experiment-const:1-t0': {
         'birth_time.csv':
@@ -153,7 +153,7 @@ GOLDEN = {
         'degree_distribution.csv':
             'e872dbd0af9acac5b962898cf14412613751951d048bef5bc3a3260e365b3ec3',
         'summary.json':
-            'd81f3b143da3793c64edf4c9c432fbc38430deaf1ce9cf6985279ff61d85dff5',
+            '39851bd7ad7e8f9c8f2476d6cf66f58594a14587da235d09549a3aac2ce2c7df',
     },
     'experiment-const:1-t1': {
         'birth_time.csv':
@@ -161,23 +161,23 @@ GOLDEN = {
         'degree_distribution.csv':
             '650aa41ad34b7035e9ab2d84de030b8d24242fdc1f1d451b802f2e1a3c861d9d',
         'summary.json':
-            '0558f4c3a426ccc87d7830daf9add2183adb4baf11a30d96062c7b37e7a77bf8',
+            '84bf99b4779f5a431f263c427841a99c3acf6ee473a54d5c65aa9292e0f12072',
     },
     'experiment-const:1-t12': {
         'birth_time.csv':
-            'c889a5ead756b77d7472efe148d4237e7f373ecb32bbe714a0eaa3199d400f7c',
+            '38bfaa6fb0ec6be5cedf0ded01bc40788f8047a7b26e48a108b8d31ad1b072a6',
         'degree_distribution.csv':
-            'e6f01eb62eeffc4a20f1c43fe21f78fa11522173c9053014cdd6c765a8c2fe52',
+            '3686cd72c5d101ef0868847c385bb95399b961be1c736f978f0fb21ed81c99ca',
         'summary.json':
-            '21536aafac9bab94545e5a3ec963d3ecf992fab9b9e4c27cc8fc1342a39b6cba',
+            '8666bc97d641d47d547a7396446705eb1741faded59744cbf17c43e13b3ede0e',
     },
     'experiment-const:1e-320-t50': {
         'birth_time.csv':
-            '297e04e36b22aee3d541724f1e2e927bb832f64d06994cf8b0ce61eba3327847',
+            '85ed612c53c17527bff5cb8d266811cb9a332b147b59983df3ef1f4f57c4c332',
         'degree_distribution.csv':
-            '118810346e604949926c719ab4213e26553e8bf1acaca657b3d3d88913fc78e7',
+            '5eb70e9134fb886deb5eb2725b747e170d0f2fadf08ca5e59dc789d225d2fccd',
         'summary.json':
-            '76673678f009e216150a96163ab3bcbc93679c43bbb529918c57295f83227cdd',
+            'b927963b2c1f56f8eb4d24432ab3bf167166034bba0bf8c57da42607026cbc69',
     },
     'experiment-ln-t0': {
         'birth_time.csv':
@@ -185,7 +185,7 @@ GOLDEN = {
         'degree_distribution.csv':
             'e872dbd0af9acac5b962898cf14412613751951d048bef5bc3a3260e365b3ec3',
         'summary.json':
-            'b7d169c93f10c65c233f79dae74577158c13c91dcce2a76720319c976e45f84a',
+            '34abc39b5821ef633d684e298f336c46a4848440c6e07d5e2d80fb4490b91ea7',
     },
     'experiment-ln-t1': {
         'birth_time.csv':
@@ -193,23 +193,23 @@ GOLDEN = {
         'degree_distribution.csv':
             '650aa41ad34b7035e9ab2d84de030b8d24242fdc1f1d451b802f2e1a3c861d9d',
         'summary.json':
-            '5ec892208f0c6057a7d457de77f0c511841c81abe9738996ada179fdc0ce8d2d',
+            '245219f6476d25fc0feb59e4f2464354959d9f3fc1a16966fd79bc73cc71d3b1',
     },
     'experiment-ln-t12': {
         'birth_time.csv':
-            'fecb9b749185b2af42ed1da407bd0014137d70d9bd72d29e9abcb252351db2bc',
+            '5e75ac1592f43426fa463766f297e203659d315f1cf2e5525eeb893aa6583b38',
         'degree_distribution.csv':
-            '3fa76bf3b33d4197ee5161f635fa65c2dba6fa6b4e368443ab490f65c9f9433b',
+            '42ce6e71b883b9c5be594d919658e87b964d07ea6cea97732c956bf1ec18514e',
         'summary.json':
-            'ed3de37bc2c8c12693c8e6c1fde7a975a7c88a6943f2370c3815133ddd8884c8',
+            '2338c74bf9fdf8abf5ca473f502c47ea1610e779fb15e0457c5bf34764d7cbf3',
     },
     'experiment-ln-t300': {
         'birth_time.csv':
-            'f59123b3ee8660616a48c59ca06fb229332b90023ad6cb0ae21a00eca768c845',
+            'c87873c54eada98b2039c3eac5464654e1ba833afd134e6a02a9bd3f869c518c',
         'degree_distribution.csv':
-            '6eb61af4e233890285d6dc0cdfef54f5cc560e75924a3fe2d78dcb2a2558b513',
+            'f8595d5e40dc47c2df74ca5e12ce144f296c4439d92d3f1a1cc24c15f6bd5e03',
         'summary.json':
-            '428b1883a18aa28b520207b110322e20083115edf5dd9156971f5b4a8d2ad7d1',
+            '24af0fd02d6b01a620c1afabfd7977478e9f82814d353a67997b728af56cda3a',
     },
     'experiment-paper-f-t0': {
         'birth_time.csv':
@@ -217,7 +217,7 @@ GOLDEN = {
         'degree_distribution.csv':
             'e872dbd0af9acac5b962898cf14412613751951d048bef5bc3a3260e365b3ec3',
         'summary.json':
-            '3fe2747a0a47ca4f0f1792f94d108dbb4ce3fc919edb6d6045f3accbb0c0292f',
+            'cae52c126d6cd7ea05b918909e67d4b611d722200341df867a1aab19724bd6fb',
     },
     'experiment-paper-f-t1': {
         'birth_time.csv':
@@ -225,15 +225,15 @@ GOLDEN = {
         'degree_distribution.csv':
             '650aa41ad34b7035e9ab2d84de030b8d24242fdc1f1d451b802f2e1a3c861d9d',
         'summary.json':
-            '13b98dbb857dbf5427730fcb5516ae87cbec641be1b3b06a5c5f5aa03b245598',
+            'fcae16d38b08441638ead9da866a55a30b91f0e2d6727286838a0fe1cd74cfe9',
     },
     'experiment-paper-f-t12': {
         'birth_time.csv':
-            'c889a5ead756b77d7472efe148d4237e7f373ecb32bbe714a0eaa3199d400f7c',
+            '38bfaa6fb0ec6be5cedf0ded01bc40788f8047a7b26e48a108b8d31ad1b072a6',
         'degree_distribution.csv':
-            'e6f01eb62eeffc4a20f1c43fe21f78fa11522173c9053014cdd6c765a8c2fe52',
+            '3686cd72c5d101ef0868847c385bb95399b961be1c736f978f0fb21ed81c99ca',
         'summary.json':
-            '6ddb83f82903e34af5fa6a0b7da39ea9c25b132f5a27ed99fb9f1a0314d9d82b',
+            '13c37a5de1464033582f8a1e21ee1d602d78a6c1e84b9fcb8db2d1721e28debb',
     },
     'experiment-paper-g-t0': {
         'birth_time.csv':
@@ -241,7 +241,7 @@ GOLDEN = {
         'degree_distribution.csv':
             'e872dbd0af9acac5b962898cf14412613751951d048bef5bc3a3260e365b3ec3',
         'summary.json':
-            'fb410e364b709d02c5746d9bfd8ffce4604dcde5e8b4e4faea1819710bf5dfec',
+            'ed7d5637be99a314fc4faecde8c7079337b33c5934273e7a85f7501a18e870b4',
     },
     'experiment-paper-g-t1': {
         'birth_time.csv':
@@ -249,23 +249,23 @@ GOLDEN = {
         'degree_distribution.csv':
             '650aa41ad34b7035e9ab2d84de030b8d24242fdc1f1d451b802f2e1a3c861d9d',
         'summary.json':
-            '1156729784dfd7872dc82237c7615158eea83b6ad2de5122a9fb676a3ff2337a',
+            'c49c44496d0a7799044fa2ec9220989fa28e41832fb9c08bebfbe8aeef24010a',
     },
     'experiment-paper-g-t12': {
         'birth_time.csv':
-            '5b9b885f52b2f85cf3bed9f07c09160ef442b57ab9c4e5d819cf5cfdf5f6f368',
+            '26b5b71ec21ab1ade574ea9ff867aa2ba4c623173e55d2a42fb0c5210aeb97ce',
         'degree_distribution.csv':
-            '481288884a026388e87671cf8e8665cf3792b536e80e2a2abc594c0abf81f164',
+            '50e179ec7250a95837143047a4471e7eb24c02c945d3e4085b44ad4523394034',
         'summary.json':
-            'f0e921f490af420ce58e3326013b6650a05221960ed8b09ccee1999435e5baf4',
+            'a49bf477b31fab9fe81bb00f19bc3f04bbe685a5d0c80e76a7ad7988d8e638ba',
     },
     'experiment-paper-g-t4097': {
         'birth_time.csv':
-            'e6d43b9f10527b8dce406f1c71482ebfa58941e08675fd3cc47232728c48c9e7',
+            '9ecd8ea2f337914a0456b2c33fc3e8b543ba3bf78a51f9751dbdafdb704b7d58',
         'degree_distribution.csv':
-            '632265b98ca8d722b4b9682633b5fc9fb914796823d28fb4fb33e616cb9ac80c',
+            'db50a15889640749adb0f619b9ba3427216209a2af563186b1c1a9faaa7ab55b',
         'summary.json':
-            'fcd15055df63f1dbf3ed8a00c507a3a9c67a8595b9f73086262627a8e33b93a8',
+            '9a94d697a6f99659d4ee80333a89b181ae6f1e21ecae15ccc7492b1e34803b4a',
     },
     'generate-replay-const': {
         'degrees.csv':
@@ -293,117 +293,117 @@ GOLDEN = {
     },
     'generate-t3000-ln': {
         'degrees.csv':
-            '4e555cc6f7c07a6945abbf602eb7ff7d7bc4cdcc0fcb830b788fd29e3bd6a0e4',
+            'fac53af0a753d7f12c222e4fc62af855d9f8b5ecffccbf66e970ee9f9d8e7e89',
         'edges.txt':
-            '6f30fc6589e1f1b57c35e134736396415556c37091a6d29eceb0947b68b1f83e',
+            'c031f052c21046f9f2ae442e0ecec73bd4ec13949dce6ef194173a5b8e2bb5a5',
     },
     'generate-t4097-ln': {
         'degrees.csv':
-            '84db2c2ae81a8efb38275bb75cd9e7143869215060b59aa1b5201e4d4caeac6d',
+            '18f55e92ae12567aca03e456822e4c2cc9c846d97ed1ce5d1a8cea812b50f652',
         'edges.txt':
-            '648bbe495962ef8f68aa96297d1cf31ca3fd5745db17043caff6bed26736da72',
+            '1d64deef76348fff6a9afbbcee45d2c3d313e30ef62937a5fbb6d5c6d73bde68',
     },
     'generate-t4097-paper-f': {
         'degrees.csv':
-            '424afd9d4d9b3021a602c477fc010be70956afc2e2ae950e493c5bea39193b82',
+            '39429fa95e6608e421f42fe434b32b07ab28a29b2d60bc148edb76f7d39a9b03',
         'edges.txt':
-            'e086b7bcf14c4573d6ac772ba98ff6d53021c8fca9a71e7e76236bee47e37b71',
+            'cd0534c8a1773f1bfac16e281c6663e06c27a6109d215b42645e377a7e7442ba',
     },
     'generate-t50-const:0': {
         'degrees.csv':
-            'bc81a7bf1629f963fdc3655c36c62be3079b60ca9e8c7f4d9e299d84568a4539',
+            'c4d3d38e0423d7af05fc96772650d6f0ee6ad9079e4475e2a3be352a7aba7202',
         'edges.txt':
-            '47bb60b9000e7e694b6be9c50c63061646ca70fd6dee59fb51c7e4512cb0c0cf',
+            'aa6140368f7d21069e9da4d578c59aac17254c0e17edb5271a2f98c8654066af',
     },
     'generate-t50-const:1e-320': {
         'degrees.csv':
-            'bc81a7bf1629f963fdc3655c36c62be3079b60ca9e8c7f4d9e299d84568a4539',
+            'c4d3d38e0423d7af05fc96772650d6f0ee6ad9079e4475e2a3be352a7aba7202',
         'edges.txt':
-            '47bb60b9000e7e694b6be9c50c63061646ca70fd6dee59fb51c7e4512cb0c0cf',
+            'aa6140368f7d21069e9da4d578c59aac17254c0e17edb5271a2f98c8654066af',
     },
     'generate-t7-const:0.5': {
         'degrees.csv':
-            'ef37c05d9769ca2c65098f8a41345b65decd1f7c6065a117bb9f8a832ede954b',
+            '1c0a368738365c4bf33ae4cf409b69df2040529c94922be29264d43ccebe52bc',
         'edges.txt':
-            '34e90382c20a0bd0f163c1342f8f4217d37dec7b99614bf93b9f986173ce009b',
+            'bb5cbb0d7d9351e210efb0232354d6aedb7ac876a1e7f801ca5edf02c8ece122',
     },
     'generate-t7-const:1': {
         'degrees.csv':
-            '73a9970805865b0bbe7436d86b98a497e4bedde14f44c0af5e466e523be17a83',
+            '496448f1ddba44139c20ac7976b64ccbadaea15ce5e092291fb745942e13e5de',
         'edges.txt':
-            'bbd0ebe38caff9389e3a0bba83ecb32424e739efa59af79bd4367161a6f5251c',
+            'ca4183f9fce3f7e2c14907fb2996ab5249c546b767851a86ece02ca639885e93',
     },
     'generate-t7-ln': {
         'degrees.csv':
-            'ef37c05d9769ca2c65098f8a41345b65decd1f7c6065a117bb9f8a832ede954b',
+            '95689d6c4ca910c8d5df88df5d277a68b6030b9de885340a7368d3c59f8782da',
         'edges.txt':
-            '35fc6a50e77a5d6d1af033bd8a8095a1b754228c766ccd6024f245c1f8835422',
+            'b95877112a9388f93a040bd207c79a25b34470ff54792a26676d607c7f687780',
     },
     'generate-t7-paper-f': {
         'degrees.csv':
-            '73a9970805865b0bbe7436d86b98a497e4bedde14f44c0af5e466e523be17a83',
+            '496448f1ddba44139c20ac7976b64ccbadaea15ce5e092291fb745942e13e5de',
         'edges.txt':
-            'bbd0ebe38caff9389e3a0bba83ecb32424e739efa59af79bd4367161a6f5251c',
+            'ca4183f9fce3f7e2c14907fb2996ab5249c546b767851a86ece02ca639885e93',
     },
     'generate-t7-paper-g': {
         'degrees.csv':
-            '2b55de1ce582a4f31d420832a0d147e66d22b1357b6dae621dd753ee63655e52',
+            '7851137938e869e8188c257b3c0ba050bc87adecca228d8f1854190582d4474a',
         'edges.txt':
-            '61222d0303fe489f2f364263807f8d8bca536c245791f7e42303f5d0c7ebb59b',
+            '53ee486b25dbd6ff5eb1a413717a9f0038cc57dd0514a4270cb325feac21c29e',
     },
     'generate-t8193-const:0.7': {
         'degrees.csv':
-            '4e20a24341e13d80a3b7c33e120aeebf2584e288900a7a6518415299f0c08cd4',
+            '161ec17f6ea2b3fbd5fb940ee88148c455e8ff3106e5c310b70dfa25e04ea92c',
         'edges.txt':
-            'fa1a6b49109167db2356ae424ee0688720d985d488bac4b65dffdb6670c5bc0e',
+            '07d203034bcadfa2a3b7aaf4e0d98d6244542738d6c1412db7e6ab69880cde11',
     },
     'generate-t8193-step:4096=1,8000=100,inf=0.5': {
         'degrees.csv':
-            'cae7ef3fde9cbd06bde37911a0064d443232540be8f95e44c0403b37ccc3e9b1',
+            'b7303a6c9064469535476d109ceb55afc9d2fe9a2eb3f664b3596188e18a5be0',
         'edges.txt':
-            '52ab1c8aaab9c4d145332fec0012358dac5851f0b7d1ff8feeb1c51b534fe49f',
+            '5d36e718a3d9b957c855ad382e16316b058251d194547f286424d52d086fa0de',
     },
     'repro-birthtime-all': {
         'birth_time_ba.csv':
-            'e159cd0545318b02ffb71ee260e5ae2aeeb421e952adce2b31925ef7a4c2a1e4',
+            'e257039f7cdb9cea613fa4bddc4b27d0731d44b14509f34bb17189e3fcfbb2f9',
         'birth_time_delta1.csv':
-            '72483e4116a344acc4a767b41b31bc220e37996e65b9a4cabcdf922dad9edbdb',
+            '9a2b974e2c7c317c9c68dfbf6c7c5fac10b30c7cfc9768f96e065dd530b783f0',
         'birth_time_f.csv':
-            '4349aabdfa9677418c7d40171db05a10c24602b13a8c4819c3db88d2046a8433',
+            '51358e0cdea022da03da5299ba0769f984308a66a374151cc0f0b7cc5a2a7da3',
         'birth_time_g.csv':
-            'aaf268efcb7f56a86e078d3d70fa4c79603b8484975559da47efce57e468fea0',
+            '7717038b65c60f7b81ede77c066c756b316d50c858f3f73560676364220f925f',
         'birth_time_ln.csv':
-            'd77baec5fe8c79ce279ab82b22fc7973ebecc2f1075256d2d319b04f74a8faa5',
+            '114375d18b6e23863896a6f88567cb46eb42af9db3313d40971521d2ac2a730b',
         'summary.json':
             '14617359e89c9cd2d48ae5ad46f5ee599592f306424f2c5341d3cd9b54ac5d59',
     },
     'repro-degree-f': {
         'degree_distribution_ba.csv':
-            '357703ca3ce0f71a1c5a9b3d2d814a370cee75c535318d034c84d89970e5487c',
+            '5eb94c661419e714d1afbf443deeaf6f5ee9162d6b725ae306885f67a3890442',
         'degree_distribution_polya.csv':
-            '8458f5aa787ebfb3a7b6fcaa4797ee8578269882ae248e72d3c5edd6951529ab',
+            '0e6848abe6277ff44e66a0543c020054899ec376fcedc414d19ba5befb4ac3c9',
         'summary.json':
             'b0e8e9a870e0acae4a07ad545e3d9b52f1c40ceaf9bcb3a1ee445ec4b615857e',
     },
     'repro-degree-g': {
         'degree_distribution_ba.csv':
-            '357703ca3ce0f71a1c5a9b3d2d814a370cee75c535318d034c84d89970e5487c',
+            '5eb94c661419e714d1afbf443deeaf6f5ee9162d6b725ae306885f67a3890442',
         'degree_distribution_polya.csv':
-            '2cb7fe3f9640682413074a61cd903ecae9dfdfdb02e6574ed7b5e07179377401',
+            '2eba59ee8ac523da0a8974ee8072e92fa80c4528aee8ccf6de26b7cfc27d9630',
         'summary.json':
             '4861a075b0b6303e04dcfadf210093712c5a6abe974ca7b92199870b9569c3bf',
     },
     'repro-degree-ln': {
         'degree_distribution_ba.csv':
-            '357703ca3ce0f71a1c5a9b3d2d814a370cee75c535318d034c84d89970e5487c',
+            '5eb94c661419e714d1afbf443deeaf6f5ee9162d6b725ae306885f67a3890442',
         'degree_distribution_polya.csv':
-            'ffaf6472b97bf9dc137291c3cbcad6ade08e114c0db0b97bb02ca8f72fa440b2',
+            '755bc06ec0e23337fef3c01f4d5b8c8a564b6c31318483f1be8f94eab754051e',
         'summary.json':
             'e0e1ef5058786fa1384e45ed3f57576506ac6ee8400b626e09eb145efee98d22',
     },
     'repro-fig3': {
         'empirical_pmf.csv':
-            'bf37a729c399e934c0c94c05e366d72ac3106ec0bfea4bb20a532b8af8dbaab7',
+            '2aaac978f68b2f749c229ba0a5bca2d7c2ca3da3d575d9e61ac7a76bb25ac626',
         'exact_pmf.csv':
             '40e5786768331493d1748d94114ac989f243633e9d706874b80f5d1faf06d444',
         'summary.json':

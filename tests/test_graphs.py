@@ -116,10 +116,12 @@ class TestDerivedFields:
             assert graph.edges.dtype == np.int64
             assert np.array_equal(graph.edges, expected)
 
-    @pytest.mark.parametrize("draws", [[2], [1, 1.5]])
+    @pytest.mark.parametrize("draws", [[2], [1, 1.5], [[1]], [[1], [1]]])
     def test_a_non_history_cannot_be_built(self, draws):
         with pytest.raises(InvalidColor):
             EvolvingGraph(draws=np.array(draws))
+        with pytest.raises(InvalidColor):
+            graph_from_draws(draws)
 
     def test_the_graph_keeps_its_own_read_only_draws(self):
         draws = np.array([1, 1, 2, 2])

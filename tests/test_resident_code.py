@@ -15,10 +15,11 @@ import textwrap
 
 import pytest
 
-from polyagraph import graphs, schedules, urn
+from polyagraph import graphs, schedules, seeding, urn
 
 _FUNCTIONS = [urn.GuideTable.search, urn._chunk_draws, graphs._ba_chunk,
-              schedules.Schedule.cumulative, schedules.RationalSegments._at]
+              schedules.Schedule.cumulative, schedules.RationalSegments._at,
+              seeding.Stream.random]
 
 
 def _tree(function):

@@ -7,46 +7,51 @@ import numpy as np
 import pytest
 
 import polyagraph
-from conftest import stream_at
+from conftest import ReferenceStream
 from polyagraph.experiments import _replicate_blocks, draw_count_histogram
 from polyagraph.schedules import parse_schedule
 from polyagraph.seeding import (
     PASS,
+    SEED_CONTRACT,
     Stream,
-    _jump_tables,
     as_generator,
     replicate_generator,
     replicate_stream,
 )
 
-# 2³²−1 and 2³² straddle the one-to-two-word split of the SeedSequence
-# entropy; 2⁶⁴+5 is three words and 2²⁰⁰+3 is seven.
+# Seeds of one 64-bit word, 2⁶⁴+5 of two and 2²⁰⁰+3 of four.
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3, 918273]
 # One row; past 4096 rows; a range not starting at 0; and across r = 2³².
 RANGES = [(0, 1), (0, 4097), (4095, 8200), (2**32 - 2, 2**32 + 2)]
 
 
-def _lcg(rng):
-    """The LCG state and increment of a ``Stream`` or of a numpy PCG64 ``Generator``.
-
-    The two decide every later double.
-    """
-    if isinstance(rng, Stream):
-        return rng.state, rng.inc
-    state = rng.bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-def _numpy_stream(entropy):
-    """The reference: numpy's generator for seed contract 3's stream."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+def test_seed_contract_fingerprint():
+    # The first four doubles of three seeds, one of each kind of key.  Any
+    # change to the map from a seed to its uniforms must bump SEED_CONTRACT
+    # and re-pin these.
+    assert SEED_CONTRACT == 4
+    assert {seed: [x.hex() for x in Stream(seed).random(4).tolist()]
+            for seed in (0, 2**64 + 5, (80_001, 0))} == {
+        0: ["0x1.0606c54beddd8p-2", "0x1.69c646d522698p-4",
+            "0x1.2977a36354edcp-2", "0x1.21efdf7ad8bd9p-1"],
+        2**64 + 5: ["0x1.c25da080f4ed4p-2", "0x1.3d2d578e3d3f0p-1",
+                    "0x1.e74fa088aa992p-1", "0x1.c9b287134c804p-3"],
+        (80_001, 0): ["0x1.ca72082be20d7p-1", "0x1.a244d546bd574p-1",
+                      "0x1.f87ce513e70d0p-3", "0x1.2b38da911a266p-1"],
+    }, f"the seed-to-uniform map changed: bump SEED_CONTRACT (now {SEED_CONTRACT})"
 
 
 class TestStreamMatchesNumpy:
-    # The words SeedSequence hashes: one, at the one-to-two-word split, three
-    # and seven; a numpy integer; and the (master seed, index) tuples of
-    # replicate_generator, the second with a two-word index.
-    ENTROPIES = [*MASTER_SEEDS, np.int64(7), (918273, 0), (918273, 2**40)]
+    """``Stream`` against the scalar reference ``conftest.ReferenceStream``.
+
+    The class keeps the name it had while numpy's PCG64 generator was the
+    reference, so its test ids stay stable.
+    """
+
+    # Seeds of one to four words, and 2⁶⁴−1 and 2⁶⁴ at the one-to-two-word
+    # split; a numpy integer; and the (master seed, index) tuples of
+    # replicate_generator, the second with an index past 2³².
+    ENTROPIES = [*MASTER_SEEDS, 2**64 - 1, 2**64, np.int64(7), (918273, 0), (918273, 2**40)]
     # Empty, one, around one and two vector passes of PASS doubles, a t=12
     # block of the engine and a t=5000 row.
     SIZES = [0, 1, PASS - 1, PASS, PASS + 1, 2 * PASS - 1, 2 * PASS, 2 * PASS + 1, (341, 12),
@@ -55,26 +60,20 @@ class TestStreamMatchesNumpy:
     @pytest.mark.parametrize("size", SIZES, ids=str)
     @pytest.mark.parametrize("entropy", ENTROPIES, ids=repr)
     def test_doubles_and_jumps(self, entropy, size):
-        stream, reference = Stream(entropy), _numpy_stream(entropy)
-        assert _lcg(stream) == _lcg(reference)
+        # The last jump carries the counter across 2⁶⁴.
+        stream, reference = Stream(entropy), ReferenceStream(entropy, 0)
         for steps in (0, 1, 2**64 + 3):
             drawn = stream.random(size)
             assert drawn.dtype == np.float64
             assert np.array_equal(drawn, reference.random(size))
             assert stream.advance(steps) is stream
-            reference.bit_generator.advance(steps)
-            assert _lcg(stream) == _lcg(reference)
+            reference.position += steps
         assert np.array_equal(stream.random(size), reference.random(size))
-
-    def test_jump_tables_and_offsets_are_one_pass_long(self):
-        stream = Stream(5)
-        stream.random(3 * PASS + 7)  # four passes, the last short
-        powers, sums = _jump_tables()
-        assert powers.shape == sums.shape == stream._offsets.shape == (2, PASS)
 
     @pytest.mark.parametrize("seed, error", [
         (-1, ValueError), (-(2**70), ValueError), (-1.5, ValueError),
         (1.5, TypeError), (np.float64(2.0), TypeError), (None, TypeError), ("5", TypeError),
+        ((1, -1), ValueError), ((1, 1.5), TypeError), ((1, (2,)), TypeError),
     ], ids=repr)
     def test_bad_seed_raises_as_before(self, seed, error):
         # The exception types of the numpy-backed as_generator, which refused a
@@ -85,7 +84,7 @@ class TestStreamMatchesNumpy:
             replicate_stream(seed, 5, 0)
 
     def test_generators_pass_through(self):
-        stream, reference = Stream(3), _numpy_stream(3)
+        stream, reference = Stream(3), np.random.default_rng(3)
         assert as_generator(stream) is stream
         assert as_generator(reference) is reference
 
@@ -94,14 +93,14 @@ class TestReplicateGenerators:
     @pytest.mark.parametrize("lo,hi", RANGES)
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_equals_one_at_a_time_rule(self, seed, lo, hi):
-        # A range's rows, drawn in one call from the stream advanced to lo,
+        # A range's rows, drawn in one call from the stream at replicate lo,
         # equal each replicate's draws r·t … (r+1)·t−1 taken on their own.
         t = 7
         rng = replicate_stream(seed, t, lo)
         rows = rng.random((hi - lo, t))
         for r, row in zip(range(lo, hi), rows):
-            assert np.array_equal(row, stream_at(seed, r * t).random(t)), r
-        assert _lcg(rng) == _lcg(stream_at(seed, hi * t))
+            assert np.array_equal(row, ReferenceStream(seed, r * t).random(t)), r
+        assert np.array_equal(rng.random(3), ReferenceStream(seed, hi * t).random(3))
 
     def test_empty_range(self):
         schedule = parse_schedule("const:1")
@@ -110,17 +109,27 @@ class TestReplicateGenerators:
 
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_reference_jump_matches_contiguous_stream(self, seed):
-        # Check the LCG reference against plain consumption of the stream.
+        # Check the reference against plain consumption of the stream.
         whole = as_generator(seed).random(4097 * 3 + 5)
         for steps in (0, 1, 12, 4097, 4097 * 3):
-            assert np.array_equal(stream_at(seed, steps).random(5), whole[steps : steps + 5])
+            assert np.array_equal(ReferenceStream(seed, steps).random(5),
+                                  whole[steps : steps + 5])
 
     @pytest.mark.parametrize("first", [1, 341, 2**32 + 3])
     @pytest.mark.parametrize("t", [0, 12])
     @pytest.mark.parametrize("seed", MASTER_SEEDS)
     def test_starts_at_replicate_first(self, seed, t, first):
         rng = replicate_stream(seed, t, first)
-        assert _lcg(rng) == _lcg(stream_at(seed, first * t))
+        assert np.array_equal(rng.random(3), ReferenceStream(seed, first * t).random(3))
+
+    # Past 2³² replicates of t=12, past 2⁶³, and across the 2⁶⁴ counter wrap,
+    # each read over a pass edge.
+    @pytest.mark.parametrize("position", [0, PASS - 1, PASS + 1, 12 * (2**32 + 3), 2**63 + 5,
+                                          2**64 - PASS // 2, 2**64 + 7])
+    @pytest.mark.parametrize("seed", MASTER_SEEDS)
+    def test_doubles_at_any_position(self, seed, position):
+        rng = as_generator(seed).advance(position)
+        assert np.array_equal(rng.random(PASS + 2), ReferenceStream(seed, position).random(PASS + 2))
 
     # A negative seed or start must fail at the call with the engine's own
     # message, for every caller ExperimentConfig's check does not cover.

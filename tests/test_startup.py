@@ -132,7 +132,7 @@ def test_small_run_with_two_threads_starts_no_pool(tmp_path):
 
 
 def test_commands_load_no_random_module_and_no_openssl(tmp_path):
-    # The package draws seed contract 3's stream itself (seeding.Stream), so
+    # The package draws seed contract 4's stream itself (seeding.Stream), so
     # no command loads numpy's random module, whose secrets -> hmac import
     # loads hashlib and maps OpenSSL's libcrypto (~3.4 MB resident).
     commands = [

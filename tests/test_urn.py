@@ -250,9 +250,10 @@ class TestDrawHistory:
             replay(np.array([1, 3]), Constant(1.0))
 
     @pytest.mark.parametrize("draws", [[1, 1.7, 2.9], [1, 1.5], [1, math.nan], [1, math.inf],
-                                       [1, 2**63]])
+                                       [1, 2**63], [[1], [1]], [[1]], 1])
     def test_non_integer_draws_rejected(self, draws):
-        # A cast to int64 would truncate 1.7 to color 1 and 1.5 to color 1.
+        # A cast to int64 would truncate 1.7 to color 1 and 1.5 to color 1;
+        # a 2-D array or a scalar is not a history of one draw per time.
         with pytest.raises(InvalidColor):
             checked_draws(draws)
         with pytest.raises(InvalidColor):
