@@ -42,8 +42,8 @@ OUTPUT_KINDS = ("degree_distribution", "birth_time", "summary")
 # the replicates saves (the break-even, measured on 2 cores, is the pool table
 # in ROADMAP.md's "Measured now").  The BA baseline samples faster than the
 # urn, so a BA run pools only from BA_POOL_FACTOR times as many draws, 2²³.
-POOL_MIN_DRAWS = 1 << 20
-BA_POOL_FACTOR = 8
+POOL_MIN_DRAWS = 1 << 22
+BA_POOL_FACTOR = 2
 
 
 class ExperimentConfig(Record):
@@ -131,9 +131,11 @@ def _replicate_blocks(model, t, schedule, master_seed, lo, hi):
     r·t … (r+1)·t−1 of the stream.  A block of t ≤ ``PASS`` holds as many
     whole rows as fit in one pass, ``PASS // t``, and takes its uniforms in
     one ``rng.random((m, t))`` call; a longer row is a block of its own,
-    which the sampler reads in time chunks of one pass.  So no call asks
-    the stream for more than a pass, and a block's working memory beyond
-    its draws stays one pass's.  Blocks map to colors by one
+    which the sampler reads in the equal chunks of ``seeding.pass_slices``
+    (t = 5000 is two chunks of 2500 draws).  So no call asks the stream for
+    more than a pass, and a block's working memory beyond its draws is a
+    few arrays of its largest chunk: about 110 KB traced for a full t=12
+    block or a t=5000 row.  Blocks map to colors by one
     ``copy_pointer_draws`` call (Polya, sharing one ``GuideTable`` of
     ``schedule.cumulative(t)``) or one ``ba_block_draws`` call (BA).
     """

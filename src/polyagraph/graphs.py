@@ -19,7 +19,7 @@ import numpy as np
 from .records import Record
 from .rowtext import row_chunks
 from .schedules import Schedule
-from .seeding import PASS, Stream, as_generator
+from .seeding import PASS, Stream, as_generator, pass_slices
 from .urn import checked_draws, sample_history
 
 
@@ -140,18 +140,22 @@ def ba_block_draws(m: int, t: int, rng: Stream) -> np.ndarray:
     an even slot is vertex idx/2 + 1, an odd one copies the target of step
     (idx + 1)/2.  Rows of at most ``PASS`` steps come from one
     ``rng.random((m, t))`` call, and their copies are resolved together by
-    pointer jumping on the flattened block.  A longer row is drawn in time
-    chunks of ``PASS`` steps, one call each: a copy from an earlier chunk
-    takes that step's finished target by one gather, and only the copies
-    inside the chunk are jumped.  O(m·t·log t) numpy work.  This is kept
-    apart from the urn's sampler so it stays an independent baseline.
+    pointer jumping on the flattened block.  A longer row is drawn in the
+    equal time chunks of ``seeding.pass_slices``, one call each: a copy from
+    an earlier chunk takes that step's finished target by one gather, and
+    only the copies inside the chunk are jumped.  A chunk computes its slots
+    over its uniforms and its targets over its pointers, so a call holds,
+    beyond the targets it returns, a few arrays of its largest chunk:
+    traced, 105 KB for a full t=12 block and 109 KB at t=5000.
+    O(m·t·log t) numpy work.  This is kept apart from the urn's sampler so
+    it stays an independent baseline.
     """
     if t <= PASS:
         return _ba_chunk(rng.random((m, t)), ())
     targets = np.empty((m, t), dtype=np.int64)
     for row in targets:
-        for a in range(0, t, PASS):
-            row[a : a + PASS] = _ba_chunk(rng.random((1, min(PASS, t - a))), row[:a])[0]
+        for a, b in pass_slices(t):
+            row[a:b] = _ba_chunk(rng.random((1, b - a)), row[:a])[0]
     return targets
 
 
@@ -159,27 +163,34 @@ def _ba_chunk(uniforms: np.ndarray, done) -> np.ndarray:
     """The targets of steps a+1..a+c of m rows, from their (m, c) uniforms, with a = len(done).
 
     ``done`` is the finished targets of steps 1..a of the one row (m = 1)
-    when a > 0.
+    when a > 0.  The slot points are computed over ``uniforms``, which the
+    call consumes.
     """
     m, c = uniforms.shape
     a = len(done)
     n = np.arange(a + 1, a + c + 1)
-    idx = (uniforms * (2 * n - 1)).astype(np.int64)
-    slot = idx >> 1
+    uniforms *= 2 * n - 1
+    src = uniforms.astype(np.int64)
+    slot = np.right_shift(src, 1, out=uniforms.view(np.int64))  # the spent uniforms' buffer
     # src is the 0-based step, less a, whose target step n takes; a step
     # that lands on a vertex slot (idx even) points to itself.  Row offsets
     # make the pointers index the flattened chunk.  The parity is idx - 2·slot,
     # not idx & 1: int64 & is numpy code that nothing else in a BA launch runs.
-    src = np.where(idx - 2 * slot, slot, n - 1) - a
-    src = (src + c * np.arange(m)[:, None]).ravel()
+    src -= slot
+    src -= slot
+    src = np.where(src, slot, n - 1)
+    src += c * np.arange(m)[:, None] - a
+    src = src.ravel()
     slot = slot.ravel()
     if a:  # a copy from an earlier chunk stops there, with slot = that step's target - 1
         early = np.flatnonzero(src >> 63)  # -1 where src < 0: shifts run anyway, unlike int64 <
         slot[early] = done[src[early] + a] - 1
         src[early] = early
-    while True:
+    moved = True
+    while moved:
         nxt = src[src]
-        if not np.count_nonzero(nxt - src):  # .all() would page in numpy code for this line alone
-            break
+        moved = np.count_nonzero(nxt - src)  # .all() would page in numpy code for this line alone
         src = nxt
-    return slot[src].reshape(m, c) + 1
+    src[...] = slot[src]
+    src += 1
+    return src.reshape(m, c)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ScheduleParseError, ScheduleRangeError
 from .records import Record
-from .seeding import PASS
+from .seeding import pass_slices
 
 
 class Schedule(Record):
@@ -70,23 +70,24 @@ class Schedule(Record):
     def cumulative(self, horizon: int) -> np.ndarray:
         """Prefix sums: out[n] = sum of masses for times 1..n, out[0] = 0.
 
-        Built in slices of ``seeding.PASS`` times, so memory beyond the result
-        stays one slice's.  The masses are written into the result a slice at
-        a time; then each slice's first mass takes the prefix before it and
-        the slice is summed in place, the order of one whole-array
-        ``np.cumsum``, so the sums are the same bit for bit.  Raises
-        ``ScheduleRangeError`` for a negative horizon, a time outside the
-        schedule's domain (named as the horizon), or a total mass that overflows.
+        Built in the pass slices of ``seeding.pass_slices``, so memory beyond
+        the result stays one slice's.  The masses are written into the result
+        a slice at a time; then each slice's first mass takes the prefix
+        before it and the slice is summed in place, the order of one
+        whole-array ``np.cumsum``, so the sums are the same bit for bit.
+        Raises ``ScheduleRangeError`` for a negative horizon, a time outside
+        the schedule's domain (named as the horizon), or a total mass that
+        overflows.
         """
         if horizon < 0:
             raise ScheduleRangeError(f"horizon must be >= 0, got {horizon}")
         out = np.zeros(horizon + 1)
-        starts = range(0, horizon, PASS)
-        for a in reversed(starts):  # the last slice first, so a table too short names the horizon
-            out[a + 1 : a + 1 + PASS] = self._at(np.arange(a + 1, min(a + PASS, horizon) + 1))
+        slices = pass_slices(horizon)
+        for a, b in reversed(slices):  # the last slice first, so a table too short names the horizon
+            out[a + 1 : b + 1] = self._at(np.arange(a + 1, b + 1))
         with np.errstate(over="ignore"):
-            for a in starts:
-                part = out[a + 1 : a + 1 + PASS]
+            for a, b in slices:
+                part = out[a + 1 : b + 1]
                 if a:  # out[0] is not added, so a leading -0.0 mass stays -0.0, as in np.cumsum
                     part[0] += out[a]
                 np.cumsum(part, out=part)

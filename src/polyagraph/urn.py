@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidColor
 from .records import Record
 from .schedules import Constant, Schedule
-from .seeding import PASS, Stream
+from .seeding import PASS, Stream, pass_slices
 
 
 class UrnState(Record):
@@ -138,9 +138,9 @@ class GuideTable:
     v, whatever rounding the map does, and for any scale len(S)/S[-1]: where
     it is not finite (S[-1] is 0, or so small that the ratio overflows) the
     scale is 0 and one bucket holds all of S.  Built once per S, in
-    O(len(S)), and shared by every call.  The buckets are counted one slice
-    of ``PASS`` entries of S at a time, so the build holds no full-length
-    array beyond the padded S and the guide.
+    O(len(S)), and shared by every call.  The buckets are counted one pass
+    slice of S at a time (``seeding.pass_slices``), so the build holds no
+    full-length array beyond the padded S and the guide.
     """
 
     def __init__(self, S: np.ndarray):
@@ -152,10 +152,12 @@ class GuideTable:
         # Entry b+1 counts the entries of S in bucket b, one slice of S at a
         # time; S is nondecreasing, so a slice's buckets are one contiguous run.
         guide = np.zeros(len(S) + 2, dtype=np.intp)
-        for a in range(0, len(S), PASS):
-            b = self._bucket(self.S[a : a + PASS])
-            counts = np.bincount(b - b[0])
-            guide[b[0] + 1 : b[0] + 1 + len(counts)] += counts
+        for a, b in pass_slices(len(S)):
+            bucket = self._bucket(self.S[a:b])
+            first = bucket[0]
+            bucket -= first
+            counts = np.bincount(bucket)
+            guide[first + 1 : first + 1 + len(counts)] += counts
         self._guide = np.cumsum(guide, out=guide)[:-1]  # the entries in buckets below b
 
     def _bucket(self, v: np.ndarray) -> np.ndarray:
@@ -191,21 +193,25 @@ def copy_pointer_draws(m: int, table: GuideTable, rng: Stream) -> np.ndarray:
 
     Rows of at most ``PASS`` draws are one chunk: one ``rng.random((m, t))``
     call, whose copy pointers are resolved together by pointer jumping on
-    the flattened block.  A longer row is drawn in time chunks of ``PASS``
-    draws, one ``rng.random`` call each, so memory beyond the row's draws
-    stays one pass's.  There a pointer into an earlier chunk takes that
+    the flattened block.  A longer row is drawn in the equal time chunks of
+    ``seeding.pass_slices``, one ``rng.random`` call each: t = 5000 is two
+    chunks of 2500 draws.  There a pointer into an earlier chunk takes that
     draw's finished color by one gather, and only the pointers inside the
     chunk are jumped.  Successive calls continue the stream, so the draws
-    are those of one call for all m·t uniforms.  O(m·t·log t) numpy work in
-    all; each row's draws depend only on that row's uniforms.
+    are those of one call for all m·t uniforms, wherever the chunks start.
+    A chunk computes its points over its uniforms and its draws over its
+    pointers, so a call holds, beyond the draws it returns, a few arrays of
+    its largest chunk: traced on ln, 104 KB for a full t=12 block and
+    113 KB at t=5000.  O(m·t·log t) numpy work in all; each row's draws
+    depend only on that row's uniforms.
     """
     t = len(table.S) - 1
     if t <= PASS:
         return _chunk_draws(rng.random((m, t)), table, ())
     draws = np.empty((m, t), dtype=np.int64)
     for row in draws:
-        for a in range(0, t, PASS):
-            row[a : a + PASS] = _chunk_draws(rng.random((1, min(PASS, t - a))), table, row[:a])[0]
+        for a, b in pass_slices(t):
+            row[a:b] = _chunk_draws(rng.random((1, b - a)), table, row[:a])[0]
     return draws
 
 
@@ -213,30 +219,36 @@ def _chunk_draws(uniforms: np.ndarray, table: GuideTable, done) -> np.ndarray:
     """The draws at times a+1..a+c of m rows, from their (m, c) uniforms, with a = len(done).
 
     ``done`` is the finished draws at times 1..a of the one row (m = 1)
-    when a > 0.
+    when a > 0.  The points x are computed over ``uniforms``, which the
+    call consumes.
     """
     m, c = uniforms.shape
     a = len(done)
     n = np.arange(a + 1, a + c + 1)
-    x = uniforms * (n + table.S[a : a + c])
-    copied_from = table.search(x - n)
-    # src[:, i] is the 0-based time, less a, whose color the draw at n = a+1+i
+    x = uniforms
+    x *= n + table.S[a : a + c]
+    src = table.search(x - n)
+    # src[:, i] becomes the 0-based time, less a, whose color the draw at n = a+1+i
     # takes; a draw from the unit balls points to itself.  Rounding can put
     # x - n at or past S[n-1], where any earlier time is a valid source.  Row
     # offsets then make the pointers index the flattened chunk.
-    src = np.where(x < n, n, np.minimum(copied_from, n - 1)) - (a + 1)
-    src = (src + c * np.arange(m)[:, None]).ravel()
+    np.minimum(src, n - 1, out=src)
+    src = np.where(x < n, n, src)
+    src += c * np.arange(m)[:, None] - (a + 1)
+    src = src.ravel()
     x = x.ravel()
     if a:  # a pointer into an earlier chunk stops there, with x = that draw's color - 1
         early = np.flatnonzero(src >> 63)  # -1 where src < 0: shifts run anyway, unlike int64 <
         x[early] = done[src[early] + a] - 1
         src[early] = early
-    while True:
+    moved = True
+    while moved:
         nxt = src[src]
-        if not np.count_nonzero(nxt - src):  # .all() would page in numpy code for this line alone
-            break
+        moved = np.count_nonzero(nxt - src)  # .all() would page in numpy code for this line alone
         src = nxt
-    return x[src].astype(np.int64).reshape(m, c) + 1
+    src[...] = x[src]
+    src += 1
+    return src.reshape(m, c)
 
 
 def sample_history(t: int, schedule: Schedule, rng: Stream) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import pooled_chi_square_p, run_cli
 from polyagraph import cli, errors
 from polyagraph.experiments import OUTPUT_KINDS, _replicate_blocks
 from polyagraph.schedules import Schedule, parse_schedule
@@ -573,10 +573,13 @@ class TestRepro:
         exact_rows = (out / "exact_pmf.csv").read_text().splitlines()[1:]
         empirical_rows = (out / "empirical_pmf.csv").read_text().splitlines()[1:]
         assert len(exact_rows) == 12 and len(empirical_rows) == 12
-        exact = [float(r.split(",")[1]) for r in exact_rows]
-        empirical = [float(r.split(",")[1]) for r in empirical_rows]
-        tv = 0.5 * sum(abs(a - b) for a, b in zip(exact, empirical))
-        assert tv < 0.05  # frozen seed, R = 1000
+        # The frozen sample (seed 130312, R = 1000) against the exact law: the
+        # acceptance suite's pooled chi-square at the 0.001 level.
+        replicates = 1000
+        expected = [replicates * float(r.split(",")[1]) for r in exact_rows]
+        observed = [round(replicates * float(r.split(",")[1])) for r in empirical_rows]
+        assert sum(observed) == replicates
+        assert pooled_chi_square_p(expected, observed) >= 0.001
 
     def test_degree_figure_smoke(self, tmp_path):
         out = tmp_path / "deg"

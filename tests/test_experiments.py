@@ -228,16 +228,16 @@ class TestRunMonteCarlo:
         assert run_monte_carlo(config, threads=2).processes == processes
 
     @pytest.mark.parametrize("model, t, replicates, processes", [
-        ("ba", 1024, 7, 1),      # one replicate below the BA threshold
-        ("ba", 1024, 8, 2),      # at it
+        ("ba", 512, 3, 1),       # one replicate below the BA threshold
+        ("ba", 512, 4, 2),       # at it
         ("polya", 512, 2, 2),    # the urn pools from POOL_MIN_DRAWS
     ])
     def test_ba_runs_pool_from_more_draws(self, model, t, replicates, processes, monkeypatch):
         # BA samples faster than the urn, so its pool breaks even later (2²³
-        # draws against 2²⁰ on 2 cores); the threshold scales with POOL_MIN_DRAWS.
+        # draws against 2²² on 2 cores); the threshold scales with POOL_MIN_DRAWS.
         monkeypatch.setattr(experiments, "POOL_MIN_DRAWS", 1024)
         monkeypatch.setattr(experiments, "_available_cores", lambda: 2)
-        assert experiments.BA_POOL_FACTOR == 8
+        assert experiments.BA_POOL_FACTOR == 2
         schedule = "const:1" if model == "polya" else None
         config = ExperimentConfig(model=model, schedule_spec=schedule, t=t,
                                   replicates=replicates, seed=0)
@@ -291,7 +291,7 @@ class TestBlockedEngine:
     # Blocks hold at most a pass of 4096 draws: t=12 packs 341 replicates per
     # block, so 1000 replicates span three blocks (two per worker at
     # threads=2); 4095, 4096 and 4097 straddle the one-row limit, past which a
-    # row is drawn in time chunks, and 8193 ends one draw into a third chunk.
+    # row is drawn in equal time chunks, and 8193 is the first with three.
     SIZES = [(0, 5), (1, 5), (12, 1000), (PASS - 1, 3), (PASS, 3), (PASS + 1, 3),
              (2 * PASS + 1, 2)]
     # 2⁶⁴+5 is three 32-bit entropy words, which with r's fill the pool of four.

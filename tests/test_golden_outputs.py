@@ -28,7 +28,7 @@ CASES = {
     # Rows one step longer than a pass (seeding.PASS = 4096): the time-chunk path.
     **{f"generate-t4097-{spec}": ["generate", "--t", "4097", "--schedule", spec, "--seed", "11"]
        for spec in ("ln", "paper-f")},
-    # Rows crossing two pass edges, one on a step breakpoint at time 4096.
+    # Rows of three pass slices, with a step breakpoint at time 4096.
     **{f"generate-t8193-{spec}": ["generate", "--t", "8193", "--schedule", spec, "--seed", "11"]
        for spec in ("step:4096=1,8000=100,inf=0.5", "const:0.7")},
     "experiment-paper-g-t4097": ["experiment", "--model", "polya", "--schedule", "paper-g",

@@ -17,9 +17,10 @@ import pytest
 
 from polyagraph import graphs, schedules, seeding, urn
 
-_FUNCTIONS = [urn.GuideTable.search, urn._chunk_draws, graphs._ba_chunk,
+_FUNCTIONS = [urn.GuideTable.__init__, urn.GuideTable.search, urn.copy_pointer_draws,
+              urn._chunk_draws, graphs.ba_block_draws, graphs._ba_chunk,
               schedules.Schedule.cumulative, schedules.RationalSegments._at,
-              seeding.Stream.random]
+              seeding.pass_slices, seeding.Stream.random]
 
 
 def _tree(function):

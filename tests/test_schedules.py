@@ -196,7 +196,7 @@ class TestEvaluation:
         with pytest.raises(ScheduleRangeError, match="overflows"):
             parse_schedule("const:1e308").cumulative(5)
         assert parse_schedule("const:1e307").cumulative(5)[-1] == 5e307
-        # Finite over the first slice of PASS sums, first overflowing in the second.
+        # Finite over PASS sums; over 2·PASS + 1 they overflow in a later slice.
         assert np.isfinite(parse_schedule("const:3e304").cumulative(PASS)[-1])
         h = 2 * PASS + 1
         with pytest.raises(ScheduleRangeError,
@@ -213,7 +213,7 @@ class TestEvaluation:
         sched = parse_schedule("const:2")
         cum = sched.cumulative(5)
         assert cum.tolist() == [0, 2, 4, 6, 8, 10]
-        # Summed a slice of PASS times at a time, the prefix sums must equal
+        # Summed a pass slice at a time, the prefix sums must equal
         # one whole-array cumsum bit for bit, on both sides of each slice edge.
         table = tmp_path / "masses.txt"
         masses = ((np.arange(9000) % 7) * 0.3 + 0.1).tolist()

@@ -15,6 +15,7 @@ from polyagraph.seeding import (
     SEED_CONTRACT,
     Stream,
     as_generator,
+    pass_slices,
     replicate_generator,
     replicate_stream,
 )
@@ -69,6 +70,12 @@ class TestStreamMatchesNumpy:
             assert stream.advance(steps) is stream
             reference.position += steps
         assert np.array_equal(stream.random(size), reference.random(size))
+
+    @pytest.mark.parametrize("seed", [0, 918273, 2**200 + 3, (80_001, 0)], ids=repr)
+    def test_key_is_the_reference_fold(self, seed):
+        # The key is folded in Python ints, one word at a time.
+        key = Stream(seed).key
+        assert type(key) is int and key == ReferenceStream(seed, 0).key
 
     @pytest.mark.parametrize("seed, error", [
         (-1, ValueError), (-(2**70), ValueError), (-1.5, ValueError),
@@ -147,6 +154,24 @@ class TestReplicateGenerators:
     def test_draw_count_histogram_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             draw_count_histogram(1, 5, parse_schedule("const:1"), 3, -1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, PASS - 1, PASS, PASS + 1, 5000, 2 * PASS,
+                               3 * PASS + 1, 10**6 + 3])
+def test_pass_slices_are_equal_and_cover_the_length(n):
+    slices = pass_slices(n)
+    assert len(slices) == -(-n // PASS)
+    edges = [0, *(stop for _, stop in slices)]
+    assert slices == list(zip(edges, edges[1:])) and edges[-1] == n
+    lengths = [stop - start for start, stop in slices]
+    assert all(0 < length <= PASS for length in lengths)
+    assert max(lengths, default=0) - min(lengths, default=0) <= 1
+
+
+def test_pass_slices_of_the_paper_horizon():
+    # t = 5000 is two half passes, not a pass and a 904-draw tail.
+    assert pass_slices(5000) == [(0, 2500), (2500, 5000)]
+    assert pass_slices(PASS + 1) == [(0, 2048), (2048, PASS + 1)]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

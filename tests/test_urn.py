@@ -479,9 +479,12 @@ class TestGuideTable:
         parse_schedule("step:4096=1,8000=100,inf=0.5").cumulative(2 * PASS + 1),
         parse_schedule("step:4096=0,inf=1").cumulative(2 * PASS + 1),
         np.zeros(2 * PASS + 2),
-    ], ids=["paper-f", "breakpoint-on-a-slice-edge", "zero-mass-stretch", "all-zero"])
+        # len(S) = 2·PASS + 2 is cut into three slices, the second from entry 2731.
+        parse_schedule("step:2731=1,8000=100,inf=0.5").cumulative(2 * PASS + 1),
+    ], ids=["paper-f", "breakpoint-at-a-pass", "zero-mass-stretch", "all-zero",
+            "breakpoint-on-a-slice-edge"])
     def test_sliced_guide_is_the_whole_array_guide(self, S):
-        # The guide is counted a slice of PASS entries at a time; it must be
+        # The guide is counted a pass slice of S at a time; it must be
         # the exclusive prefix of one bincount over all of S.
         table = GuideTable(S)
         in_bucket = np.bincount(table._bucket(S), minlength=len(S) + 1)
