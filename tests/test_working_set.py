@@ -3,8 +3,7 @@
 A row longer than a pass is drawn in ``seeding.pass_slices``' equal slices,
 and each chunk computes its pointers and draws over buffers it already holds,
 so a call's traced peak, less the returned array, stays under five
-pass-long 8-byte arrays at any t.  Whole-pass chunks with a new array for
-each step's result peaked at six to eight.
+pass-long 8-byte arrays at any t.
 """
 
 import tracemalloc
@@ -44,7 +43,7 @@ def _peak_beyond_result(call):
 
 
 @pytest.mark.parametrize("sampler", ["urn", "ba"])
-@pytest.mark.parametrize("m, t", CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize("m, t", CASES, ids=str)
 def test_peak_beyond_the_draws_is_under_five_passes(sampler, m, t):
     sample = _samplers(m, t)[sampler]
     assert _peak_beyond_result(lambda: sample(Stream(1))) < BOUND
